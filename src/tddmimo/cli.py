@@ -83,11 +83,9 @@ def main(argv=None) -> int:
     cache = MomentCache(path)
     print(f"cache: {path}")
     print(f"records: {len(cache)}")
-    kinds = {}
-    for key in cache._store:
-        kinds[key.kind] = kinds.get(key.kind, 0) + 1
-    for kind, count in sorted(kinds.items()):
+    for kind, count in sorted(cache.kind_counts().items()):
         print(f"  {kind}: {count}")
+    print(f"skipped lines: {cache.skipped}")
     return 0
 
 

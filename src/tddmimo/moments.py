@@ -1,18 +1,28 @@
 """Monte Carlo estimation of the trace-inverse gain statistics.
 
-Sampling is counter-based: sample i always uses the Philox stream keyed by
-(seed, i), so estimates are bit-identical regardless of how samples are
-chunked across workers.  Per-sample values are assembled into one array in
-index order and reduced with a fixed summation order.
+One chunk kernel serves every statistic: draw K x M channels, optionally
+order the rows by scores_k * ||z_k||^2 (stable, best first) and scale them
+by a positive diagonal F, then factor the Gram matrix once, G = L L^H.  The
+Cholesky factor of a leading block G_N is the leading block of L, so
+tr(G_N^{-1}) = sum_{i<N} ||row_i(L^{-1})||^2 for every N at once.  eta uses
+unit scores, phi_F no ordering and the weighted statistics scores p_star.
 
-Singular draws (Gram condition number beyond the precoding threshold) are
-discarded and counted; a run aborts if they exceed 0.1% of the samples.
+Sample i always uses the Philox stream keyed by (seed, i) and chunk results
+are reduced in index order, so estimates are bit-identical for any worker
+count.
+
+Singular draws are discarded and counted; a run aborts if they exceed 0.1%
+of the samples.  The guard is applied once, to the full Gram matrix.  By
+Cauchy interlacing cond(G_N) <= cond(G), so the weighted statistics discard
+the same draws as a per-N guard, and eta with N < K may discard a draw whose
+own block would pass.
 """
 
 from __future__ import annotations
 
 import hashlib
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +31,7 @@ import numpy as np
 
 from .channel_model import RngStream, draw_channel
 from .errors import ExcessSingularDrawsError
-from .precoding import COND_LIMIT
+from .precoding import gram_is_regular
 
 CHUNK = 2048
 SINGULAR_FRACTION_LIMIT = 1e-3
@@ -64,58 +74,56 @@ def _draw_batch(K: int, M: int, seed: int, start: int, count: int) -> np.ndarray
     return z
 
 
-def _trace_inv_stat(gram: np.ndarray) -> np.ndarray:
-    """Batched (tr G^{-1})^{-1/2} with NaN marking singular draws."""
-    vals = np.full(gram.shape[0], np.nan)
-    with np.errstate(all="ignore"):
-        cond = np.linalg.cond(gram)
-    ok = np.isfinite(cond) & (cond <= COND_LIMIT)
-    if np.any(ok):
-        inv = np.linalg.inv(gram[ok])
-        tr = np.trace(inv, axis1=1, axis2=2).real
-        vals[ok] = tr ** -0.5
-    return vals
+def _chunk(args):
+    """phi_N for every N over one chunk of draws, and the row order used.
 
-
-def _eta_chunk(args) -> np.ndarray:
-    M, K, N, seed, start, count = args
+    Returns (phi, order): phi[i, N-1] is the statistic of the N leading rows
+    of draw i (a NaN row marks a singular draw) and order[i] lists the users
+    best first, or is None when `scores` is None and rows keep their order.
+    """
+    K, M, scores, f_diag, seed, start, count = args
     z = _draw_batch(K, M, seed, start, count)
-    norms = np.sum(np.abs(z) ** 2, axis=2)
-    order = np.argsort(-norms, axis=1, kind="stable")[:, :N]
-    u = np.take_along_axis(z, order[:, :, None], axis=1)
-    gram = u @ u.conj().transpose(0, 2, 1)
-    return _trace_inv_stat(gram)
+    order = None
+    if scores is not None:
+        weight = np.asarray(scores) * np.sum(np.abs(z) ** 2, axis=2)
+        order = np.argsort(-weight, axis=1, kind="stable")
+        z = np.take_along_axis(z, order[:, :, None], axis=1)
+    if f_diag is not None:
+        f = np.asarray(f_diag)
+        z = (f if order is None else f[order])[..., None] * z
+    gram = z @ z.conj().transpose(0, 2, 1)
+    ok = gram_is_regular(gram)
+    phi = np.full((count, K), np.nan)
+    if np.any(ok):
+        l_inv = np.tril(np.linalg.inv(np.linalg.cholesky(gram[ok])))
+        phi[ok] = np.cumsum(np.sum(np.abs(l_inv) ** 2, axis=2), axis=1) ** -0.5
+    return phi, order
 
 
-def _phi_chunk(args) -> np.ndarray:
-    f_diag, M, seed, start, count = args
-    f_diag = np.asarray(f_diag, dtype=float)
-    z = _draw_batch(f_diag.size, M, seed, start, count)
-    zf = f_diag[None, :, None] * z
-    gram = zf @ zf.conj().transpose(0, 2, 1)
-    return _trace_inv_stat(gram)
-
-
-def _chunk_tasks(samples: int):
-    return [(start, min(CHUNK, samples - start)) for start in range(0, samples, CHUNK)]
-
-
-def _collect(chunk_fn, params: tuple, samples: int, seed: int, workers: int) -> np.ndarray:
-    tasks = [params + (seed, start, count) for start, count in _chunk_tasks(samples)]
+def _collect(params: tuple, samples: int, seed: int, workers: int) -> list:
+    """Kernel results for consecutive CHUNK-sized sample ranges, in order."""
+    tasks = [params + (seed, start, min(CHUNK, samples - start))
+             for start in range(0, samples, CHUNK)]
     if workers <= 1 or len(tasks) == 1:
-        parts = [chunk_fn(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(chunk_fn, tasks))
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+        return [_chunk(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(_chunk, tasks))
+
+
+def _column(parts: list, n: int) -> np.ndarray:
+    return np.concatenate([phi[:, n - 1] for phi, _ in parts])
+
+
+def _check_singular(singular: int, samples: int):
+    if singular > SINGULAR_FRACTION_LIMIT * samples:
+        raise ExcessSingularDrawsError(
+            f"{singular}/{samples} singular draws exceeds the 0.1% budget")
 
 
 def _estimate_from_values(values: np.ndarray) -> MomentEstimate:
     samples = values.size
     singular = int(np.isnan(values).sum())
-    if singular > SINGULAR_FRACTION_LIMIT * samples:
-        raise ExcessSingularDrawsError(
-            f"{singular}/{samples} singular draws exceeds the 0.1% budget")
+    _check_singular(singular, samples)
     n = samples - singular
     s1 = float(np.nansum(values))
     s2 = float(np.nansum(values * values))
@@ -133,7 +141,7 @@ def eta_samples(M: int, K: int, N: int, samples: int, seed: int,
         raise IndexError(f"need 1 <= N <= K <= M, got N={N}, K={K}, M={M}")
     if samples < 1:
         raise IndexError("samples must be positive")
-    return _collect(_eta_chunk, (M, K, N), samples, seed, workers)
+    return _column(_collect((K, M, (1.0,) * K, None), samples, seed, workers), N)
 
 
 def eta_moments(M: int, K: int, N: int, samples: int, seed: int, *,
@@ -157,8 +165,8 @@ def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
     if np.any(f_diag <= 0):
         raise ValueError("F must be positive diagonal")
     key = MomentKey("phi_F", M, K, K, f_fingerprint(f_diag), samples, seed)
-    compute = lambda: _estimate_from_values(
-        _collect(_phi_chunk, (tuple(f_diag), M), samples, seed, workers))
+    compute = lambda: _estimate_from_values(_column(
+        _collect((K, M, None, tuple(f_diag)), samples, seed, workers), K))
     return cache.cached(key, compute) if cache is not None else compute()
 
 
@@ -186,38 +194,16 @@ class WeightedPhiStats:
     se_variance: np.ndarray
 
 
-def _weighted_chunk(args):
-    f_diag, p_star, M, seed, start, count = args
-    f_diag = np.asarray(f_diag, dtype=float)
-    p_star = np.asarray(p_star, dtype=float)
-    Ka = f_diag.size
-    cnt = np.zeros((Ka, Ka), dtype=np.int64)
-    s1 = np.zeros((Ka, Ka))
-    s2 = np.zeros((Ka, Ka))
-    singular = 0
-    for i in range(count):
-        z = draw_channel(Ka, M, RngStream(seed, start + i))
-        scores = p_star * np.sum(np.abs(z) ** 2, axis=1)
-        order = np.argsort(-scores, kind="stable")
-        zf = f_diag[:, None] * z
-        phis = np.empty(Ka)
-        ok = True
-        for n in range(1, Ka + 1):
-            u = zf[order[:n]]
-            gram = u @ u.conj().T
-            if np.linalg.cond(gram) > COND_LIMIT:
-                ok = False
-                break
-            phis[n - 1] = float(np.trace(np.linalg.inv(gram)).real) ** -0.5
-        if not ok:
-            singular += 1
-            continue
-        for n in range(1, Ka + 1):
-            sel = order[:n]
-            cnt[n - 1, sel] += 1
-            s1[n - 1, sel] += phis[n - 1]
-            s2[n - 1, sel] += phis[n - 1] ** 2
-    return cnt, s1, s2, singular
+def _selection_sums(phi: np.ndarray, order: np.ndarray):
+    """Per-(N, user) count, sum and sum of squares of phi_N over one chunk."""
+    K = phi.shape[1]
+    ok = ~np.isnan(phi[:, 0])
+    rank = np.argsort(order, axis=1)
+    # served[i, N-1, k]: user k is among the N best of regular draw i
+    served = (rank[:, None, :] < np.arange(1, K + 1)[:, None]) & ok[:, None, None]
+    vals = np.where(ok[:, None], phi, 0.0)
+    return (served.sum(axis=0), np.einsum("ink,in->nk", served, vals),
+            np.einsum("ink,in->nk", served, vals * vals))
 
 
 def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
@@ -235,33 +221,16 @@ def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
         raise ValueError("p_star and f_diag must have equal length")
     if Ka > M:
         raise IndexError(f"need K <= M, got K={Ka}, M={M}")
-    tasks = [(tuple(f_diag), tuple(p_star), M, seed, start, count)
-             for start, count in _chunk_tasks(samples)]
-    if workers <= 1 or len(tasks) == 1:
-        parts = [_weighted_chunk(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(_weighted_chunk, tasks))
-    cnt = np.zeros((Ka, Ka), dtype=np.int64)
-    s1 = np.zeros((Ka, Ka))
-    s2 = np.zeros((Ka, Ka))
-    singular = 0
-    for c, a, b, s in parts:  # fixed chunk order keeps sums bit-exact
-        cnt += c
-        s1 += a
-        s2 += b
-        singular += s
-    if singular > SINGULAR_FRACTION_LIMIT * samples:
-        raise ExcessSingularDrawsError(
-            f"{singular}/{samples} singular draws exceeds the 0.1% budget")
-    used = samples - singular
-    with np.errstate(all="ignore"):
-        frac = cnt / used
-        mean = np.where(cnt > 0, s1 / np.maximum(cnt, 1), np.nan)
-        var = np.where(cnt > 0, s2 / np.maximum(cnt, 1) - mean * mean, np.nan)
-        var = np.where(cnt > 0, np.maximum(var, 0.0), np.nan)
-        se_mean = np.sqrt(var / np.maximum(cnt, 1))
-        se_var = var * np.sqrt(2.0 / np.maximum(cnt, 1))
+    parts = _collect((Ka, M, tuple(p_star), tuple(f_diag)), samples, seed, workers)
+    singular = sum(int(np.isnan(phi[:, 0]).sum()) for phi, _ in parts)
+    _check_singular(singular, samples)
+    # fixed chunk order keeps sums bit-exact
+    cnt, s1, s2 = (sum(terms) for terms in zip(*(_selection_sums(*p) for p in parts)))
+    frac = cnt / (samples - singular)
+    mean = np.where(cnt > 0, s1 / np.maximum(cnt, 1), np.nan)
+    var = np.where(cnt > 0, np.maximum(s2 / np.maximum(cnt, 1) - mean * mean, 0.0), np.nan)
+    se_mean = np.sqrt(var / np.maximum(cnt, 1))
+    se_var = var * np.sqrt(2.0 / np.maximum(cnt, 1))
     return WeightedPhiStats(samples=samples, singular_events=singular,
                             count=cnt, frac=frac, mean=mean, variance=var,
                             se_mean=se_mean, se_variance=se_var)
@@ -280,6 +249,9 @@ class MomentCache:
         kind,M,K,N,fingerprint,samples,seed,mean,variance,std_error_of_mean,singular_events
 
     Floats are written with repr so reloaded estimates are bit-identical.
+    A line that does not parse or is not newline-terminated (what a killed
+    writer leaves) is skipped and counted in `skipped`; an append after such
+    a line ends it with "!" so that it never parses.
     """
 
     VERSION = "tddmimo-moments-cache v1"
@@ -289,12 +261,13 @@ class MomentCache:
         self._store: dict[MomentKey, MomentEstimate] = {}
         self.hits = 0
         self.misses = 0
+        self.skipped = 0
         if self.path is not None and self.path.exists():
             self._load()
 
     def _load(self):
         try:
-            lines = self.path.read_text().splitlines()
+            lines = self.path.read_text(errors="replace").splitlines(keepends=True)
         except OSError as exc:
             warnings.warn(f"moment cache unreadable, recomputing: {exc}")
             return
@@ -304,10 +277,19 @@ class MomentCache:
         for line in lines[1:]:
             if not line.strip():
                 continue
-            kind, m, k, n, fp, samples, seed, mean, var, se, sing = line.split(",")
-            key = MomentKey(kind, int(m), int(k), int(n), fp, int(samples), int(seed))
-            self._store[key] = MomentEstimate(float(mean), float(var), float(se),
-                                              int(samples), int(sing))
+            try:
+                if not line.endswith("\n"):
+                    raise ValueError("unterminated line")
+                kind, m, k, n, fp, samples, seed, mean, var, se, sing = line.split(",")
+                key = MomentKey(kind, int(m), int(k), int(n), fp, int(samples), int(seed))
+                est = MomentEstimate(float(mean), float(var), float(se),
+                                     int(samples), int(sing))
+            except ValueError:
+                self.skipped += 1
+                continue
+            self._store[key] = est
+        if self.skipped:
+            warnings.warn(f"skipped {self.skipped} malformed line(s) in {self.path}")
 
     def _append(self, key: MomentKey, est: MomentEstimate):
         if self.path is None:
@@ -317,11 +299,13 @@ class MomentCache:
                          repr(float(est.mean)), repr(float(est.variance)),
                          repr(float(est.std_error_of_mean)), str(est.singular_events)])
         try:
-            fresh = not self.path.exists()
-            with open(self.path, "a") as fh:
-                if fresh:
-                    fh.write(self.VERSION + "\n")
-                fh.write(line + "\n")
+            with open(self.path, "ab+") as fh:
+                if fh.seek(0, 2) == 0:
+                    prefix = self.VERSION + "\n"
+                else:  # mark a torn last record unparseable, then start afresh
+                    fh.seek(-1, 2)
+                    prefix = "" if fh.read(1) == b"\n" else "!\n"
+                fh.write((prefix + line + "\n").encode())
         except OSError as exc:
             warnings.warn(f"moment cache not writable: {exc}")
 
@@ -335,6 +319,10 @@ class MomentCache:
         self._store[key] = est
         self._append(key, est)
         return est
+
+    def kind_counts(self) -> dict[str, int]:
+        """Number of stored records per statistic kind."""
+        return dict(Counter(key.kind for key in self._store))
 
     def __len__(self):
         return len(self._store)

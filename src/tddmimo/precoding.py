@@ -2,8 +2,9 @@
 trace-inverse statistics and the forward-link simulation.
 
 The Gram matrix G = H_hat H_hat^H (N x N, N <= M) is inverted directly; its
-condition number is checked against COND_LIMIT and a SingularChannelError is
-raised past it so Monte Carlo callers can resample and count the event.
+condition number is checked against COND_LIMIT (`gram_is_regular`, shared
+with the Monte Carlo kernel) and a SingularChannelError is raised past it so
+Monte Carlo callers can resample and count the event.
 """
 
 from __future__ import annotations
@@ -25,6 +26,13 @@ class PrecodingMatrix:
     a: np.ndarray
 
 
+def gram_is_regular(gram: np.ndarray) -> np.ndarray:
+    """True where a Hermitian Gram matrix (or each of a stack) has
+    lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min."""
+    lam = np.linalg.eigvalsh(gram)
+    return (lam[..., 0] > 0) & (lam[..., -1] <= COND_LIMIT * lam[..., 0])
+
+
 def _gram_inverse(h: np.ndarray) -> np.ndarray:
     """Inverse of h h^H with a condition-number guard."""
     n, m = h.shape
@@ -33,7 +41,7 @@ def _gram_inverse(h: np.ndarray) -> np.ndarray:
     gram = h @ h.conj().T
     if n == 0:
         raise ValueError("empty channel matrix")
-    if np.linalg.cond(gram) > COND_LIMIT:
+    if not gram_is_regular(gram):
         raise SingularChannelError(
             f"Gram matrix condition number exceeds {COND_LIMIT:g}")
     return np.linalg.inv(gram)

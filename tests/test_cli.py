@@ -122,3 +122,29 @@ def test_seed_and_quick_overrides(tmp_path):
                     (out / "run_manifest.txt").read_text().splitlines())
     assert manifest["seed"] == "42"
     assert manifest["samples"] == "600"
+
+
+def test_truncated_cache_recovers(tmp_path, capsys):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text("preset=custom\nscheme=1\nM=4\nK=3\nT=10\n"
+                         "rho_f_db=0\nrho_r_db=-10\nseed=3\nsamples=300\n")
+    out = tmp_path / "out"
+    run = ["run", "--spec", str(spec_file), "--out", str(out)]
+    assert main(run) == 0
+    first = (out / "custom_sum_bound.csv").read_bytes()
+    cache_file = out / "moments_cache.txt"
+    cache_file.write_bytes(cache_file.read_bytes()[:-5])  # killed mid-record
+    capsys.readouterr()
+
+    with pytest.warns(UserWarning, match="skipped 1"):
+        assert main(run) == 0
+    assert "cache_misses=1" in capsys.readouterr().out
+    with pytest.warns(UserWarning, match="skipped 1"):
+        assert main(run) == 0
+    assert "cache_misses=0" in capsys.readouterr().out
+    assert (out / "custom_sum_bound.csv").read_bytes() == first
+
+    with pytest.warns(UserWarning):
+        assert main(["cache-info", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "  eta: 3" in text and "skipped lines: 1" in text

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tddmimo import MomentCache, MomentKey, eta_moments, phi_f_moments
-from tddmimo.moments import eta_samples, f_fingerprint
+from tddmimo import (MomentCache, MomentKey, RngStream, draw_channel,
+                     eta_moments, phi_f_moments, weighted_phi_stats)
+from tddmimo.moments import _chunk, eta_samples, f_fingerprint
+from tddmimo.precoding import COND_LIMIT
 
 
 def test_closed_form_single_row_moments():
@@ -80,9 +82,80 @@ def test_dimension_errors():
 
 
 def test_worker_count_independence():
-    ests = [eta_moments(6, 4, 2, 6000, seed=10, workers=w) for w in (1, 2, 8)]
-    for other in ests[1:]:
-        assert other == ests[0]
+    f = np.array([0.5, 1.5, 1.0, 2.0])
+    p = np.array([1.0, 2.0, 0.5, 1.0])
+    runs = [
+        (lambda w: eta_moments(6, 4, 2, 6000, seed=10, workers=w), (1, 2, 8)),
+        (lambda w: phi_f_moments(f, 6, 5000, seed=10, workers=w), (1, 2)),
+        (lambda w: weighted_phi_stats(f, p, 6, 2500, seed=10, workers=w), (1, 2)),
+    ]
+    for run, workers in runs:
+        ests = [run(w) for w in workers]
+        for other in ests[1:]:
+            for name, value in vars(ests[0]).items():
+                np.testing.assert_array_equal(getattr(other, name), value)
+
+
+def _per_n_oracle(z: np.ndarray, n: int) -> float:
+    gram = z[:n] @ z[:n].conj().T
+    return float(np.trace(np.linalg.inv(gram)).real) ** -0.5
+
+
+@pytest.mark.parametrize("M", [4, 6])
+def test_all_n_kernel_matches_per_n_inverse(M):
+    # at M = K = 4 some draws are ill-conditioned square matrices
+    K, seed, count = 4, 15, 400
+    scores = np.array([1.0, 2.0, 0.5, 1.0])
+    f = np.array([0.5, 1.5, 1.0, 2.0])
+    phi, order = _chunk((K, M, tuple(scores), tuple(f), seed, 0, count))
+    worst = 0.0
+    for i in range(count):
+        z = draw_channel(K, M, RngStream(seed, i))
+        expected = np.argsort(-scores * np.sum(np.abs(z) ** 2, axis=1), kind="stable")
+        np.testing.assert_array_equal(order[i], expected)
+        if np.isnan(phi[i, 0]):
+            continue
+        zf = (f[:, None] * z)[expected]
+        for n in range(1, K + 1):
+            ref = _per_n_oracle(zf, n)
+            worst = max(worst, abs(phi[i, n - 1] - ref) / ref)
+    assert worst < 1e-9
+
+
+def _weighted_oracle(f_diag, p_star, M, samples, seed):
+    """Per-sample, per-N reference for weighted_phi_stats."""
+    Ka = f_diag.size
+    cnt = np.zeros((Ka, Ka), dtype=np.int64)
+    s1 = np.zeros((Ka, Ka))
+    s2 = np.zeros((Ka, Ka))
+    for i in range(samples):
+        z = draw_channel(Ka, M, RngStream(seed, i))
+        order = np.argsort(-p_star * np.sum(np.abs(z) ** 2, axis=1), kind="stable")
+        zf = (f_diag[:, None] * z)[order]
+        grams = [zf[:n] @ zf[:n].conj().T for n in range(1, Ka + 1)]
+        if any(np.linalg.cond(g) > COND_LIMIT for g in grams):
+            continue
+        for n in range(1, Ka + 1):
+            phi = _per_n_oracle(zf, n)
+            cnt[n - 1, order[:n]] += 1
+            s1[n - 1, order[:n]] += phi
+            s2[n - 1, order[:n]] += phi ** 2
+    with np.errstate(all="ignore"):
+        mean = s1 / cnt
+        var = s2 / cnt - mean * mean
+    return cnt, mean, var
+
+
+def test_weighted_stats_match_per_sample_oracle():
+    f = np.array([0.5, 1.5, 1.0, 2.0])
+    p = np.array([1.0, 2.0, 0.5, 1.0])
+    stats = weighted_phi_stats(f, p, 6, 300, seed=16)
+    cnt, mean, var = _weighted_oracle(f, p, 6, 300, seed=16)
+    np.testing.assert_array_equal(stats.count, cnt)
+    assert np.any(cnt == 0)  # the NaN convention for never-served users is exercised
+    np.testing.assert_allclose(stats.mean, mean, rtol=1e-12, equal_nan=True)
+    np.testing.assert_allclose(stats.variance, np.maximum(var, 0.0), rtol=1e-12,
+                               equal_nan=True)
 
 
 def test_cache_miss_then_hit(tmp_path):
@@ -109,6 +182,38 @@ def test_cache_persistence_round_trip(tmp_path):
     assert a == b
     assert reloaded.hits == 1 and reloaded.misses == 0
     assert path.read_text().splitlines()[0] == MomentCache.VERSION
+
+
+@pytest.mark.parametrize("cut", [1, 6])
+def test_cache_skips_truncated_last_line(tmp_path, cut):
+    # cutting only the newline leaves eleven fields that would still parse
+    path = tmp_path / "cache.txt"
+    cache = MomentCache(path)
+    a = eta_moments(5, 3, 2, 500, seed=17, cache=cache)
+    b = eta_moments(5, 3, 3, 500, seed=17, cache=cache)
+    path.write_bytes(path.read_bytes()[:-cut])  # a killed writer's last record
+    with pytest.warns(UserWarning, match="skipped 1"):
+        reloaded = MomentCache(path)
+    assert reloaded.skipped == 1 and len(reloaded) == 1
+    assert eta_moments(5, 3, 2, 500, seed=17, cache=reloaded) == a
+    assert eta_moments(5, 3, 3, 500, seed=17, cache=reloaded) == b
+    assert reloaded.misses == 1
+    # the recomputed record starts on a fresh line and survives the next load
+    with pytest.warns(UserWarning, match="skipped 1"):
+        again = MomentCache(path)
+    assert len(again) == 2 and again.skipped == 1
+
+
+def test_cache_skips_garbage_line(tmp_path):
+    path = tmp_path / "cache.txt"
+    a = eta_moments(5, 3, 2, 500, seed=18, cache=MomentCache(path))
+    with open(path, "ab") as fh:
+        fh.write(b"eta,5,3,x,-,500,18,1.0,0.1,0.01,0\n\xff\xfe garbage\n")
+    with pytest.warns(UserWarning, match="skipped 2"):
+        reloaded = MomentCache(path)
+    assert reloaded.kind_counts() == {"eta": 1}
+    assert eta_moments(5, 3, 2, 500, seed=18, cache=reloaded) == a
+    assert reloaded.hits == 1
 
 
 def test_fingerprint_sensitivity():
