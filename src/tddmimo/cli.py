@@ -9,8 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiments import (QUICK_SAMPLES, SpecValidationError, parse_spec,
-                          run_experiment)
+from .experiments import (QUICK_SAMPLES, SpecValidationError,
+                          check_feasibility, parse_spec, run_experiment)
 from .moments import MomentCache
 
 
@@ -52,20 +52,24 @@ def main(argv=None) -> int:
             return 2
         try:
             spec = parse_spec(text)
+            if args.command == "validate":
+                print(f"spec ok: preset={spec.preset}, output={spec.output}")
+                return 0
+            if args.seed is not None:
+                spec.seed = args.seed
+            if args.quick:
+                spec.quick = True
+                spec.samples = QUICK_SAMPLES
+            if args.samples is not None:
+                spec.samples = args.samples
+            violations = check_feasibility(spec) + (
+                ["workers must be at least 1"] if args.workers < 1 else [])
+            if violations:
+                raise SpecValidationError(violations)
         except SpecValidationError as exc:
             for violation in exc.violations:
                 print(f"invalid spec: {violation}", file=sys.stderr)
             return 1
-        if args.command == "validate":
-            print(f"spec ok: preset={spec.preset}, output={spec.output}")
-            return 0
-        if args.seed is not None:
-            spec.seed = args.seed
-        if args.quick:
-            spec.quick = True
-            spec.samples = QUICK_SAMPLES
-        if args.samples is not None:
-            spec.samples = args.samples
         try:
             manifest = run_experiment(spec, args.out, workers=args.workers)
         except Exception as exc:  # noqa: BLE001 - surface as exit code 2

@@ -16,7 +16,6 @@ import numpy as np
 
 from .channel_model import SystemConfig, db_to_linear
 from .errors import InfeasibleError
-from .moments import MomentCache
 from .rates import MomentSource, c_net, c_sum_lb, c_wt_net
 
 PRESETS = ("fig2", "fig3", "fig4", "fig5", "custom")
@@ -323,8 +322,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     """Run the sweep, write CSV + manifest + moment cache, return manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cache = MomentCache(out / "moments_cache.txt")
-    source = MomentSource(spec.samples, spec.seed, workers=workers, cache=cache)
+    source = MomentSource(spec.samples, spec.seed, workers=workers,
+                          cache_path=out / "moments_cache.txt")
+    cache = source.cache
     started = time.time()
     header, rows = _sweep_rows(spec, source)
     csv_path = out / spec.output
@@ -341,7 +341,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
         "rows": len(rows),
         "cache_hits": cache.hits,
         "cache_misses": cache.misses,
-        "singular_events": source.singular_events,
+        "singular_events": cache.singular_events,
         "wall_time_s": round(time.time() - started, 3),
     }
     manifest_path = out / "run_manifest.txt"

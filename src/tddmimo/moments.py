@@ -16,6 +16,8 @@ of the samples.  The guard is applied once, to the full Gram matrix.  By
 Cauchy interlacing cond(G_N) <= cond(G), so the weighted statistics discard
 the same draws as a per-N guard, and eta with N < K may discard a draw whose
 own block would pass.
+
+Each statistic is one MomentEstimate over all N; MomentCache holds them all.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import hashlib
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,26 +40,45 @@ CHUNK = 2048
 SINGULAR_FRACTION_LIMIT = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentEstimate:
-    """Monte Carlo mean/variance of a scalar statistic."""
+    """Monte Carlo moments of the statistic phi, entry by entry.
 
-    mean: float
-    variance: float
-    std_error_of_mean: float
+    eta and phi_F are indexed [N-1] over the served counts N <= K; the
+    weighted statistics are indexed [N-1, k] over the K active users and
+    count only the draws in which user k is among the N served.  `count`
+    is the number of regular draws behind each entry; entries with zero
+    counts are NaN.
+    """
+
     samples: int
     singular_events: int
+    count: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+
+    @cached_property
+    def frac(self) -> np.ndarray:
+        """Fraction of the regular draws behind each entry."""
+        return self.count / (self.samples - self.singular_events)
+
+    @cached_property
+    def std_error_of_mean(self) -> np.ndarray:
+        return np.sqrt(self.variance / np.maximum(self.count, 1))
+
+    @cached_property
+    def se_variance(self) -> np.ndarray:
+        return self.variance * np.sqrt(2.0 / np.maximum(self.count, 1))
 
 
 @dataclass(frozen=True)
 class MomentKey:
     """Cache key: statistic kind plus everything its law depends on."""
 
-    kind: str  # "eta" | "phi_F"
+    kind: str  # "eta" | "phi_F" | "weighted"
     M: int
     K: int
-    N: int
-    fingerprint: str  # "-" for eta; F-diagonal hash for phi_F
+    fingerprint: str  # "-" for eta; hash of F (phi_F) or of F and p_star (weighted)
     samples: int
     seed: int
 
@@ -102,6 +124,8 @@ def _chunk(args):
 
 def _collect(params: tuple, samples: int, seed: int, workers: int) -> list:
     """Kernel results for consecutive CHUNK-sized sample ranges, in order."""
+    if samples < 1:
+        raise IndexError("samples must be positive")
     tasks = [params + (seed, start, min(CHUNK, samples - start))
              for start in range(0, samples, CHUNK)]
     if workers <= 1 or len(tasks) == 1:
@@ -110,89 +134,64 @@ def _collect(params: tuple, samples: int, seed: int, workers: int) -> list:
         return list(ex.map(_chunk, tasks))
 
 
-def _column(parts: list, n: int) -> np.ndarray:
-    return np.concatenate([phi[:, n - 1] for phi, _ in parts])
+def _check_dims(K: int, M: int):
+    if not (1 <= K <= M):
+        raise IndexError(f"need 1 <= K <= M, got K={K}, M={M}")
 
 
-def _check_singular(singular: int, samples: int):
+def _estimate(samples: int, singular: int, count, s1, s2) -> MomentEstimate:
+    """Moments from per-entry draw counts and sums of phi and phi^2."""
     if singular > SINGULAR_FRACTION_LIMIT * samples:
         raise ExcessSingularDrawsError(
             f"{singular}/{samples} singular draws exceeds the 0.1% budget")
+    mean = np.where(count > 0, s1 / np.maximum(count, 1), np.nan)
+    var = np.where(count > 0, np.maximum(s2 / np.maximum(count, 1) - mean * mean, 0.0), np.nan)
+    return MomentEstimate(samples, singular, count, mean, var)
 
 
-def _estimate_from_values(values: np.ndarray) -> MomentEstimate:
-    samples = values.size
-    singular = int(np.isnan(values).sum())
-    _check_singular(singular, samples)
-    n = samples - singular
-    s1 = float(np.nansum(values))
-    s2 = float(np.nansum(values * values))
-    mean = s1 / n
-    var = max(s2 / n - mean * mean, 0.0)
-    return MomentEstimate(mean=mean, variance=var,
-                          std_error_of_mean=float(np.sqrt(var / n)),
-                          samples=samples, singular_events=singular)
+def _draws(params: tuple, samples: int, seed: int, workers: int) -> np.ndarray:
+    """phi[sample, N-1] for every draw; a NaN row marks a singular draw."""
+    return np.concatenate([phi for phi, _ in _collect(params, samples, seed, workers)])
 
 
-def eta_samples(M: int, K: int, N: int, samples: int, seed: int,
+def _moments_over_n(phi: np.ndarray) -> MomentEstimate:
+    samples, K = phi.shape
+    singular = int(np.isnan(phi[:, 0]).sum())
+    # column by column: a sum over axis 0 would add in another order
+    s1, s2 = np.array([(np.nansum(col), np.nansum(col * col)) for col in phi.T]).T
+    return _estimate(samples, singular, np.full(K, samples - singular), s1, s2)
+
+
+def eta_samples(M: int, K: int, samples: int, seed: int,
                 workers: int = 1) -> np.ndarray:
-    """Raw eta draws (NaN marks discarded singular draws); test oracle hook."""
-    if not (1 <= N <= K <= M):
-        raise IndexError(f"need 1 <= N <= K <= M, got N={N}, K={K}, M={M}")
-    if samples < 1:
-        raise IndexError("samples must be positive")
-    return _column(_collect((K, M, (1.0,) * K, None), samples, seed, workers), N)
+    """Raw eta draws indexed [sample, N-1] (a NaN row marks a discarded
+    singular draw); test oracle hook."""
+    _check_dims(K, M)
+    return _draws((K, M, (1.0,) * K, None), samples, seed, workers)
 
 
-def eta_moments(M: int, K: int, N: int, samples: int, seed: int, *,
-                workers: int = 1, cache: "MomentCache | None" = None) -> MomentEstimate:
-    """Moments of eta: trace-inverse statistic of the N largest-norm rows
-    of a K x M i.i.d. CN(0,1) matrix."""
-    if not (1 <= N <= K <= M):
-        raise IndexError(f"need 1 <= N <= K <= M, got N={N}, K={K}, M={M}")
-    key = MomentKey("eta", M, K, N, "-", samples, seed)
-    compute = lambda: _estimate_from_values(eta_samples(M, K, N, samples, seed, workers))
-    return cache.cached(key, compute) if cache is not None else compute()
+def eta_moments(M: int, K: int, samples: int, seed: int, *,
+                workers: int = 1) -> MomentEstimate:
+    """Moments of eta_N, the trace-inverse statistic of the N largest-norm
+    rows of a K x M i.i.d. CN(0,1) matrix, for every N <= K."""
+    return _moments_over_n(eta_samples(M, K, samples, seed, workers))
 
 
 def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
-                  workers: int = 1, cache: "MomentCache | None" = None) -> MomentEstimate:
-    """Moments of phi_F = (tr[(F Z Z^H F)^{-1}])^{-1/2}, Z of size K x M."""
+                  workers: int = 1) -> MomentEstimate:
+    """Moments of phi of the N leading rows of F Z, Z of size K x M, for
+    every N <= K; entry K-1 is phi_F = (tr[(F Z Z^H F)^{-1}])^{-1/2}."""
     f_diag = np.asarray(f_diag, dtype=float)
-    K = f_diag.size
-    if not (1 <= K <= M):
-        raise IndexError(f"need 1 <= K <= M, got K={K}, M={M}")
+    _check_dims(f_diag.size, M)
     if np.any(f_diag <= 0):
         raise ValueError("F must be positive diagonal")
-    key = MomentKey("phi_F", M, K, K, f_fingerprint(f_diag), samples, seed)
-    compute = lambda: _estimate_from_values(_column(
-        _collect((K, M, None, tuple(f_diag)), samples, seed, workers), K))
-    return cache.cached(key, compute) if cache is not None else compute()
+    return _moments_over_n(_draws((f_diag.size, M, None, tuple(f_diag)),
+                                  samples, seed, workers))
 
 
 # ---------------------------------------------------------------------------
 # Scheduled heterogeneous statistics (per-block selection -> conditional phi)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeightedPhiStats:
-    """Per-(N, user) selection fractions and conditional phi moments.
-
-    Arrays are indexed [N-1, k] over K active users: frac is the fraction of
-    blocks in which user k is among the N served; mean/variance are the
-    moments of the selected-submatrix statistic phi conditioned on that
-    event.  Entries with zero counts are NaN.
-    """
-
-    samples: int
-    singular_events: int
-    count: np.ndarray
-    frac: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
-    se_mean: np.ndarray
-    se_variance: np.ndarray
-
 
 def _selection_sums(phi: np.ndarray, order: np.ndarray):
     """Per-(N, user) count, sum and sum of squares of phi_N over one chunk."""
@@ -207,33 +206,26 @@ def _selection_sums(phi: np.ndarray, order: np.ndarray):
 
 
 def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
-                       workers: int = 1) -> WeightedPhiStats:
+                       workers: int = 1) -> MomentEstimate:
     """Monte Carlo over coherence blocks of the weighted selection rule.
 
     In each block users are ordered by p_star_k * ||z_k||^2 and, for every
     N, the statistic phi of the selected scaled submatrix F_S Z_S is
-    recorded against each selected user.
+    recorded against each selected user: entry [N-1, k] holds the moments
+    of phi given that user k is among the N served, and `frac` the
+    fraction of blocks in which it is.
     """
     f_diag = np.asarray(f_diag, dtype=float)
     p_star = np.asarray(p_star, dtype=float)
     Ka = f_diag.size
     if p_star.shape != (Ka,):
         raise ValueError("p_star and f_diag must have equal length")
-    if Ka > M:
-        raise IndexError(f"need K <= M, got K={Ka}, M={M}")
+    _check_dims(Ka, M)
     parts = _collect((Ka, M, tuple(p_star), tuple(f_diag)), samples, seed, workers)
     singular = sum(int(np.isnan(phi[:, 0]).sum()) for phi, _ in parts)
-    _check_singular(singular, samples)
     # fixed chunk order keeps sums bit-exact
     cnt, s1, s2 = (sum(terms) for terms in zip(*(_selection_sums(*p) for p in parts)))
-    frac = cnt / (samples - singular)
-    mean = np.where(cnt > 0, s1 / np.maximum(cnt, 1), np.nan)
-    var = np.where(cnt > 0, np.maximum(s2 / np.maximum(cnt, 1) - mean * mean, 0.0), np.nan)
-    se_mean = np.sqrt(var / np.maximum(cnt, 1))
-    se_var = var * np.sqrt(2.0 / np.maximum(cnt, 1))
-    return WeightedPhiStats(samples=samples, singular_events=singular,
-                            count=cnt, frac=frac, mean=mean, variance=var,
-                            se_mean=se_mean, se_variance=se_var)
+    return _estimate(samples, singular, cnt, s1, s2)
 
 
 # ---------------------------------------------------------------------------
@@ -241,27 +233,32 @@ def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
 # ---------------------------------------------------------------------------
 
 class MomentCache:
-    """In-memory moment store with optional plain-text persistence.
+    """Every Monte Carlo statistic of a run: an in-memory store with optional
+    plain-text persistence.
 
     File format: a version header line followed by one comma-delimited
     record per key, columns
 
-        kind,M,K,N,fingerprint,samples,seed,mean,variance,std_error_of_mean,singular_events
+        kind,M,K,fingerprint,samples,seed,singular_events,count,mean,variance
 
-    Floats are written with repr so reloaded estimates are bit-identical.
-    A line that does not parse or is not newline-terminated (what a killed
-    writer leaves) is skipped and counted in `skipped`; an append after such
-    a line ends it with "!" so that it never parses.
+    where count, mean and variance are the estimate's arrays, flattened and
+    space-separated: K entries for eta and phi_F, K*K for weighted.  Floats
+    are written with repr so reloaded estimates are bit-identical.  A line
+    that does not parse or is not newline-terminated (what a killed writer
+    leaves) is skipped and counted in `skipped`; an append after such a line
+    ends it with "!" so that it never parses.  A repeated header or a lone
+    "!" line (what concurrent writers can leave) is ignored.  A file with
+    another header is not read, and the first append replaces it afresh.
     """
 
-    VERSION = "tddmimo-moments-cache v1"
+    VERSION = "tddmimo-moments-cache v2"
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._store: dict[MomentKey, MomentEstimate] = {}
-        self.hits = 0
-        self.misses = 0
-        self.skipped = 0
+        self._used: set[MomentKey] = set()
+        self.hits = self.misses = self.skipped = self.singular_events = 0
+        self._stale = False
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -271,19 +268,22 @@ class MomentCache:
         except OSError as exc:
             warnings.warn(f"moment cache unreadable, recomputing: {exc}")
             return
-        if not lines or lines[0].strip() != self.VERSION:
+        if lines and lines[0].strip() != self.VERSION:
             warnings.warn(f"unrecognized cache version in {self.path}; ignoring file")
+            self._stale = True
             return
         for line in lines[1:]:
-            if not line.strip():
+            if line.strip() in ("", "!", self.VERSION):
                 continue
             try:
                 if not line.endswith("\n"):
                     raise ValueError("unterminated line")
-                kind, m, k, n, fp, samples, seed, mean, var, se, sing = line.split(",")
-                key = MomentKey(kind, int(m), int(k), int(n), fp, int(samples), int(seed))
-                est = MomentEstimate(float(mean), float(var), float(se),
-                                     int(samples), int(sing))
+                kind, m, k, fp, samples, seed, sing, *arrays = line.split(",")
+                shape = (int(k),) * (2 if kind == "weighted" else 1)
+                key = MomentKey(kind, int(m), int(k), fp, int(samples), int(seed))
+                est = MomentEstimate(int(samples), int(sing), *(
+                    np.array([conv(v) for v in text.split()]).reshape(shape)
+                    for conv, text in zip((int, float, float), arrays, strict=True)))
             except ValueError:
                 self.skipped += 1
                 continue
@@ -294,12 +294,14 @@ class MomentCache:
     def _append(self, key: MomentKey, est: MomentEstimate):
         if self.path is None:
             return
-        line = ",".join([key.kind, str(key.M), str(key.K), str(key.N),
-                         key.fingerprint, str(key.samples), str(key.seed),
-                         repr(float(est.mean)), repr(float(est.variance)),
-                         repr(float(est.std_error_of_mean)), str(est.singular_events)])
+        line = ",".join([*map(str, astuple(key)), str(est.singular_events)]
+                        + [" ".join(map(repr, a.ravel().tolist()))
+                           for a in (est.count, est.mean, est.variance)])
         try:
             with open(self.path, "ab+") as fh:
+                if self._stale:  # a file of another version is replaced, not extended
+                    fh.truncate(0)
+                    self._stale = False
                 if fh.seek(0, 2) == 0:
                     prefix = self.VERSION + "\n"
                 else:  # mark a torn last record unparseable, then start afresh
@@ -310,14 +312,21 @@ class MomentCache:
             warnings.warn(f"moment cache not writable: {exc}")
 
     def cached(self, key: MomentKey, compute) -> MomentEstimate:
-        """Return the stored estimate for key, computing and storing on miss."""
-        if key in self._store:
+        """Return the stored estimate for key, computing and storing on miss.
+
+        `singular_events` adds up the singular draws of every distinct
+        statistic used through this cache, once each.
+        """
+        est = self._store.get(key)
+        if est is None:
+            self.misses += 1
+            est = self._store[key] = compute()
+            self._append(key, est)
+        else:
             self.hits += 1
-            return self._store[key]
-        self.misses += 1
-        est = compute()
-        self._store[key] = est
-        self._append(key, est)
+        if key not in self._used:
+            self._used.add(key)
+            self.singular_events += est.singular_events
         return est
 
     def kind_counts(self) -> dict[str, int]:

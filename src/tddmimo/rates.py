@@ -13,9 +13,8 @@ import numpy as np
 
 from .channel_model import SystemConfig
 from .errors import InfeasibleError
-from .moments import (MomentCache, MomentEstimate, WeightedPhiStats,
-                      eta_moments, f_fingerprint, phi_f_moments,
-                      weighted_phi_stats)
+from .moments import (MomentCache, MomentEstimate, MomentKey, eta_moments,
+                      f_fingerprint, phi_f_moments, weighted_phi_stats)
 from .power_opt import PowerAllocation, alpha_beta, waterfill
 
 _TIE_TOL = 1e-12
@@ -55,50 +54,47 @@ def c_ind_lb_scheduled(rho_f: float, rho_r: float, tau_rp: int,
         / (1.0 + rho_f * (1.0 / (1.0 + rt) + gain * var_eta))))
 
 
-def _delta_se(fn, mom: MomentEstimate) -> float:
-    """Propagate the moment standard errors through fn(mean, variance)."""
-    se_mean = mom.std_error_of_mean
-    n = max(mom.samples - mom.singular_events, 1)
-    se_var = mom.variance * np.sqrt(2.0 / n)
-    hm = max(1e-7, 1e-7 * abs(mom.mean))
-    hv = max(1e-9, 1e-7 * abs(mom.variance))
-    d_mean = (fn(mom.mean + hm, mom.variance) - fn(max(mom.mean - hm, 0.0), mom.variance)) / (2 * hm)
-    d_var = (fn(mom.mean, mom.variance + hv) - fn(mom.mean, max(mom.variance - hv, 0.0))) / (2 * hv)
-    return float(np.hypot(d_mean * se_mean, d_var * se_var))
+def _delta_se(fn, mom: MomentEstimate, i) -> float:
+    """Propagate the standard errors of entry i through fn(mean, variance)."""
+    mean, var = float(mom.mean[i]), float(mom.variance[i])
+    hm = max(1e-7, 1e-7 * abs(mean))
+    hv = max(1e-9, 1e-7 * abs(var))
+    d_mean = (fn(mean + hm, var) - fn(max(mean - hm, 0.0), var)) / (2 * hm)
+    d_var = (fn(mean, var + hv) - fn(mean, max(var - hv, 0.0))) / (2 * hv)
+    return float(np.hypot(d_mean * mom.std_error_of_mean[i], d_var * mom.se_variance[i]))
 
 
 class MomentSource:
-    """Sampling protocol (samples, seed, workers, cache) shared by sweeps."""
+    """Sampling protocol (samples, seed, workers) and the MomentCache, in
+    memory only without `cache_path`, behind every statistic it serves.
+    Keys are built here only: each statistic is sampled once per source."""
 
     def __init__(self, samples: int, seed: int, *, workers: int = 1,
-                 cache: MomentCache | None = None):
+                 cache_path=None):
         self.samples = samples
         self.seed = seed
         self.workers = workers
-        self.cache = cache
-        self._weighted_memo: dict = {}
-        self.singular_events = 0
+        self.cache = MomentCache(cache_path)
 
-    def eta(self, M: int, K: int, N: int) -> MomentEstimate:
-        est = eta_moments(M, K, N, self.samples, self.seed,
-                          workers=self.workers, cache=self.cache)
-        self.singular_events += est.singular_events
-        return est
+    def _cached(self, kind: str, M: int, K: int, fingerprint: str, compute):
+        key = MomentKey(kind, M, K, fingerprint, self.samples, self.seed)
+        return self.cache.cached(key, compute)
+
+    def eta(self, M: int, K: int) -> MomentEstimate:
+        """eta moments for every served count N <= K (entry N-1)."""
+        return self._cached("eta", M, K, "-", lambda: eta_moments(
+            M, K, self.samples, self.seed, workers=self.workers))
 
     def phi(self, f_diag, M: int) -> MomentEstimate:
-        est = phi_f_moments(f_diag, M, self.samples, self.seed,
-                            workers=self.workers, cache=self.cache)
-        self.singular_events += est.singular_events
-        return est
+        return self._cached("phi_F", M, np.size(f_diag), f_fingerprint(f_diag),
+                            lambda: phi_f_moments(f_diag, M, self.samples, self.seed,
+                                                  workers=self.workers))
 
-    def weighted(self, f_diag, p_star, M: int) -> WeightedPhiStats:
-        key = (f_fingerprint(f_diag), f_fingerprint(p_star), M)
-        if key not in self._weighted_memo:
-            stats = weighted_phi_stats(f_diag, p_star, M, self.samples,
-                                       self.seed, workers=self.workers)
-            self.singular_events += stats.singular_events
-            self._weighted_memo[key] = stats
-        return self._weighted_memo[key]
+    def weighted(self, f_diag, p_star, M: int) -> MomentEstimate:
+        fingerprint = f_fingerprint(np.concatenate([f_diag, p_star]))
+        return self._cached("weighted", M, np.size(f_diag), fingerprint,
+                            lambda: weighted_phi_stats(f_diag, p_star, M, self.samples,
+                                                       self.seed, workers=self.workers))
 
 
 def c_sum_lb(config: SystemConfig, scheduled: bool,
@@ -115,18 +111,17 @@ def c_sum_lb(config: SystemConfig, scheduled: bool,
         raise ValueError("homogeneous runs require K <= min(M, tau_rp)")
     rho_f = float(config.rho_f[0])
     rho_r = float(config.rho_r[0])
+    bound = lambda e, v: c_ind_lb_scheduled(rho_f, rho_r, config.tau_rp, e, v)
+    etas = ([moment_source.eta(config.M, config.K)] * config.K if scheduled
+            else [moment_source.eta(config.M, n) for n in range(1, config.K + 1)])
     best = None
-    for n in range(1, config.K + 1):
-        mom = (moment_source.eta(config.M, config.K, n) if scheduled
-               else moment_source.eta(config.M, n, n))
-        rate = n * c_ind_lb_scheduled(rho_f, rho_r, config.tau_rp,
-                                      mom.mean, mom.variance)
-        se = n * _delta_se(
-            lambda e, v: c_ind_lb_scheduled(rho_f, rho_r, config.tau_rp, e, v), mom)
+    for n, eta in enumerate(etas, start=1):
+        mean, var = float(eta.mean[n - 1]), float(eta.variance[n - 1])
+        rate = n * bound(mean, var)
         if best is None or rate > best.rate + _TIE_TOL:
             best = RatePoint(rate=rate, n_selected=n, tau_rp=config.tau_rp,
-                             K=config.K, std_error=se,
-                             auxiliary={"e_eta": mom.mean, "var_eta": mom.variance,
+                             K=config.K, std_error=n * _delta_se(bound, eta, n - 1),
+                             auxiliary={"e_eta": mean, "var_eta": var,
                                         "scheduled": scheduled})
     return best
 
@@ -172,7 +167,7 @@ def c_wt_lb(config: SystemConfig, p, phi_mean: float, phi_var: float) -> float:
 
 
 def _weighted_rates_per_n(config: SystemConfig, active: np.ndarray,
-                          p_star: np.ndarray, stats: WeightedPhiStats):
+                          p_star: np.ndarray, stats: MomentEstimate):
     """Weighted rate and SE for every served-count N over the active users."""
     ka = active.size
     w = config.weights[active]
@@ -185,27 +180,19 @@ def _weighted_rates_per_n(config: SystemConfig, active: np.ndarray,
         var_sum = 0.0
         total = 0.0
         for k in range(ka):
-            cnt = stats.count[n, k]
-            if cnt == 0:
+            if stats.count[n, k] == 0:
                 continue
             frac = stats.frac[n, k]
-            mean = stats.mean[n, k]
-            var = stats.variance[n, k]
 
             def term(m, v, k=k, frac=frac):
                 return frac * float(np.log2(
                     1.0 + rho_f[k] * p[k] * m ** 2
                     / (1.0 + rho_f[k] * (err[k] + p[k] * v))))
 
-            t = term(mean, var)
+            t = term(stats.mean[n, k], stats.variance[n, k])
             total += w[k] * t
-            hm = max(1e-7, 1e-7 * mean)
-            hv = max(1e-9, 1e-7 * var)
-            d_m = (term(mean + hm, var) - term(max(mean - hm, 0.0), var)) / (2 * hm)
-            d_v = (term(mean, var + hv) - term(mean, max(var - hv, 0.0))) / (2 * hv)
             se_frac = np.sqrt(max(frac * (1 - frac), 0.0) / stats.samples)
-            se_t = np.hypot(np.hypot(d_m * stats.se_mean[n, k],
-                                     d_v * stats.se_variance[n, k]),
+            se_t = np.hypot(_delta_se(term, stats, (n, k)),
                             (t / frac) * se_frac if frac > 0 else 0.0)
             var_sum += (w[k] * se_t) ** 2
         rates[n] = total

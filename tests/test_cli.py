@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import tddmimo
 from tddmimo.cli import main
 from tddmimo.experiments import (ExperimentSpec, SpecValidationError,
                                  check_feasibility, parse_spec, run_experiment)
@@ -126,7 +133,8 @@ def test_seed_and_quick_overrides(tmp_path):
 
 def test_truncated_cache_recovers(tmp_path, capsys):
     spec_file = tmp_path / "spec.txt"
-    spec_file.write_text("preset=custom\nscheme=1\nM=4\nK=3\nT=10\n"
+    # scheme 0 needs eta for K = 1, 2, 3 at M = 4; scheme 1 reuses K = 3
+    spec_file.write_text("preset=custom\nscheme=0\nscheme=1\nM=4\nK=3\nT=10\n"
                          "rho_f_db=0\nrho_r_db=-10\nseed=3\nsamples=300\n")
     out = tmp_path / "out"
     run = ["run", "--spec", str(spec_file), "--out", str(out)]
@@ -148,3 +156,125 @@ def test_truncated_cache_recovers(tmp_path, capsys):
         assert main(["cache-info", "--out", str(out)]) == 0
     text = capsys.readouterr().out
     assert "  eta: 3" in text and "skipped lines: 1" in text
+
+
+CUSTOM_SPEC = ("preset=custom\nscheme=0\nscheme=1\nM=4\nK=2\nK=3\nT=10\n"
+               "rho_f_db=0\nrho_r_db=-10\nseed=4\nsamples=300\n")
+FIG5_SPEC = ("preset=fig5\nscheme=2\nscheme=3\nM=8\nK=8\nT=13\n"
+             "rho_f_db=-4, -3, -2, -1, 0, 1, 2, 3\nrho_r_offset_db=-10\n"
+             "weight=2, 2, 2, 2, 1, 1, 1, 1\nseed=4\nsamples=100\n")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _manifest_text(text):
+    return dict(line.split("=", 1) for line in text.splitlines())
+
+
+def _manifest(out):
+    return _manifest_text((out / "run_manifest.txt").read_text())
+
+
+def _subprocess_env():
+    src = str(Path(tddmimo.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("override,message", [
+    (["--samples", "0"], "samples must be positive"),
+    (["--samples", "-4"], "samples must be positive"),
+    (["--seed", "-1"], "seed must be a nonnegative integer"),
+    (["--workers", "0"], "workers must be at least 1"),
+])
+def test_invalid_overrides_exit_1(tmp_path, capsys, override, message):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(CUSTOM_SPEC)
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec_file), "--out", str(out)] + override) == 1
+    assert f"invalid spec: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stale_cache_version_recovers(tmp_path, capsys):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(CUSTOM_SPEC)
+    out = tmp_path / "out"
+    out.mkdir()
+    cache_file = out / "moments_cache.txt"
+    cache_file.write_text("tddmimo-moments-cache v0\n"
+                          "eta,4,3,2,-,300,4,1.0,0.1,0.01,0\n")
+    run = ["run", "--spec", str(spec_file), "--out", str(out)]
+    with pytest.warns(UserWarning, match="unrecognized cache version"):
+        assert main(run) == 0
+    assert "cache_misses=3" in capsys.readouterr().out
+    first = (out / "custom_sum_bound.csv").read_bytes()
+    assert main(run) == 0
+    assert "cache_misses=0" in capsys.readouterr().out
+    assert (out / "custom_sum_bound.csv").read_bytes() == first
+    lines = cache_file.read_text().splitlines()
+    assert lines[0] == tddmimo.MomentCache.VERSION and len(lines) == 4
+
+
+def test_manifest_counts_singular_draws_once(tmp_path):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(CUSTOM_SPEC)
+    out = tmp_path / "out"
+    run = ["run", "--spec", str(spec_file), "--out", str(out)]
+    assert main(run) == 0
+    assert _manifest(out)["singular_events"] == "0"
+    cache_file = out / "moments_cache.txt"
+    # eta(M=4, K=2) serves scheme 0 at K=2 (N=2) and K=3 (N=2) and scheme 1 at K=2
+    text = cache_file.read_text().replace("eta,4,2,-,300,4,0,", "eta,4,2,-,300,4,1,")
+    assert text != cache_file.read_text()
+    cache_file.write_text(text)
+    assert main(run) == 0
+    manifest = _manifest(out)
+    assert manifest["cache_misses"] == "0" and int(manifest["cache_hits"]) > 3
+    assert manifest["singular_events"] == "1"
+
+
+def test_concurrent_writers_share_one_cache(tmp_path):
+    # three writer processes, more than a 2-CPU machine runs at once
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(FIG5_SPEC)
+    out = tmp_path / "out"
+    run = [sys.executable, "-m", "tddmimo.cli", "run", "--spec", str(spec_file)]
+    procs = [subprocess.Popen(run + ["--out", str(out)], env=_subprocess_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for _ in range(3)]
+    misses = 0
+    for proc in procs:
+        out_text, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err.decode()
+        misses += int(_manifest_text(out_text.decode())["cache_misses"])
+    alone = tmp_path / "alone"
+    assert main(["run", "--spec", str(spec_file), "--out", str(alone)]) == 0
+    expected = tddmimo.MomentCache(alone / "moments_cache.txt")
+    shared = tddmimo.MomentCache(out / "moments_cache.txt")
+    assert shared.skipped == 0
+    assert set(shared._store) == set(expected._store)
+    assert expected.kind_counts()["weighted"] == len(expected) > 1
+    records = [line for line in (out / "moments_cache.txt").read_text().splitlines()
+               if line.startswith("weighted,")]
+    assert len(records) == misses  # a writer that started late loads some records
+    assert main(["run", "--spec", str(spec_file), "--out", str(out)]) == 0
+    assert _manifest(out)["cache_misses"] == "0"
+    csv = "fig5_weighted_net_rate.csv"
+    assert (out / csv).read_bytes() == (alone / csv).read_bytes()
+
+
+@pytest.mark.parametrize("spec_text", [CUSTOM_SPEC, FIG5_SPEC], ids=["custom", "fig5"])
+def test_traced_benchmark_entry_point_runs(tmp_path, spec_text):
+    # perfbench/traced.py wraps module-level names of the library; a rename
+    # there breaks the benchmark's per-layer metrics
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(spec_text)
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), "run",
+         "--spec", str(spec_file), "--out", str(tmp_path / "out")],
+        env=_subprocess_env(), capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    names = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    assert {"moments.cache", "moments.compute", "rates.moment_request"} <= names

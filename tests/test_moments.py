@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,54 +8,57 @@ from tddmimo import (MomentCache, MomentKey, RngStream, draw_channel,
                      eta_moments, phi_f_moments, weighted_phi_stats)
 from tddmimo.moments import _chunk, eta_samples, f_fingerprint
 from tddmimo.precoding import COND_LIMIT
+from tddmimo.rates import MomentSource
 
 
 def test_closed_form_single_row_moments():
     # ||z||^2 ~ Gamma(M, 1) for a unit-variance complex row
-    est = eta_moments(4, 1, 1, 100_000, seed=1)
+    est = eta_moments(4, 1, 100_000, seed=1)
     mean_exact = math.gamma(4.5) / math.gamma(4)
     var_exact = 4 - mean_exact ** 2
-    assert abs(est.mean - mean_exact) < 3 * est.std_error_of_mean
-    vals = eta_samples(4, 1, 1, 100_000, seed=1)
-    se_var = np.sqrt((np.mean((vals - vals.mean()) ** 4) - est.variance ** 2)
+    assert abs(est.mean[0] - mean_exact) < 3 * est.std_error_of_mean[0]
+    vals = eta_samples(4, 1, 100_000, seed=1)[:, 0]
+    se_var = np.sqrt((np.mean((vals - vals.mean()) ** 4) - est.variance[0] ** 2)
                      / vals.size)
-    assert abs(est.variance - var_exact) < 3 * se_var
+    assert abs(est.variance[0] - var_exact) < 3 * se_var
 
 
 def test_wishart_trace_inverse_identity():
     # E[tr((Z Z^H)^{-1})] = N / (M - N) for a square-free complex Wishart
-    vals = eta_samples(4, 2, 2, 100_000, seed=2)
+    vals = eta_samples(4, 2, 100_000, seed=2)[:, 1]
     inv_sq = vals[~np.isnan(vals)] ** -2
     se = inv_sq.std() / np.sqrt(inv_sq.size)
     assert abs(inv_sq.mean() - 1.0) < 3 * se
 
 
 def test_scheduling_gain_in_k():
-    a = eta_moments(8, 2, 2, 100_000, seed=3)
-    b = eta_moments(8, 4, 2, 100_000, seed=4)
-    gap = b.mean - a.mean
-    assert gap > 3 * np.hypot(a.std_error_of_mean, b.std_error_of_mean)
+    a = eta_moments(8, 2, 100_000, seed=3)
+    b = eta_moments(8, 4, 100_000, seed=4)
+    gap = b.mean[1] - a.mean[1]
+    assert gap > 3 * np.hypot(a.std_error_of_mean[1], b.std_error_of_mean[1])
 
 
 def test_mean_nonincreasing_in_n():
-    ests = [eta_moments(8, 8, n, 100_000, seed=5 + n) for n in (2, 4, 8)]
-    for lo, hi in zip(ests[1:], ests[:-1]):
-        gap = hi.mean - lo.mean
-        assert gap > 3 * np.hypot(lo.std_error_of_mean, hi.std_error_of_mean)
+    ests = [(eta_moments(8, 8, 100_000, seed=5 + n), n - 1) for n in (2, 4, 8)]
+    for (lo, i), (hi, j) in zip(ests[1:], ests[:-1]):
+        gap = hi.mean[j] - lo.mean[i]
+        assert gap > 3 * np.hypot(lo.std_error_of_mean[i], hi.std_error_of_mean[j])
 
 
 def test_jensen_consistency():
-    est = eta_moments(6, 3, 2, 5000, seed=6)
-    assert est.variance >= 0.0
-    assert est.std_error_of_mean == pytest.approx(
-        np.sqrt(est.variance / (est.samples - est.singular_events)), abs=1e-15)
+    est = eta_moments(6, 3, 5000, seed=6)
+    assert np.all(est.variance >= 0.0)
+    np.testing.assert_array_equal(est.count, est.samples - est.singular_events)
+    np.testing.assert_allclose(
+        est.std_error_of_mean,
+        np.sqrt(est.variance / (est.samples - est.singular_events)), rtol=0, atol=1e-15)
 
 
 def test_phi_reduces_to_eta_at_identity_f():
-    eta = eta_moments(6, 3, 3, 20_000, seed=7)
+    eta = eta_moments(6, 3, 20_000, seed=7)
     phi = phi_f_moments(np.ones(3), 6, 20_000, seed=7)
-    assert abs(phi.mean - eta.mean) < 3 * np.hypot(eta.std_error_of_mean,
-                                                   phi.std_error_of_mean)
+    assert abs(phi.mean[2] - eta.mean[2]) < 3 * np.hypot(eta.std_error_of_mean[2],
+                                                         phi.std_error_of_mean[2])
 
 
 def test_phi_homogeneity():
@@ -69,14 +73,14 @@ def test_phi_m_large_approximation():
     f = np.array([0.7, 1.0, 1.3, 2.0])
     est = phi_f_moments(f, 256, 10_000, seed=9)
     approx = np.sqrt(256 / np.sum(f ** -2.0))
-    assert abs(est.mean - approx) / est.mean < 0.05
+    assert abs(est.mean[-1] - approx) / est.mean[-1] < 0.05
 
 
 def test_dimension_errors():
     with pytest.raises(IndexError):
-        eta_moments(4, 5, 2, 100, seed=0)
+        eta_moments(4, 5, 100, seed=0)
     with pytest.raises(IndexError):
-        eta_moments(4, 2, 3, 100, seed=0)
+        eta_moments(4, 0, 100, seed=0)
     with pytest.raises(IndexError):
         phi_f_moments(np.ones(5), 4, 100, seed=0)
 
@@ -85,7 +89,7 @@ def test_worker_count_independence():
     f = np.array([0.5, 1.5, 1.0, 2.0])
     p = np.array([1.0, 2.0, 0.5, 1.0])
     runs = [
-        (lambda w: eta_moments(6, 4, 2, 6000, seed=10, workers=w), (1, 2, 8)),
+        (lambda w: eta_moments(6, 4, 6000, seed=10, workers=w), (1, 2, 8)),
         (lambda w: phi_f_moments(f, 6, 5000, seed=10, workers=w), (1, 2)),
         (lambda w: weighted_phi_stats(f, p, 6, 2500, seed=10, workers=w), (1, 2)),
     ]
@@ -158,46 +162,86 @@ def test_weighted_stats_match_per_sample_oracle():
                                equal_nan=True)
 
 
+def _assert_same(a, b):
+    assert a.samples == b.samples and a.singular_events == b.singular_events
+    for name in ("count", "mean", "variance", "frac", "std_error_of_mean", "se_variance"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_cache_miss_then_hit(tmp_path):
-    cache = MomentCache(tmp_path / "cache.txt")
-    a = eta_moments(5, 3, 2, 2000, seed=11, cache=cache)
-    b = eta_moments(5, 3, 2, 2000, seed=11, cache=cache)
-    assert a == b
-    assert cache.hits == 1 and cache.misses == 1
+    source = MomentSource(2000, 11, cache_path=tmp_path / "cache.txt")
+    a = source.eta(5, 3)
+    b = source.eta(5, 3)
+    assert a is b
+    assert source.cache.hits == 1 and source.cache.misses == 1
 
 
 def test_cache_keys_include_seed(tmp_path):
-    cache = MomentCache(tmp_path / "cache.txt")
-    a = eta_moments(5, 3, 2, 2000, seed=12, cache=cache)
-    b = eta_moments(5, 3, 2, 2000, seed=13, cache=cache)
-    assert a != b
-    assert len(cache) == 2
+    path = tmp_path / "cache.txt"
+    a = MomentSource(2000, 12, cache_path=path).eta(5, 3)
+    b = MomentSource(2000, 13, cache_path=path).eta(5, 3)
+    assert not np.array_equal(a.mean, b.mean)
+    assert len(MomentCache(path)) == 2
 
 
 def test_cache_persistence_round_trip(tmp_path):
     path = tmp_path / "cache.txt"
-    a = eta_moments(5, 3, 2, 2000, seed=14, cache=MomentCache(path))
-    reloaded = MomentCache(path)
-    b = eta_moments(5, 3, 2, 2000, seed=14, cache=reloaded)
-    assert a == b
-    assert reloaded.hits == 1 and reloaded.misses == 0
+    a = MomentSource(2000, 14, cache_path=path).eta(5, 3)
+    reloaded = MomentSource(2000, 14, cache_path=path)
+    _assert_same(a, reloaded.eta(5, 3))
+    assert reloaded.cache.hits == 1 and reloaded.cache.misses == 0
     assert path.read_text().splitlines()[0] == MomentCache.VERSION
+
+
+def test_cache_round_trips_every_kind(tmp_path):
+    # weighted statistics persist with the others, NaN entries included
+    path = tmp_path / "cache.txt"
+    f = np.array([0.5, 1.5, 1.0, 2.0])
+    p = np.array([1.0, 2.0, 0.5, 1.0])
+    requests = [lambda s: s.eta(6, 4), lambda s: s.phi(f, 6),
+                lambda s: s.weighted(f, p, 6), lambda s: s.weighted(f, 2 * p, 6)]
+    first = MomentSource(300, 19, cache_path=path)
+    ests = [request(first) for request in requests]
+    assert np.isnan(ests[2].mean).any()
+    reloaded = MomentSource(300, 19, cache_path=path)
+    assert reloaded.cache.kind_counts() == {"eta": 1, "phi_F": 1, "weighted": 2}
+    for request, est in zip(requests, ests):
+        _assert_same(est, request(reloaded))
+    assert reloaded.cache.misses == 0 and reloaded.cache.skipped == 0
+    assert ests[2].count.shape == (4, 4)
+
+
+def test_cache_counts_singular_draws_once_per_statistic(tmp_path):
+    path = tmp_path / "cache.txt"
+    source = MomentSource(500, 20, cache_path=path)
+    source.eta(5, 3)
+    source.eta(5, 2)
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[1].split(",")
+    fields[6] = "1"  # the eta(5, 3) record: one singular draw
+    path.write_text(lines[0] + ",".join(fields) + lines[2])
+    reloaded = MomentSource(500, 20, cache_path=path)
+    for _ in range(4):
+        assert reloaded.eta(5, 3).singular_events == 1
+        reloaded.eta(5, 2)
+    assert reloaded.cache.hits == 8
+    assert reloaded.cache.singular_events == 1
 
 
 @pytest.mark.parametrize("cut", [1, 6])
 def test_cache_skips_truncated_last_line(tmp_path, cut):
-    # cutting only the newline leaves eleven fields that would still parse
+    # cutting only the newline leaves ten fields that would still parse
     path = tmp_path / "cache.txt"
-    cache = MomentCache(path)
-    a = eta_moments(5, 3, 2, 500, seed=17, cache=cache)
-    b = eta_moments(5, 3, 3, 500, seed=17, cache=cache)
+    source = MomentSource(500, 17, cache_path=path)
+    a = source.eta(5, 2)
+    b = source.eta(5, 3)
     path.write_bytes(path.read_bytes()[:-cut])  # a killed writer's last record
     with pytest.warns(UserWarning, match="skipped 1"):
-        reloaded = MomentCache(path)
-    assert reloaded.skipped == 1 and len(reloaded) == 1
-    assert eta_moments(5, 3, 2, 500, seed=17, cache=reloaded) == a
-    assert eta_moments(5, 3, 3, 500, seed=17, cache=reloaded) == b
-    assert reloaded.misses == 1
+        reloaded = MomentSource(500, 17, cache_path=path)
+    assert reloaded.cache.skipped == 1 and len(reloaded.cache) == 1
+    _assert_same(reloaded.eta(5, 2), a)
+    _assert_same(reloaded.eta(5, 3), b)
+    assert reloaded.cache.misses == 1
     # the recomputed record starts on a fresh line and survives the next load
     with pytest.warns(UserWarning, match="skipped 1"):
         again = MomentCache(path)
@@ -206,14 +250,52 @@ def test_cache_skips_truncated_last_line(tmp_path, cut):
 
 def test_cache_skips_garbage_line(tmp_path):
     path = tmp_path / "cache.txt"
-    a = eta_moments(5, 3, 2, 500, seed=18, cache=MomentCache(path))
-    with open(path, "ab") as fh:
-        fh.write(b"eta,5,3,x,-,500,18,1.0,0.1,0.01,0\n\xff\xfe garbage\n")
+    a = MomentSource(500, 18, cache_path=path).eta(5, 3)
+    with open(path, "ab") as fh:  # two entries where K = 3 needs three
+        fh.write(b"eta,5,3,-,500,18,0,500 500,1.0 1.0,0.1 0.1\n\xff\xfe garbage\n")
     with pytest.warns(UserWarning, match="skipped 2"):
-        reloaded = MomentCache(path)
-    assert reloaded.kind_counts() == {"eta": 1}
-    assert eta_moments(5, 3, 2, 500, seed=18, cache=reloaded) == a
-    assert reloaded.hits == 1
+        reloaded = MomentSource(500, 18, cache_path=path)
+    assert reloaded.cache.kind_counts() == {"eta": 1}
+    _assert_same(reloaded.eta(5, 3), a)
+    assert reloaded.cache.hits == 1
+
+
+def test_cache_replaces_file_of_another_version(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text("tddmimo-moments-cache v0\neta,5,3,2,-,500,21,1.0,0.1,0.01,0\n")
+    with pytest.warns(UserWarning, match="unrecognized cache version"):
+        stale = MomentSource(500, 21, cache_path=path)
+    a = stale.eta(5, 3)
+    stale.eta(5, 2)
+    assert stale.cache.misses == 2
+    lines = path.read_text().splitlines()
+    assert lines[0] == MomentCache.VERSION and len(lines) == 3
+    fresh = MomentSource(500, 21, cache_path=path)
+    _assert_same(fresh.eta(5, 3), a)
+    assert fresh.cache.misses == 0 and fresh.cache.skipped == 0
+
+
+def test_empty_cache_file_is_not_replaced(tmp_path):
+    # an empty file is what a concurrent writer leaves between creating the
+    # file and writing to it; the records it appends later must survive
+    path = tmp_path / "cache.txt"
+    path.touch()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        late = MomentSource(500, 23, cache_path=path)
+    MomentSource(500, 23, cache_path=path).eta(5, 2)  # the other writer
+    late.eta(5, 3)
+    assert MomentCache(path).kind_counts() == {"eta": 2}
+
+
+def test_repeated_header_is_ignored(tmp_path):
+    # two writers that both found the file empty each write the header
+    path = tmp_path / "cache.txt"
+    a = MomentSource(500, 22, cache_path=path).eta(5, 3)
+    text = path.read_text()
+    path.write_text(text + text)
+    reloaded = MomentCache(path)
+    assert reloaded.skipped == 0 and len(reloaded) == 1
 
 
 def test_fingerprint_sensitivity():
@@ -225,6 +307,6 @@ def test_fingerprint_sensitivity():
 
 
 def test_moment_key_identity():
-    k1 = MomentKey("eta", 4, 2, 1, "-", 100, 7)
-    k2 = MomentKey("eta", 4, 2, 1, "-", 100, 7)
+    k1 = MomentKey("eta", 4, 2, "-", 100, 7)
+    k2 = MomentKey("eta", 4, 2, "-", 100, 7)
     assert k1 == k2 and hash(k1) == hash(k2)

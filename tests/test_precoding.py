@@ -157,10 +157,10 @@ def forward_runs():
 @pytest.fixture(scope="module")
 def chi_moments():
     rt = RHO_R * TAU
-    eta = eta_moments(M, K, K, 100_000, 778)
+    eta = eta_moments(M, K, 100_000, 778)
     scale = rt / (1 + rt)
-    return np.sqrt(scale) * eta.mean, scale * eta.variance, \
-        np.sqrt(scale) * eta.std_error_of_mean
+    return np.sqrt(scale) * eta.mean[K - 1], scale * eta.variance[K - 1], \
+        np.sqrt(scale) * eta.std_error_of_mean[K - 1]
 
 
 def test_effective_gain_mean(forward_runs, chi_moments):

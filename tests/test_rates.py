@@ -61,10 +61,10 @@ def test_sum_lb_single_user():
     src = MomentSource(5000, 21)
     cfg = SystemConfig.homogeneous(M=4, K=1, T=10, tau_rp=2, rho_f=1.0, rho_r=0.1)
     rp = c_sum_lb(cfg, scheduled=True, moment_source=src)
-    mom = eta_moments(4, 1, 1, 5000, 21)
+    mom = eta_moments(4, 1, 5000, 21)
     assert rp.n_selected == 1
     assert rp.rate == pytest.approx(
-        c_ind_lb_scheduled(1.0, 0.1, 2, mom.mean, mom.variance), abs=1e-12)
+        c_ind_lb_scheduled(1.0, 0.1, 2, mom.mean[0], mom.variance[0]), abs=1e-12)
 
 
 def test_sum_lb_matches_hand_assembly():
@@ -72,9 +72,9 @@ def test_sum_lb_matches_hand_assembly():
     cfg = SystemConfig.homogeneous(M=4, K=2, T=10, tau_rp=2, rho_f=1.0, rho_r=0.1)
     rp = c_sum_lb(cfg, scheduled=False, moment_source=src)
     by_hand = max(
-        n * c_ind_lb_scheduled(1.0, 0.1, 2, mom.mean, mom.variance)
-        for n, mom in ((1, eta_moments(4, 1, 1, 5000, 22)),
-                       (2, eta_moments(4, 2, 2, 5000, 22))))
+        n * c_ind_lb_scheduled(1.0, 0.1, 2, mom.mean[n - 1], mom.variance[n - 1])
+        for n, mom in ((1, eta_moments(4, 1, 5000, 22)),
+                       (2, eta_moments(4, 2, 5000, 22))))
     assert rp.rate == pytest.approx(by_hand, abs=1e-12)
 
 
@@ -180,3 +180,28 @@ def test_wt_net_infeasible():
     src = MomentSource(1000, 30)
     with pytest.raises(InfeasibleError):
         c_wt_net(cfg, scheduled=True, moment_source=src)
+
+
+def test_kernel_runs_once_per_statistic(monkeypatch):
+    # a source without a cache path keeps every statistic in memory, so the
+    # tau, K and N loops of both searches sample each (kind, M, K, F) once
+    import tddmimo.moments as moments
+    runs = []
+    collect = moments._collect
+
+    def counting(params, *args):
+        runs.append(params)
+        return collect(params, *args)
+
+    monkeypatch.setattr(moments, "_collect", counting)
+    src = MomentSource(200, 31)
+    for scheduled in (True, False):
+        c_net(4, 10, 1.0, 0.1, scheduled=scheduled, moment_source=src)
+    assert len(runs) == len(set(runs)) == src.cache.misses == 4  # K = 1..4 at M = 4
+    assert src.cache.hits > 0
+    runs.clear()
+    cfg = paper_hetero_config(M=8, T=14)
+    for scheduled in (True, False):
+        c_wt_net(cfg, scheduled=scheduled, moment_source=src)
+    assert 0 < len(runs) == len(set(runs)) == src.cache.misses - 4
+    assert src.cache.kind_counts() == {"eta": 4, "weighted": len(runs)}
