@@ -7,7 +7,7 @@ noise entries in this library are CN(0, 1) unless scaled explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -58,7 +58,6 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 spec.seed = args.seed
             if args.quick:
-                spec.quick = True
                 spec.samples = QUICK_SAMPLES
             if args.samples is not None:
                 spec.samples = args.samples

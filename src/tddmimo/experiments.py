@@ -1,24 +1,23 @@
 """Experiment spec parsing, figure-data sweeps and CSV/manifest emission.
 
 Spec files are plain-text key=value documents; repeating a key builds a
-list.  SINRs are entered in dB and converted once at parse time.  CSV
-numbers are pinned to 9 significant digits so reruns with the same seed
-are byte-identical.
+list.  SINRs are entered in dB and converted per cell.  CSV numbers are
+pinned to 9 significant digits so reruns with the same seed are
+byte-identical.  Each preset is one `Preset` record in `PRESETS`.
 """
 
 from __future__ import annotations
 
+import copy
 import time
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .channel_model import SystemConfig, db_to_linear
-from .errors import InfeasibleError
 from .rates import MomentSource, c_net, c_sum_lb, c_wt_net
-
-PRESETS = ("fig2", "fig3", "fig4", "fig5", "custom")
 
 DEFAULT_SAMPLES = 100_000
 QUICK_SAMPLES = 10_000
@@ -46,34 +45,13 @@ class ExperimentSpec:
     schemes: list[int] = field(default_factory=list)
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
-    quick: bool = False
     output: str = "sweep.csv"
 
 
-def _preset_defaults(preset: str) -> dict:
-    if preset == "fig2":
-        return dict(m_list=[4, 8, 16], rho_f_db=[0.0], rho_r_db=[-10.0],
-                    schemes=[0, 1], output="fig2_sum_bound.csv")
-    if preset == "fig3":
-        return dict(m_list=[2, 4, 6, 8, 10, 12, 14, 16], t_list=[20, 30],
-                    rho_f_db=[0.0], rho_r_db=[-10.0], schemes=[0, 1],
-                    output="fig3_net_rate.csv")
-    if preset == "fig4":
-        return dict(m_list=[32], t_list=[20],
-                    rho_f_db=[-10.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
-                    rho_r_offset_db=-10.0, schemes=[1],
-                    output="fig4_optimizers.csv")
-    if preset == "fig5":
-        return dict(m_list=[8, 12, 16, 24], k_list=[8], t_list=[20],
-                    rho_f_db=[-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0],
-                    rho_r_offset_db=-10.0,
-                    weights=[2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0],
-                    schemes=[2, 3], output="fig5_weighted_net_rate.csv")
-    return dict(m_list=[], schemes=[0, 1], output="custom_sum_bound.csv")
-
-
-_LIST_INT = {"m": "m_list", "k": "k_list", "t": "t_list", "scheme": "schemes"}
-_LIST_FLOAT = {"rho_f_db": "rho_f_db", "rho_r_db": "rho_r_db", "weight": "weights"}
+# list key (case-insensitive in a spec) -> (ExperimentSpec field, element type)
+_LISTS = {"M": ("m_list", int), "K": ("k_list", int), "T": ("t_list", int),
+          "scheme": ("schemes", int), "rho_f_db": ("rho_f_db", float),
+          "rho_r_db": ("rho_r_db", float), "weight": ("weights", float)}
 _SCALARS = ("preset", "tau_rp", "rho_r_offset_db", "samples", "seed", "quick", "output")
 
 
@@ -95,7 +73,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         key, value = (part.strip() for part in stripped.split("=", 1))
         raw.setdefault(key.lower(), []).append(value)
 
-    known = set(_LIST_INT) | set(_LIST_FLOAT) | set(_SCALARS)
+    known = {key.lower() for key in _LISTS} | set(_SCALARS)
     for key in raw:
         if key not in known:
             violations.append(f"unknown key {key!r}")
@@ -123,37 +101,23 @@ def parse_spec(text: str) -> ExperimentSpec:
 
     preset = scalar("preset", str, "custom")
     if preset not in PRESETS:
-        violations.append(f"preset must be one of {PRESETS}, got {preset!r}")
+        violations.append(f"preset must be one of {tuple(PRESETS)}, got {preset!r}")
         preset = "custom"
 
-    fields = _preset_defaults(preset)
-    for key, attr in _LIST_INT.items():
-        values = numlist(key, int)
-        if values:
-            fields[attr] = values
-    for key, attr in _LIST_FLOAT.items():
-        values = numlist(key, float)
+    fields = copy.deepcopy(PRESETS[preset].defaults)
+    for key, (attr, conv) in _LISTS.items():
+        values = numlist(key.lower(), conv)
         if values:
             fields[attr] = values
 
-    spec = ExperimentSpec(preset=preset, **{k: v for k, v in fields.items()
-                                            if k != "output"},
-                          output=fields.get("output", "sweep.csv"))
-    spec.tau_rp = scalar("tau_rp", int, spec.tau_rp)
-    off = scalar("rho_r_offset_db", float, spec.rho_r_offset_db)
-    spec.rho_r_offset_db = off
-    spec.samples = scalar("samples", int, spec.samples)
-    spec.seed = scalar("seed", int, spec.seed)
-    quick = scalar("quick", str, None)
-    if quick is not None:
-        if quick.lower() in ("true", "1", "yes"):
-            spec.quick = True
-        elif quick.lower() in ("false", "0", "no"):
-            spec.quick = False
-        else:
-            violations.append(f"key 'quick': expected true/false, got {quick!r}")
-    spec.output = scalar("output", str, spec.output)
-    if spec.quick and "samples" not in raw:
+    spec = ExperimentSpec(preset=preset, **fields)
+    for key, conv in (("tau_rp", int), ("rho_r_offset_db", float), ("samples", int),
+                      ("seed", int), ("output", str)):
+        setattr(spec, key, scalar(key, conv, getattr(spec, key)))
+    quick = scalar("quick", str, "false").lower()
+    if quick not in ("true", "1", "yes", "false", "0", "no"):
+        violations.append(f"key 'quick': expected true/false, got {quick!r}")
+    elif quick in ("true", "1", "yes") and "samples" not in raw:
         spec.samples = QUICK_SAMPLES
 
     violations.extend(check_feasibility(spec))
@@ -164,6 +128,7 @@ def parse_spec(text: str) -> ExperimentSpec:
 
 def check_feasibility(spec: ExperimentSpec) -> list[str]:
     """All feasibility violations of a parsed spec (empty list when valid)."""
+    preset = PRESETS[spec.preset]
     v: list[str] = []
     if not spec.m_list:
         v.append("M list must be nonempty")
@@ -175,46 +140,32 @@ def check_feasibility(spec: ExperimentSpec) -> list[str]:
         v.append("rho_f_db list must be nonempty")
     if spec.rho_r_db is None and spec.rho_r_offset_db is None:
         v.append("either rho_r_db or rho_r_offset_db is required")
+    offset = spec.rho_r_offset_db
+    reverse = (spec.rho_r_db or []) if offset is None else [f + offset for f in spec.rho_f_db]
+    with np.errstate(over="ignore"):
+        linear = db_to_linear(np.asarray([*spec.rho_f_db, *reverse], dtype=float))
+    if not np.all((linear > 0) & np.isfinite(linear)):
+        v.append("SINRs (rho_f_db, rho_r_db, rho_f_db + rho_r_offset_db) must be"
+                 " finite in dB and positive and finite in linear scale")
     if spec.samples < 1:
         v.append("samples must be positive")
     if spec.seed < 0:
         v.append("seed must be a nonnegative integer")
     if spec.weights is not None:
-        if any(w < 0 for w in spec.weights):
+        if not np.all(np.isfinite(spec.weights)):
+            v.append("weights must be finite")
+        elif any(w < 0 for w in spec.weights):
             v.append("weights must be nonnegative")
         elif not any(w > 0 for w in spec.weights):
             v.append("at least one weight must be positive")
-    if spec.preset == "custom":
-        if not spec.k_list:
-            v.append("custom preset requires K")
-        for k in spec.k_list:
-            tau = spec.tau_rp if spec.tau_rp is not None else k
-            if k > tau:
-                v.append(f"K <= tau_rp violated (K={k}, tau_rp={tau})")
-            for m in spec.m_list:
-                if k > m:
-                    v.append(f"K <= min(M, tau_rp) violated (K={k}, M={m})")
-            for t in spec.t_list:
-                if tau > t - 2:
-                    v.append(f"tau_rp <= T-2 violated (tau_rp={tau}, T={t}):"
-                             " required by the net-rate search")
-    if spec.preset in ("fig3", "fig4", "fig5") and not spec.t_list:
-        v.append(f"{spec.preset} preset requires T")
-    for t in spec.t_list:
-        if t < 3:
-            v.append(f"T must be at least 3, got {t}")
-    if spec.preset == "fig5":
-        for k in spec.k_list:
-            if spec.weights is not None and len(spec.weights) != k:
-                v.append(f"fig5 needs one weight per user (K={k},"
-                         f" {len(spec.weights)} weights)")
-            if len(spec.rho_f_db) != k:
-                v.append(f"fig5 needs one forward SINR per user (K={k},"
-                         f" {len(spec.rho_f_db)} values)")
-            for t in spec.t_list:
-                if t < k + 2:
-                    v.append(f"weighted net rate needs T >= K+2 (K={k}, T={t})")
-    return v
+    v += [f"{spec.preset} evaluates schemes {'/'.join(map(str, preset.schemes))},"
+          f" not scheme {s}" for s in spec.schemes if s not in preset.schemes]
+    counts = {key: len(getattr(spec, attr) or []) for key, (attr, _) in _LISTS.items()}
+    v += [f"{spec.preset} reads one {key} value, got {n}" for key, n in counts.items()
+          if n > 1 and key not in preset.lists]
+    v += [f"{spec.preset} preset requires {key}" for key in preset.requires if not counts[key]]
+    v += [f"T must be at least 3, got {t}" for t in spec.t_list if t < 3]
+    return v + list(preset.rules(spec))
 
 
 def _fmt(x) -> str:
@@ -230,91 +181,141 @@ def _rho_r_db_for(spec: ExperimentSpec, rho_f_db):
     return np.asarray(rr[0] if len(rr) == 1 else rr, dtype=float)
 
 
-def _sweep_rows(spec: ExperimentSpec, source: MomentSource):
-    """Yield (header, rows) for the spec's sweep."""
-    if spec.preset == "fig2":
-        header = ["scheme", "M", "K", "N_star", "rate", "std_error", "status"]
-        rows = []
-        for scheme in spec.schemes:
-            for m in spec.m_list:
-                for k in range(1, m + 1):
-                    cfg = SystemConfig.homogeneous(
-                        M=m, K=k, T=k + 2, tau_rp=k,
-                        rho_f=db_to_linear(spec.rho_f_db[0]),
-                        rho_r=float(db_to_linear(_rho_r_db_for(spec, spec.rho_f_db[0]))))
-                    rp = c_sum_lb(cfg, scheduled=(scheme == 1), moment_source=source)
-                    rows.append([scheme, m, k, rp.n_selected, rp.rate,
-                                 rp.std_error, "ok"])
-        return header, rows
+# Evaluators look c_sum_lb, c_net and c_wt_net up when called, so that
+# replacing those module names (as a tracer does) catches every call.
 
-    if spec.preset in ("fig3", "fig4"):
-        if spec.preset == "fig3":
-            header = ["scheme", "T", "M", "K_star", "tau_star", "N_star",
-                      "net_rate", "std_error", "status"]
-        else:
-            header = ["scheme", "rho_f_db", "M", "K_star", "tau_star", "N_star",
-                      "net_rate", "std_error", "status"]
-        rows = []
-        for scheme in spec.schemes:
-            for t in spec.t_list:
-                for rf_db in spec.rho_f_db:
-                    rr_db = float(_rho_r_db_for(spec, rf_db))
-                    for m in spec.m_list:
-                        cell = ([scheme, t, m] if spec.preset == "fig3"
-                                else [scheme, rf_db, m])
-                        try:
-                            rp = c_net(m, t, db_to_linear(rf_db),
-                                       db_to_linear(rr_db),
-                                       scheduled=(scheme == 1),
-                                       moment_source=source)
-                            rows.append(cell + [rp.K, rp.tau_rp, rp.n_selected,
-                                                rp.rate, rp.std_error, "ok"])
-                        except InfeasibleError as exc:
-                            rows.append(cell + ["", "", "", "", "",
-                                                f"infeasible: {exc}"])
-        return header, rows
+def _sum_bound(spec, source, scheme, M, K, tau_rp=None):
+    """Homogeneous sum bound of one (M, K) cell; tau_rp defaults to K."""
+    tau = K if tau_rp is None else tau_rp
+    rf_db = spec.rho_f_db[0]
+    cfg = SystemConfig.homogeneous(M=M, K=K, T=tau + 2, tau_rp=tau, rho_f=db_to_linear(rf_db),
+                                   rho_r=db_to_linear(_rho_r_db_for(spec, rf_db)))
+    rp = c_sum_lb(cfg, scheduled=(scheme == 1), moment_source=source)
+    return [rp.n_selected, rp.rate, rp.std_error]
 
-    if spec.preset == "fig5":
-        header = ["scheme", "M", "tau_star", "N_star", "wt_net_rate",
-                  "std_error", "status"]
-        rows = []
-        k = spec.k_list[0]
-        for scheme in spec.schemes:
-            for m in spec.m_list:
-                rr_db = _rho_r_db_for(spec, spec.rho_f_db)
-                try:
-                    cfg = SystemConfig(M=m, K=k, T=spec.t_list[0], tau_rp=k,
-                                       rho_f=db_to_linear(spec.rho_f_db),
-                                       rho_r=db_to_linear(rr_db),
-                                       weights=np.asarray(spec.weights, dtype=float)
-                                       if spec.weights is not None else None)
-                    rp = c_wt_net(cfg, scheduled=(scheme == 3), moment_source=source)
-                    rows.append([scheme, m, rp.tau_rp, rp.n_selected, rp.rate,
-                                 rp.std_error, "ok"])
-                except (InfeasibleError, ValueError) as exc:
-                    rows.append([scheme, m, "", "", "", "", f"infeasible: {exc}"])
-        return header, rows
 
-    # custom: homogeneous sum bound per (M, K) cell at the given tau
-    header = ["scheme", "M", "K", "tau_rp", "N_star", "rate", "std_error", "status"]
-    rows = []
-    for scheme in spec.schemes:
+def _net_rate(spec, source, scheme, M, T=None, rho_f_db=None):
+    """Joint (tau, K, N) net-rate optimum of one cell; T and rho_f_db default
+    to the spec's one value."""
+    t = spec.t_list[0] if T is None else T
+    rf_db = spec.rho_f_db[0] if rho_f_db is None else rho_f_db
+    rp = c_net(M, t, db_to_linear(rf_db), db_to_linear(_rho_r_db_for(spec, rf_db)),
+               scheduled=(scheme == 1), moment_source=source)
+    return [rp.K, rp.tau_rp, rp.n_selected, rp.rate, rp.std_error]
+
+
+def _weighted_net_rate(spec, source, scheme, M):
+    """Weighted net rate of the spec's K heterogeneous users at M antennas."""
+    k = spec.k_list[0]
+    cfg = SystemConfig(M=M, K=k, T=spec.t_list[0], tau_rp=k,
+                       rho_f=db_to_linear(spec.rho_f_db),
+                       rho_r=db_to_linear(_rho_r_db_for(spec, spec.rho_f_db)),
+                       weights=spec.weights)
+    rp = c_wt_net(cfg, scheduled=(scheme == 3), moment_source=source)
+    return [rp.tau_rp, rp.n_selected, rp.rate, rp.std_error]
+
+
+def _custom_rules(spec: ExperimentSpec):
+    for k in spec.k_list:
+        tau = spec.tau_rp if spec.tau_rp is not None else k
+        if k > tau:
+            yield f"K <= tau_rp violated (K={k}, tau_rp={tau})"
         for m in spec.m_list:
-            for k in spec.k_list:
-                tau = spec.tau_rp if spec.tau_rp is not None else k
-                rr_db = float(_rho_r_db_for(spec, spec.rho_f_db[0]))
-                try:
-                    cfg = SystemConfig.homogeneous(
-                        M=m, K=k, T=max(tau + 2, 3), tau_rp=tau,
-                        rho_f=db_to_linear(spec.rho_f_db[0]),
-                        rho_r=db_to_linear(rr_db))
-                    rp = c_sum_lb(cfg, scheduled=(scheme == 1), moment_source=source)
-                    rows.append([scheme, m, k, tau, rp.n_selected, rp.rate,
-                                 rp.std_error, "ok"])
-                except (InfeasibleError, ValueError) as exc:
-                    rows.append([scheme, m, k, tau, "", "", "",
-                                 f"infeasible: {exc}"])
-    return header, rows
+            if k > m:
+                yield f"K <= min(M, tau_rp) violated (K={k}, M={m})"
+        for t in spec.t_list:
+            if tau > t - 2:
+                yield (f"tau_rp <= T-2 violated (tau_rp={tau}, T={t}):"
+                       " required by the net-rate search")
+
+
+def _fig5_rules(spec: ExperimentSpec):
+    for k in spec.k_list:
+        if spec.weights is not None and len(spec.weights) != k:
+            yield f"fig5 needs one weight per user (K={k}, {len(spec.weights)} weights)"
+        if len(spec.rho_f_db) != k:
+            yield f"fig5 needs one forward SINR per user (K={k}, {len(spec.rho_f_db)} values)"
+        if spec.rho_r_db is not None and len(spec.rho_r_db) not in (1, k):
+            yield f"fig5 needs 1 or K reverse SINRs (K={k}, {len(spec.rho_r_db)} values)"
+        for t in spec.t_list:
+            if t < k + 2:
+                yield f"weighted net rate needs T >= K+2 (K={k}, T={t})"
+
+
+@dataclass(frozen=True)
+class Preset:
+    """One sweep.  `cells(spec)` yields each row's leading columns as a dict
+    keyed by header name; `evaluate(spec, source, **cell)` returns the columns
+    up to `status`.  List keys outside `lists` take one value, those in
+    `requires` must be given, and `rules(spec)` yields further violations."""
+
+    defaults: dict
+    header: str
+    schemes: tuple[int, ...]
+    cells: Callable
+    evaluate: Callable
+    lists: tuple[str, ...]
+    requires: tuple[str, ...] = ()
+    rules: Callable = lambda spec: ()
+
+
+PRESETS: dict[str, Preset] = {
+    "fig2": Preset(
+        dict(m_list=[4, 8, 16], rho_f_db=[0.0], rho_r_db=[-10.0], schemes=[0, 1],
+             output="fig2_sum_bound.csv"),
+        "scheme,M,K,N_star,rate,std_error,status", (0, 1),
+        lambda spec: (dict(scheme=s, M=m, K=k) for s in spec.schemes
+                      for m in spec.m_list for k in range(1, m + 1)),
+        _sum_bound, lists=("scheme", "M")),
+    "fig3": Preset(
+        dict(m_list=[2, 4, 6, 8, 10, 12, 14, 16], t_list=[20, 30], rho_f_db=[0.0],
+             rho_r_db=[-10.0], schemes=[0, 1], output="fig3_net_rate.csv"),
+        "scheme,T,M,K_star,tau_star,N_star,net_rate,std_error,status", (0, 1),
+        lambda spec: (dict(scheme=s, T=t, M=m) for s in spec.schemes
+                      for t in spec.t_list for m in spec.m_list),
+        _net_rate, lists=("scheme", "T", "M"), requires=("T",)),
+    "fig4": Preset(
+        dict(m_list=[32], t_list=[20],
+             rho_f_db=[-10.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
+             rho_r_offset_db=-10.0, schemes=[1], output="fig4_optimizers.csv"),
+        "scheme,rho_f_db,M,K_star,tau_star,N_star,net_rate,std_error,status", (0, 1),
+        lambda spec: (dict(scheme=s, rho_f_db=f, M=m) for s in spec.schemes
+                      for f in spec.rho_f_db for m in spec.m_list),
+        _net_rate, lists=("scheme", "rho_f_db", "M"), requires=("T",)),
+    "fig5": Preset(
+        dict(m_list=[8, 12, 16, 24], k_list=[8], t_list=[20],
+             rho_f_db=[-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0],
+             rho_r_offset_db=-10.0, weights=[2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0],
+             schemes=[2, 3], output="fig5_weighted_net_rate.csv"),
+        "scheme,M,tau_star,N_star,wt_net_rate,std_error,status", (2, 3),
+        lambda spec: (dict(scheme=s, M=m) for s in spec.schemes for m in spec.m_list),
+        _weighted_net_rate, lists=("scheme", "M", "rho_f_db", "rho_r_db", "weight"),
+        requires=("T",), rules=_fig5_rules),
+    "custom": Preset(
+        dict(m_list=[], schemes=[0, 1], output="custom_sum_bound.csv"),
+        "scheme,M,K,tau_rp,N_star,rate,std_error,status", (0, 1),
+        lambda spec: (dict(scheme=s, M=m, K=k,
+                           tau_rp=spec.tau_rp if spec.tau_rp is not None else k)
+                      for s in spec.schemes for m in spec.m_list for k in spec.k_list),
+        _sum_bound, lists=("scheme", "M", "K"), requires=("K",), rules=_custom_rules),
+}
+
+
+def _sweep_rows(spec: ExperimentSpec, source: MomentSource):
+    """(header, rows) for the spec's sweep.  A cell whose evaluation raises
+    ValueError (InfeasibleError is one) gets blanks up to `status`, which
+    reads `infeasible: <reason>`."""
+    preset = PRESETS[spec.preset]
+    rows = []
+    for cell in preset.cells(spec):
+        lead = list(cell.values())
+        try:
+            rest = preset.evaluate(spec, source, **cell) + ["ok"]
+        except ValueError as exc:
+            blanks = preset.header.count(",") - len(lead)  # columns before status
+            rest = [""] * blanks + [f"infeasible: {exc}"]
+        rows.append(lead + rest)
+    return preset.header, rows
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
@@ -327,10 +328,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     cache = source.cache
     started = time.time()
     header, rows = _sweep_rows(spec, source)
-    csv_path = out / spec.output
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    csv_path.write_text("\n".join(lines) + "\n")
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    (out / spec.output).write_text("\n".join(lines) + "\n")
 
     manifest = {
         "preset": spec.preset,

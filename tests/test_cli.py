@@ -88,11 +88,26 @@ def test_rerun_is_bit_exact(tmp_path):
 
 
 def test_infeasible_cell_becomes_status_row(tmp_path):
+    # a valid spec has no infeasible cell, so each spec is changed after parsing
     spec = parse_spec("preset=fig3\nT=3\nM=2\nsamples=500\n")
-    spec.t_list = [3]
-    run_experiment(spec, tmp_path)
-    rows = (tmp_path / spec.output).read_text().splitlines()[1:]
-    assert all(",ok" in r or "infeasible" in r for r in rows)
+    spec.t_list = [2, 3]
+    fig5 = parse_spec("preset=fig5\nM=8\nsamples=100\n")
+    fig5.t_list = [9]
+    custom = parse_spec(CUSTOM_SPEC)
+    custom.tau_rp = 2
+    expected = [
+        (spec, "0,2,2,,,,,,infeasible: net rate needs T >= 3, got T=2"),
+        (fig5, "2,8,,,,,infeasible: weighted net rate needs T >= K + 2, got T=9, K=8"),
+        (custom, "0,4,3,2,,,,infeasible: orthonormal pilots require K <= tau_rp,"
+                 " got K=3, tau_rp=2"),
+    ]
+    for case, row in expected:
+        run_experiment(case, tmp_path / case.preset)
+        rows = (tmp_path / case.preset / case.output).read_text().splitlines()[1:]
+        assert row in rows
+        assert all(r.endswith(",ok") or ",infeasible: " in r for r in rows)
+    rows = (tmp_path / "fig3" / spec.output).read_text().splitlines()[1:]
+    assert [r.split(",")[1] for r in rows if r.endswith(",ok")] == ["3", "3"]
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -264,8 +279,12 @@ def test_concurrent_writers_share_one_cache(tmp_path):
     assert (out / csv).read_bytes() == (alone / csv).read_bytes()
 
 
-@pytest.mark.parametrize("spec_text", [CUSTOM_SPEC, FIG5_SPEC], ids=["custom", "fig5"])
-def test_traced_benchmark_entry_point_runs(tmp_path, spec_text):
+@pytest.mark.parametrize("spec_text,evaluator", [
+    (CUSTOM_SPEC, "rates.c_sum_lb"),
+    (FIG5_SPEC, "rates.c_wt_net"),
+    ("preset=fig3\nT=5\nM=2\nseed=4\nsamples=200\n", "rates.c_net"),
+], ids=["custom", "fig5", "fig3"])
+def test_traced_benchmark_entry_point_runs(tmp_path, spec_text, evaluator):
     # perfbench/traced.py wraps module-level names of the library; a rename
     # there breaks the benchmark's per-layer metrics
     spec_file = tmp_path / "spec.txt"
@@ -277,4 +296,79 @@ def test_traced_benchmark_entry_point_runs(tmp_path, spec_text):
         env=_subprocess_env(), capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     names = {span[0] for span in json.loads(trace.read_text())["spans"]}
-    assert {"moments.cache", "moments.compute", "rates.moment_request"} <= names
+    assert {"moments.cache", "moments.compute", "rates.moment_request", evaluator} <= names
+
+
+# A scheme the preset does not evaluate, several values for a list key it
+# reads once, and SINRs or weights that are not finite or that under/overflow.
+INVALID_SPECS = {
+    "fig2-scheme-3": "preset=fig2\nM=4\nscheme=3\n",
+    "fig5-scheme-0": "preset=fig5\nM=8\nscheme=0\n",
+    "fig5-scheme-1": "preset=fig5\nM=8\nscheme=1\n",
+    "fig5-two-T": "preset=fig5\nM=8\nT=20\nT=30\n",
+    "fig3-two-rho_f": "preset=fig3\nM=2\nT=20\nrho_f_db=0\nrho_f_db=10\n",
+    "fig4-two-T": "preset=fig4\nM=2\nrho_f_db=0\nT=20\nT=30\n",
+    "fig3-two-rho_r": "preset=fig3\nM=2\nT=20\nrho_r_db=-10,-5\n",
+    "fig2-two-rho_f": "preset=fig2\nM=2\nrho_f_db=0,10\n",
+    "custom-two-rho_f": "preset=custom\nM=4\nK=2\nT=10\nrho_f_db=0,10\nrho_r_db=-10\n",
+    "fig5-three-rho_r": "preset=fig5\nM=8\nrho_r_db=-10,-10,-10\n",
+    "custom-nan-rho_f": "preset=custom\nM=4\nK=2\nT=10\nrho_f_db=nan\nrho_r_db=-10\n",
+    "fig3-minus-inf-rho_f": "preset=fig3\nM=2\nT=20\nrho_f_db=-inf\n",
+    "fig3-nan-offset": "preset=fig3\nM=2\nT=20\nrho_r_offset_db=nan\n",
+    "fig3-underflowing-rho_f": "preset=fig3\nM=2\nT=20\nrho_f_db=-4000\n",
+    "fig5-nan-weight": "preset=fig5\nM=8\nweight=2,2,2,2,1,1,1,nan\n",
+}
+
+
+@pytest.mark.parametrize("spec_text", INVALID_SPECS.values(), ids=INVALID_SPECS.keys())
+def test_invalid_spec_exits_1(tmp_path, capsys, spec_text):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(spec_text + "samples=100\nseed=1\n")
+    out = tmp_path / "out"
+    assert main(["validate", "--spec", str(spec_file)]) == 1
+    assert "invalid spec: " in capsys.readouterr().err
+    assert main(["run", "--spec", str(spec_file), "--out", str(out)]) == 1
+    assert "invalid spec: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec_text,header,cells", [
+    ("preset=fig2\nM=2\n", "scheme,M,K,N_star,rate,std_error,status",
+     ["0,2,1", "0,2,2", "1,2,1", "1,2,2"]),
+    ("preset=fig3\nT=3\nT=20\nM=2\n",
+     "scheme,T,M,K_star,tau_star,N_star,net_rate,std_error,status",
+     ["0,3,2", "0,20,2", "1,3,2", "1,20,2"]),
+    ("preset=fig4\nM=2\nrho_f_db=-10,0\n",
+     "scheme,rho_f_db,M,K_star,tau_star,N_star,net_rate,std_error,status",
+     ["1,-10,2", "1,0,2"]),
+    ("preset=fig5\nM=8\n", "scheme,M,tau_star,N_star,wt_net_rate,std_error,status",
+     ["2,8", "3,8"]),
+    ("preset=custom\nM=4\nK=2\nK=3\nT=10\nrho_f_db=0\nrho_r_db=-10\n",
+     "scheme,M,K,tau_rp,N_star,rate,std_error,status",
+     ["0,4,2,2", "0,4,3,3", "1,4,2,2", "1,4,3,3"]),
+], ids=["fig2", "fig3", "fig4", "fig5", "custom"])
+def test_preset_header_and_cells(tmp_path, spec_text, header, cells):
+    spec = parse_spec(spec_text + "samples=100\n")
+    run_experiment(spec, tmp_path)
+    lines = (tmp_path / spec.output).read_text().splitlines()
+    assert lines[0] == header
+    lead = len(cells[0].split(","))
+    assert [",".join(row.split(",")[:lead]) for row in lines[1:]] == cells
+    assert all(row.endswith(",ok") for row in lines[1:])
+    assert all(len(row.split(",")) == header.count(",") + 1 for row in lines[1:])
+
+
+def _readme_spec():
+    readme = (ROOT / "README.md").read_text()
+    blocks = readme.split("```")[1::2]
+    return next(block for block in blocks if block.lstrip().startswith("preset="))
+
+
+@pytest.mark.parametrize("spec_path", sorted((ROOT / "perfbench" / "specs").glob("*.txt"))
+                         + ["README.md"], ids=lambda p: Path(p).name)
+def test_shipped_specs_validate(tmp_path, spec_path):
+    # the benchmark's specs and README's example must keep passing validation
+    if spec_path == "README.md":
+        spec_path = tmp_path / "spec.txt"
+        spec_path.write_text(_readme_spec())
+    assert main(["validate", "--spec", str(spec_path)]) == 0
