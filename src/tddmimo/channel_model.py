@@ -30,9 +30,9 @@ def linear_to_db(x):
 class RngStream:
     """Counter-based random stream keyed by (seed, stream_id).
 
-    Each logical stream (one per Monte Carlo sample index) is an independent
-    Philox stream, so sample i is identical no matter how samples are
-    partitioned across workers or in what order streams are consumed.
+    Each logical stream (one per fixed-size block of Monte Carlo samples) is
+    an independent Philox stream, so a block is identical no matter how the
+    blocks are partitioned across workers or in what order they are consumed.
     """
 
     seed: int
@@ -115,14 +115,16 @@ class SystemConfig:
         return np.diag(np.sqrt(self.rho_f))
 
 
-def draw_channel(K: int, M: int, rng: RngStream) -> np.ndarray:
-    """Draw a K x M channel with i.i.d. CN(0,1) entries.
+def draw_channel(K: int, M: int, rng: RngStream, count: int | None = None) -> np.ndarray:
+    """Draw a K x M channel with i.i.d. CN(0,1) entries, or `count` of them
+    stacked as (count, K, M) by one call on the stream.
 
     Deterministic given the stream: the same (seed, stream_id) always
-    yields the same matrix.
+    yields the same matrices.  Draws are sample-major, so draw 0 of a block
+    equals the single draw and a shorter block is a prefix of a longer one.
     """
     if K < 1 or M < 1:
         raise ValueError("dimensions must be positive")
     g = rng.generator()
-    parts = g.standard_normal((2, K, M))
-    return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+    parts = g.standard_normal((2, K, M) if count is None else (count, 2, K, M))
+    return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)

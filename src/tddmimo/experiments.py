@@ -16,7 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .channel_model import SystemConfig, db_to_linear
+from .moments import MomentCache, worker_pool
 from .rates import MomentSource, c_net, c_sum_lb, c_wt_net
 
 DEFAULT_SAMPLES = 100_000
@@ -53,6 +55,8 @@ _LISTS = {"M": ("m_list", int), "K": ("k_list", int), "T": ("t_list", int),
           "scheme": ("schemes", int), "rho_f_db": ("rho_f_db", float),
           "rho_r_db": ("rho_r_db", float), "weight": ("weights", float)}
 _SCALARS = ("preset", "tau_rp", "rho_r_offset_db", "samples", "seed", "quick", "output")
+# keys that every preset reads; Preset.reads names the others
+_READ_BY_ALL = ("preset", "samples", "seed", "quick", "output", "scheme", "M", "rho_f_db")
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -100,9 +104,15 @@ def parse_spec(text: str) -> ExperimentSpec:
         return out
 
     preset = scalar("preset", str, "custom")
-    if preset not in PRESETS:
+    if preset in PRESETS:
+        reads = _READ_BY_ALL + PRESETS[preset].reads
+        violations += [f"{preset} does not read key {key!r}" for key in (*_LISTS, *_SCALARS)
+                       if key.lower() in raw and key not in reads]
+    else:
         violations.append(f"preset must be one of {tuple(PRESETS)}, got {preset!r}")
         preset = "custom"
+    if "rho_r_db" in raw and "rho_r_offset_db" in raw:
+        violations.append("give rho_r_db or rho_r_offset_db, not both")
 
     fields = copy.deepcopy(PRESETS[preset].defaults)
     for key, (attr, conv) in _LISTS.items():
@@ -177,8 +187,7 @@ def _fmt(x) -> str:
 def _rho_r_db_for(spec: ExperimentSpec, rho_f_db):
     if spec.rho_r_offset_db is not None:
         return np.asarray(rho_f_db, dtype=float) + spec.rho_r_offset_db
-    rr = spec.rho_r_db
-    return np.asarray(rr[0] if len(rr) == 1 else rr, dtype=float)
+    return np.asarray(spec.rho_r_db[0], dtype=float)  # every preset reads one value
 
 
 # Evaluators look c_sum_lb, c_net and c_wt_net up when called, so that
@@ -235,8 +244,6 @@ def _fig5_rules(spec: ExperimentSpec):
             yield f"fig5 needs one weight per user (K={k}, {len(spec.weights)} weights)"
         if len(spec.rho_f_db) != k:
             yield f"fig5 needs one forward SINR per user (K={k}, {len(spec.rho_f_db)} values)"
-        if spec.rho_r_db is not None and len(spec.rho_r_db) not in (1, k):
-            yield f"fig5 needs 1 or K reverse SINRs (K={k}, {len(spec.rho_r_db)} values)"
         for t in spec.t_list:
             if t < k + 2:
                 yield f"weighted net rate needs T >= K+2 (K={k}, T={t})"
@@ -246,14 +253,16 @@ def _fig5_rules(spec: ExperimentSpec):
 class Preset:
     """One sweep.  `cells(spec)` yields each row's leading columns as a dict
     keyed by header name; `evaluate(spec, source, **cell)` returns the columns
-    up to `status`.  List keys outside `lists` take one value, those in
-    `requires` must be given, and `rules(spec)` yields further violations."""
+    up to `status`.  A spec may give the keys every preset reads and those in
+    `reads`; list keys outside `lists` take one value, those in `requires`
+    must be given, and `rules(spec)` yields further violations."""
 
     defaults: dict
     header: str
     schemes: tuple[int, ...]
     cells: Callable
     evaluate: Callable
+    reads: tuple[str, ...]
     lists: tuple[str, ...]
     requires: tuple[str, ...] = ()
     rules: Callable = lambda spec: ()
@@ -266,14 +275,15 @@ PRESETS: dict[str, Preset] = {
         "scheme,M,K,N_star,rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, M=m, K=k) for s in spec.schemes
                       for m in spec.m_list for k in range(1, m + 1)),
-        _sum_bound, lists=("scheme", "M")),
+        _sum_bound, reads=("rho_r_db", "rho_r_offset_db"), lists=("scheme", "M")),
     "fig3": Preset(
         dict(m_list=[2, 4, 6, 8, 10, 12, 14, 16], t_list=[20, 30], rho_f_db=[0.0],
              rho_r_db=[-10.0], schemes=[0, 1], output="fig3_net_rate.csv"),
         "scheme,T,M,K_star,tau_star,N_star,net_rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, T=t, M=m) for s in spec.schemes
                       for t in spec.t_list for m in spec.m_list),
-        _net_rate, lists=("scheme", "T", "M"), requires=("T",)),
+        _net_rate, reads=("T", "rho_r_db", "rho_r_offset_db"), lists=("scheme", "T", "M"),
+        requires=("T",)),
     "fig4": Preset(
         dict(m_list=[32], t_list=[20],
              rho_f_db=[-10.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
@@ -281,7 +291,8 @@ PRESETS: dict[str, Preset] = {
         "scheme,rho_f_db,M,K_star,tau_star,N_star,net_rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, rho_f_db=f, M=m) for s in spec.schemes
                       for f in spec.rho_f_db for m in spec.m_list),
-        _net_rate, lists=("scheme", "rho_f_db", "M"), requires=("T",)),
+        _net_rate, reads=("T", "rho_r_offset_db"), lists=("scheme", "rho_f_db", "M"),
+        requires=("T",)),
     "fig5": Preset(
         dict(m_list=[8, 12, 16, 24], k_list=[8], t_list=[20],
              rho_f_db=[-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0],
@@ -289,15 +300,16 @@ PRESETS: dict[str, Preset] = {
              schemes=[2, 3], output="fig5_weighted_net_rate.csv"),
         "scheme,M,tau_star,N_star,wt_net_rate,std_error,status", (2, 3),
         lambda spec: (dict(scheme=s, M=m) for s in spec.schemes for m in spec.m_list),
-        _weighted_net_rate, lists=("scheme", "M", "rho_f_db", "rho_r_db", "weight"),
-        requires=("T",), rules=_fig5_rules),
+        _weighted_net_rate, reads=("K", "T", "rho_r_offset_db", "weight"),
+        lists=("scheme", "M", "rho_f_db", "weight"), requires=("T",), rules=_fig5_rules),
     "custom": Preset(
         dict(m_list=[], schemes=[0, 1], output="custom_sum_bound.csv"),
         "scheme,M,K,tau_rp,N_star,rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, M=m, K=k,
                            tau_rp=spec.tau_rp if spec.tau_rp is not None else k)
                       for s in spec.schemes for m in spec.m_list for k in spec.k_list),
-        _sum_bound, lists=("scheme", "M", "K"), requires=("K",), rules=_custom_rules),
+        _sum_bound, reads=("K", "T", "tau_rp", "rho_r_db", "rho_r_offset_db"),
+        lists=("scheme", "M", "K"), requires=("K",), rules=_custom_rules),
 }
 
 
@@ -320,14 +332,16 @@ def _sweep_rows(spec: ExperimentSpec, source: MomentSource):
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
                    workers: int = 1) -> dict:
-    """Run the sweep, write CSV + manifest + moment cache, return manifest."""
+    """Run the sweep, write CSV + manifest + moment cache, return manifest.
+    Every statistic of the run is sampled on one pool of `workers`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    source = MomentSource(spec.samples, spec.seed, workers=workers,
-                          cache_path=out / "moments_cache.txt")
+    with worker_pool(workers) as pool:
+        source = MomentSource(spec.samples, spec.seed, pool=pool,
+                              cache_path=out / "moments_cache.txt")
+        started = time.time()
+        header, rows = _sweep_rows(spec, source)
     cache = source.cache
-    started = time.time()
-    header, rows = _sweep_rows(spec, source)
     lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
     (out / spec.output).write_text("\n".join(lines) + "\n")
 
@@ -342,6 +356,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
         "cache_misses": cache.misses,
         "singular_events": cache.singular_events,
         "wall_time_s": round(time.time() - started, 3),
+        "tddmimo_version": __version__,
+        "numpy_version": np.__version__,
+        "moments_version": MomentCache.VERSION,
     }
     manifest_path = out / "run_manifest.txt"
     manifest_path.write_text(

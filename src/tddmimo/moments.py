@@ -7,9 +7,11 @@ Cholesky factor of a leading block G_N is the leading block of L, so
 tr(G_N^{-1}) = sum_{i<N} ||row_i(L^{-1})||^2 for every N at once.  eta uses
 unit scores, phi_F no ordering and the weighted statistics scores p_star.
 
-Sample i always uses the Philox stream keyed by (seed, i) and chunk results
-are reduced in index order, so estimates are bit-identical for any worker
-count.
+Samples are drawn in blocks of CHUNK: block b is one draw call on the
+Philox stream keyed by (seed, b), and block results are reduced in block
+order, so estimates are bit-identical with or without a worker pool and for
+any number of workers.  The caller owns the pool (`worker_pool`) and passes
+it to every statistic of a run.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
 of the samples.  The guard is applied once, to the full Gram matrix.  By
@@ -24,8 +26,10 @@ from __future__ import annotations
 
 import hashlib
 import warnings
+import zlib
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import astuple, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -36,7 +40,7 @@ from .channel_model import RngStream, draw_channel
 from .errors import ExcessSingularDrawsError
 from .precoding import gram_is_regular
 
-CHUNK = 2048
+CHUNK = 2048  # samples per task and per RNG block; independent of the worker count
 SINGULAR_FRACTION_LIMIT = 1e-3
 
 
@@ -89,22 +93,15 @@ def f_fingerprint(f_diag) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _draw_batch(K: int, M: int, seed: int, start: int, count: int) -> np.ndarray:
-    z = np.empty((count, K, M), dtype=complex)
-    for i in range(count):
-        z[i] = draw_channel(K, M, RngStream(seed, start + i))
-    return z
-
-
 def _chunk(args):
-    """phi_N for every N over one chunk of draws, and the row order used.
+    """phi_N for every N over one block of draws, and the row order used.
 
     Returns (phi, order): phi[i, N-1] is the statistic of the N leading rows
     of draw i (a NaN row marks a singular draw) and order[i] lists the users
     best first, or is None when `scores` is None and rows keep their order.
     """
-    K, M, scores, f_diag, seed, start, count = args
-    z = _draw_batch(K, M, seed, start, count)
+    K, M, scores, f_diag, seed, block, count = args
+    z = draw_channel(K, M, RngStream(seed, block), count)
     order = None
     if scores is not None:
         weight = np.asarray(scores) * np.sum(np.abs(z) ** 2, axis=2)
@@ -122,16 +119,23 @@ def _chunk(args):
     return phi, order
 
 
-def _collect(params: tuple, samples: int, seed: int, workers: int) -> list:
-    """Kernel results for consecutive CHUNK-sized sample ranges, in order."""
+def worker_pool(workers: int):
+    """A process pool of `workers` processes for the statistics of one run,
+    or a context that yields None (sample in-process) when workers <= 1.
+    The pool starts its processes at the first task, so a run that samples
+    nothing starts none."""
+    return ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
+
+
+def _collect(params: tuple, samples: int, seed: int, pool) -> list:
+    """Kernel results for the consecutive CHUNK-sized blocks, in order."""
     if samples < 1:
         raise IndexError("samples must be positive")
-    tasks = [params + (seed, start, min(CHUNK, samples - start))
-             for start in range(0, samples, CHUNK)]
-    if workers <= 1 or len(tasks) == 1:
+    tasks = [params + (seed, block, min(CHUNK, samples - start))
+             for block, start in enumerate(range(0, samples, CHUNK))]
+    if pool is None or len(tasks) == 1:
         return [_chunk(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(_chunk, tasks))
+    return list(pool.map(_chunk, tasks))
 
 
 def _check_dims(K: int, M: int):
@@ -149,9 +153,9 @@ def _estimate(samples: int, singular: int, count, s1, s2) -> MomentEstimate:
     return MomentEstimate(samples, singular, count, mean, var)
 
 
-def _draws(params: tuple, samples: int, seed: int, workers: int) -> np.ndarray:
+def _draws(params: tuple, samples: int, seed: int, pool) -> np.ndarray:
     """phi[sample, N-1] for every draw; a NaN row marks a singular draw."""
-    return np.concatenate([phi for phi, _ in _collect(params, samples, seed, workers)])
+    return np.concatenate([phi for phi, _ in _collect(params, samples, seed, pool)])
 
 
 def _moments_over_n(phi: np.ndarray) -> MomentEstimate:
@@ -163,22 +167,22 @@ def _moments_over_n(phi: np.ndarray) -> MomentEstimate:
 
 
 def eta_samples(M: int, K: int, samples: int, seed: int,
-                workers: int = 1) -> np.ndarray:
+                pool=None) -> np.ndarray:
     """Raw eta draws indexed [sample, N-1] (a NaN row marks a discarded
     singular draw); test oracle hook."""
     _check_dims(K, M)
-    return _draws((K, M, (1.0,) * K, None), samples, seed, workers)
+    return _draws((K, M, (1.0,) * K, None), samples, seed, pool)
 
 
 def eta_moments(M: int, K: int, samples: int, seed: int, *,
-                workers: int = 1) -> MomentEstimate:
+                pool=None) -> MomentEstimate:
     """Moments of eta_N, the trace-inverse statistic of the N largest-norm
     rows of a K x M i.i.d. CN(0,1) matrix, for every N <= K."""
-    return _moments_over_n(eta_samples(M, K, samples, seed, workers))
+    return _moments_over_n(eta_samples(M, K, samples, seed, pool))
 
 
 def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
-                  workers: int = 1) -> MomentEstimate:
+                  pool=None) -> MomentEstimate:
     """Moments of phi of the N leading rows of F Z, Z of size K x M, for
     every N <= K; entry K-1 is phi_F = (tr[(F Z Z^H F)^{-1}])^{-1/2}."""
     f_diag = np.asarray(f_diag, dtype=float)
@@ -186,7 +190,7 @@ def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
     if np.any(f_diag <= 0):
         raise ValueError("F must be positive diagonal")
     return _moments_over_n(_draws((f_diag.size, M, None, tuple(f_diag)),
-                                  samples, seed, workers))
+                                  samples, seed, pool))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +198,7 @@ def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
 # ---------------------------------------------------------------------------
 
 def _selection_sums(phi: np.ndarray, order: np.ndarray):
-    """Per-(N, user) count, sum and sum of squares of phi_N over one chunk."""
+    """Per-(N, user) count, sum and sum of squares of phi_N over one block."""
     K = phi.shape[1]
     ok = ~np.isnan(phi[:, 0])
     rank = np.argsort(order, axis=1)
@@ -206,7 +210,7 @@ def _selection_sums(phi: np.ndarray, order: np.ndarray):
 
 
 def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
-                       workers: int = 1) -> MomentEstimate:
+                       pool=None) -> MomentEstimate:
     """Monte Carlo over coherence blocks of the weighted selection rule.
 
     In each block users are ordered by p_star_k * ||z_k||^2 and, for every
@@ -221,9 +225,9 @@ def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
     if p_star.shape != (Ka,):
         raise ValueError("p_star and f_diag must have equal length")
     _check_dims(Ka, M)
-    parts = _collect((Ka, M, tuple(p_star), tuple(f_diag)), samples, seed, workers)
+    parts = _collect((Ka, M, tuple(p_star), tuple(f_diag)), samples, seed, pool)
     singular = sum(int(np.isnan(phi[:, 0]).sum()) for phi, _ in parts)
-    # fixed chunk order keeps sums bit-exact
+    # fixed block order keeps sums bit-exact
     cnt, s1, s2 = (sum(terms) for terms in zip(*(_selection_sums(*p) for p in parts)))
     return _estimate(samples, singular, cnt, s1, s2)
 
@@ -232,6 +236,11 @@ def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
 # Persistent cache
 # ---------------------------------------------------------------------------
 
+def _checksum(body: str) -> str:
+    """The crc field of a cache record whose other fields are `body`."""
+    return format(zlib.crc32(body.encode()), "08x")
+
+
 class MomentCache:
     """Every Monte Carlo statistic of a run: an in-memory store with optional
     plain-text persistence.
@@ -239,19 +248,21 @@ class MomentCache:
     File format: a version header line followed by one comma-delimited
     record per key, columns
 
-        kind,M,K,fingerprint,samples,seed,singular_events,count,mean,variance
+        kind,M,K,fingerprint,samples,seed,singular_events,count,mean,variance,crc
 
     where count, mean and variance are the estimate's arrays, flattened and
     space-separated: K entries for eta and phi_F, K*K for weighted.  Floats
-    are written with repr so reloaded estimates are bit-identical.  A line
-    that does not parse or is not newline-terminated (what a killed writer
-    leaves) is skipped and counted in `skipped`; an append after such a line
-    ends it with "!" so that it never parses.  A repeated header or a lone
-    "!" line (what concurrent writers can leave) is ignored.  A file with
-    another header is not read, and the first append replaces it afresh.
+    are written with repr so reloaded estimates are bit-identical.  crc is
+    the zlib.crc32 of the text before its comma, in hex.  Each record is
+    written as "\n" + record + "\n" in one write(), so a torn record never
+    runs into the next one; blank lines are ignored.  A line that does not
+    parse, fails its checksum or is not newline-terminated (what a killed
+    writer leaves) is skipped and counted in `skipped`.  A repeated header
+    (what concurrent writers can leave) is ignored.  A file with another
+    header is not read, and the first append replaces it afresh.
     """
 
-    VERSION = "tddmimo-moments-cache v2"
+    VERSION = "tddmimo-moments-cache v3"
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
@@ -273,12 +284,13 @@ class MomentCache:
             self._stale = True
             return
         for line in lines[1:]:
-            if line.strip() in ("", "!", self.VERSION):
+            if line.strip() in ("", self.VERSION):
                 continue
             try:
-                if not line.endswith("\n"):
-                    raise ValueError("unterminated line")
-                kind, m, k, fp, samples, seed, sing, *arrays = line.split(",")
+                body, _, crc = line.rstrip("\n").rpartition(",")
+                if not line.endswith("\n") or crc != _checksum(body):
+                    raise ValueError("torn or corrupted record")
+                kind, m, k, fp, samples, seed, sing, *arrays = body.split(",")
                 shape = (int(k),) * (2 if kind == "weighted" else 1)
                 key = MomentKey(kind, int(m), int(k), fp, int(samples), int(seed))
                 est = MomentEstimate(int(samples), int(sing), *(
@@ -294,20 +306,16 @@ class MomentCache:
     def _append(self, key: MomentKey, est: MomentEstimate):
         if self.path is None:
             return
-        line = ",".join([*map(str, astuple(key)), str(est.singular_events)]
+        body = ",".join([*map(str, astuple(key)), str(est.singular_events)]
                         + [" ".join(map(repr, a.ravel().tolist()))
                            for a in (est.count, est.mean, est.variance)])
         try:
-            with open(self.path, "ab+") as fh:
+            with open(self.path, "ab") as fh:
                 if self._stale:  # a file of another version is replaced, not extended
                     fh.truncate(0)
                     self._stale = False
-                if fh.seek(0, 2) == 0:
-                    prefix = self.VERSION + "\n"
-                else:  # mark a torn last record unparseable, then start afresh
-                    fh.seek(-1, 2)
-                    prefix = "" if fh.read(1) == b"\n" else "!\n"
-                fh.write((prefix + line + "\n").encode())
+                header = self.VERSION + "\n" if fh.seek(0, 2) == 0 else ""
+                fh.write(f"{header}\n{body},{_checksum(body)}\n".encode())
         except OSError as exc:
             warnings.warn(f"moment cache not writable: {exc}")
 

@@ -65,15 +65,15 @@ def _delta_se(fn, mom: MomentEstimate, i) -> float:
 
 
 class MomentSource:
-    """Sampling protocol (samples, seed, workers) and the MomentCache, in
-    memory only without `cache_path`, behind every statistic it serves.
+    """Sampling protocol (samples, seed) and the MomentCache, in memory only
+    without `cache_path`, behind every statistic it serves.  Statistics are
+    sampled on `pool` (see moments.worker_pool), or in-process without one.
     Keys are built here only: each statistic is sampled once per source."""
 
-    def __init__(self, samples: int, seed: int, *, workers: int = 1,
-                 cache_path=None):
+    def __init__(self, samples: int, seed: int, *, pool=None, cache_path=None):
         self.samples = samples
         self.seed = seed
-        self.workers = workers
+        self.pool = pool
         self.cache = MomentCache(cache_path)
 
     def _cached(self, kind: str, M: int, K: int, fingerprint: str, compute):
@@ -83,18 +83,18 @@ class MomentSource:
     def eta(self, M: int, K: int) -> MomentEstimate:
         """eta moments for every served count N <= K (entry N-1)."""
         return self._cached("eta", M, K, "-", lambda: eta_moments(
-            M, K, self.samples, self.seed, workers=self.workers))
+            M, K, self.samples, self.seed, pool=self.pool))
 
     def phi(self, f_diag, M: int) -> MomentEstimate:
         return self._cached("phi_F", M, np.size(f_diag), f_fingerprint(f_diag),
                             lambda: phi_f_moments(f_diag, M, self.samples, self.seed,
-                                                  workers=self.workers))
+                                                  pool=self.pool))
 
     def weighted(self, f_diag, p_star, M: int) -> MomentEstimate:
         fingerprint = f_fingerprint(np.concatenate([f_diag, p_star]))
         return self._cached("weighted", M, np.size(f_diag), fingerprint,
                             lambda: weighted_phi_stats(f_diag, p_star, M, self.samples,
-                                                       self.seed, workers=self.workers))
+                                                       self.seed, pool=self.pool))
 
 
 def c_sum_lb(config: SystemConfig, scheduled: bool,

@@ -20,6 +20,16 @@ def test_distinct_streams_differ():
     assert not np.allclose(a, c)
 
 
+def test_block_draw_starts_with_the_single_draw():
+    # draw 0 of a block is the single draw; a shorter block is a prefix
+    rng = RngStream(seed=31, stream_id=4)
+    block = draw_channel(3, 5, rng, 7)
+    assert block.shape == (7, 3, 5)
+    np.testing.assert_array_equal(block[0], draw_channel(3, 5, rng))
+    np.testing.assert_array_equal(draw_channel(3, 5, rng, 4), block[:4])
+    assert not np.allclose(block[1], block[0])
+
+
 def test_substream_offsets():
     base = RngStream(9, 3)
     assert base.substream(2) == RngStream(9, 5)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tddmimo
+from tddmimo import moments
 from tddmimo.cli import main
 from tddmimo.experiments import (ExperimentSpec, SpecValidationError,
                                  check_feasibility, parse_spec, run_experiment)
@@ -63,6 +64,9 @@ def test_custom_single_cell_run(tmp_path):
     assert csv[0] == "scheme,M,K,tau_rp,N_star,rate,std_error,status"
     assert len(csv) == 2 and csv[1].endswith(",ok")
     assert manifest["rows"] == 1
+    assert manifest["moments_version"] == tddmimo.MomentCache.VERSION
+    assert manifest["tddmimo_version"] == tddmimo.__version__
+    assert manifest["numpy_version"] == np.__version__
     assert (tmp_path / "run_manifest.txt").exists()
     assert (tmp_path / "moments_cache.txt").exists()
 
@@ -189,6 +193,16 @@ def _manifest(out):
     return _manifest_text((out / "run_manifest.txt").read_text())
 
 
+def _resealed(text):
+    """Cache text with each record's checksum recomputed from its fields."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        if "," in line:
+            body = line.rpartition(",")[0]
+            lines[i] = f"{body},{moments._checksum(body)}"
+    return "\n".join(lines)
+
+
 def _subprocess_env():
     src = str(Path(tddmimo.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -227,7 +241,7 @@ def test_stale_cache_version_recovers(tmp_path, capsys):
     assert main(run) == 0
     assert "cache_misses=0" in capsys.readouterr().out
     assert (out / "custom_sum_bound.csv").read_bytes() == first
-    lines = cache_file.read_text().splitlines()
+    lines = [line for line in cache_file.read_text().splitlines() if line]
     assert lines[0] == tddmimo.MomentCache.VERSION and len(lines) == 4
 
 
@@ -242,7 +256,7 @@ def test_manifest_counts_singular_draws_once(tmp_path):
     # eta(M=4, K=2) serves scheme 0 at K=2 (N=2) and K=3 (N=2) and scheme 1 at K=2
     text = cache_file.read_text().replace("eta,4,2,-,300,4,0,", "eta,4,2,-,300,4,1,")
     assert text != cache_file.read_text()
-    cache_file.write_text(text)
+    cache_file.write_text(_resealed(text))
     assert main(run) == 0
     manifest = _manifest(out)
     assert manifest["cache_misses"] == "0" and int(manifest["cache_hits"]) > 3
@@ -279,12 +293,13 @@ def test_concurrent_writers_share_one_cache(tmp_path):
     assert (out / csv).read_bytes() == (alone / csv).read_bytes()
 
 
-@pytest.mark.parametrize("spec_text,evaluator", [
-    (CUSTOM_SPEC, "rates.c_sum_lb"),
-    (FIG5_SPEC, "rates.c_wt_net"),
-    ("preset=fig3\nT=5\nM=2\nseed=4\nsamples=200\n", "rates.c_net"),
-], ids=["custom", "fig5", "fig3"])
-def test_traced_benchmark_entry_point_runs(tmp_path, spec_text, evaluator):
+@pytest.mark.parametrize("spec_text,evaluator,workers", [
+    (CUSTOM_SPEC, "rates.c_sum_lb", 1),
+    (FIG5_SPEC, "rates.c_wt_net", 1),
+    ("preset=fig3\nT=5\nM=2\nseed=4\nsamples=200\n", "rates.c_net", 1),
+    (f"preset=fig3\nT=5\nM=2\nseed=4\nsamples={moments.CHUNK + 52}\n", "rates.c_net", 2),
+], ids=["custom", "fig5", "fig3", "fig3-workers-2"])
+def test_traced_benchmark_entry_point_runs(tmp_path, spec_text, evaluator, workers):
     # perfbench/traced.py wraps module-level names of the library; a rename
     # there breaks the benchmark's per-layer metrics
     spec_file = tmp_path / "spec.txt"
@@ -292,15 +307,51 @@ def test_traced_benchmark_entry_point_runs(tmp_path, spec_text, evaluator):
     trace = tmp_path / "trace.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced.py"), str(trace), "run",
-         "--spec", str(spec_file), "--out", str(tmp_path / "out")],
+         "--spec", str(spec_file), "--out", str(tmp_path / "out"), "--workers", str(workers)],
         env=_subprocess_env(), capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
-    names = {span[0] for span in json.loads(trace.read_text())["spans"]}
+    spans = json.loads(trace.read_text())["spans"]
+    names = {span[0] for span in spans}
     assert {"moments.cache", "moments.compute", "rates.moment_request", evaluator} <= names
+    # one pool for the whole run, opened and closed inside run_experiment
+    pools = [span for span in spans if span[0] == "moments.pool"]
+    assert len(pools) == (workers > 1)
+    assert all(spans[span[3]][0] == "experiments.run_experiment" for span in pools)
+
+
+def test_one_pool_per_run(tmp_path, monkeypatch):
+    built, submitted = [], []
+
+    class CountingPool(moments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+        def submit(self, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(moments, "ProcessPoolExecutor", CountingPool)
+    spec_file = tmp_path / "spec.txt"
+    # three eta statistics (M=4, K=1, 2, 3) of three blocks each, the last partial
+    spec_file.write_text(CUSTOM_SPEC.replace("samples=300", f"samples={2 * moments.CHUNK + 17}"))
+    run = ["run", "--spec", str(spec_file)]
+    assert main(run + ["--out", str(tmp_path / "serial")]) == 0
+    assert not built
+    assert main(run + ["--out", str(tmp_path / "out"), "--workers", "2"]) == 0
+    assert _manifest(tmp_path / "out")["cache_misses"] == "3"
+    assert len(built) == 1 and len(submitted) == 9
+    csv = "custom_sum_bound.csv"
+    assert (tmp_path / "out" / csv).read_bytes() == (tmp_path / "serial" / csv).read_bytes()
+    submitted.clear()
+    assert main(run + ["--out", str(tmp_path / "out"), "--workers", "2"]) == 0
+    assert _manifest(tmp_path / "out")["cache_misses"] == "0"
+    assert not submitted
 
 
 # A scheme the preset does not evaluate, several values for a list key it
-# reads once, and SINRs or weights that are not finite or that under/overflow.
+# reads once, SINRs or weights that are not finite or that under/overflow,
+# and keys the preset does not read.
 INVALID_SPECS = {
     "fig2-scheme-3": "preset=fig2\nM=4\nscheme=3\n",
     "fig5-scheme-0": "preset=fig5\nM=8\nscheme=0\n",
@@ -317,6 +368,11 @@ INVALID_SPECS = {
     "fig3-nan-offset": "preset=fig3\nM=2\nT=20\nrho_r_offset_db=nan\n",
     "fig3-underflowing-rho_f": "preset=fig3\nM=2\nT=20\nrho_f_db=-4000\n",
     "fig5-nan-weight": "preset=fig5\nM=8\nweight=2,2,2,2,1,1,1,nan\n",
+    "fig3-unread-keys": "preset=fig3\nT=20\nM=2\ntau_rp=5\nK=3\nweight=7\n",
+    "fig2-unread-T": "preset=fig2\nM=2\nT=20\n",
+    "fig4-unread-rho_r": "preset=fig4\nM=2\nrho_r_db=-10\n",
+    "fig5-unread-rho_r": "preset=fig5\nM=8\nrho_r_db=-10\n",
+    "fig3-rho_r-and-offset": "preset=fig3\nM=2\nT=20\nrho_r_db=-10\nrho_r_offset_db=-10\n",
 }
 
 

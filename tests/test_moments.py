@@ -6,7 +6,8 @@ import pytest
 
 from tddmimo import (MomentCache, MomentKey, RngStream, draw_channel,
                      eta_moments, phi_f_moments, weighted_phi_stats)
-from tddmimo.moments import _chunk, eta_samples, f_fingerprint
+from tddmimo.moments import (CHUNK, _checksum, _chunk, eta_samples, f_fingerprint,
+                             worker_pool)
 from tddmimo.precoding import COND_LIMIT
 from tddmimo.rates import MomentSource
 
@@ -86,18 +87,28 @@ def test_dimension_errors():
 
 
 def test_worker_count_independence():
+    # every statistic runs on one shared pool, as in a run; the last block of
+    # each sample count is partial
     f = np.array([0.5, 1.5, 1.0, 2.0])
     p = np.array([1.0, 2.0, 0.5, 1.0])
     runs = [
-        (lambda w: eta_moments(6, 4, 6000, seed=10, workers=w), (1, 2, 8)),
-        (lambda w: phi_f_moments(f, 6, 5000, seed=10, workers=w), (1, 2)),
-        (lambda w: weighted_phi_stats(f, p, 6, 2500, seed=10, workers=w), (1, 2)),
+        lambda pool: eta_moments(6, 4, 6000, seed=10, pool=pool),
+        lambda pool: eta_moments(5, 3, 2 * CHUNK + 17, seed=10, pool=pool),
+        lambda pool: phi_f_moments(f, 6, 5000, seed=10, pool=pool),
+        lambda pool: weighted_phi_stats(f, p, 6, 2500, seed=10, pool=pool),
     ]
-    for run, workers in runs:
-        ests = [run(w) for w in workers]
-        for other in ests[1:]:
-            for name, value in vars(ests[0]).items():
-                np.testing.assert_array_equal(getattr(other, name), value)
+    serial = [run(None) for run in runs]
+    with worker_pool(2) as pool:
+        pooled = [run(pool) for run in runs]
+    for a, b in zip(serial, pooled):
+        for name, value in vars(a).items():
+            np.testing.assert_array_equal(getattr(b, name), value)
+
+
+def _block_draws(K: int, M: int, samples: int, seed: int) -> np.ndarray:
+    """Sample i of a statistic is draw i % CHUNK of block i // CHUNK."""
+    return np.concatenate([draw_channel(K, M, RngStream(seed, b), min(CHUNK, samples - start))
+                           for b, start in enumerate(range(0, samples, CHUNK))])
 
 
 def _per_n_oracle(z: np.ndarray, n: int) -> float:
@@ -113,8 +124,7 @@ def test_all_n_kernel_matches_per_n_inverse(M):
     f = np.array([0.5, 1.5, 1.0, 2.0])
     phi, order = _chunk((K, M, tuple(scores), tuple(f), seed, 0, count))
     worst = 0.0
-    for i in range(count):
-        z = draw_channel(K, M, RngStream(seed, i))
+    for i, z in enumerate(_block_draws(K, M, count, seed)):
         expected = np.argsort(-scores * np.sum(np.abs(z) ** 2, axis=1), kind="stable")
         np.testing.assert_array_equal(order[i], expected)
         if np.isnan(phi[i, 0]):
@@ -132,8 +142,7 @@ def _weighted_oracle(f_diag, p_star, M, samples, seed):
     cnt = np.zeros((Ka, Ka), dtype=np.int64)
     s1 = np.zeros((Ka, Ka))
     s2 = np.zeros((Ka, Ka))
-    for i in range(samples):
-        z = draw_channel(Ka, M, RngStream(seed, i))
+    for z in _block_draws(Ka, M, samples, seed):
         order = np.argsort(-p_star * np.sum(np.abs(z) ** 2, axis=1), kind="stable")
         zf = (f_diag[:, None] * z)[order]
         grams = [zf[:n] @ zf[:n].conj().T for n in range(1, Ka + 1)]
@@ -216,10 +225,11 @@ def test_cache_counts_singular_draws_once_per_statistic(tmp_path):
     source = MomentSource(500, 20, cache_path=path)
     source.eta(5, 3)
     source.eta(5, 2)
-    lines = path.read_text().splitlines(keepends=True)
-    fields = lines[1].split(",")
+    header, first, second = path.read_text().split("\n\n")
+    fields = first.split(",")[:-1]
     fields[6] = "1"  # the eta(5, 3) record: one singular draw
-    path.write_text(lines[0] + ",".join(fields) + lines[2])
+    body = ",".join(fields)
+    path.write_text(f"{header}\n\n{body},{_checksum(body)}\n\n{second}")
     reloaded = MomentSource(500, 20, cache_path=path)
     for _ in range(4):
         assert reloaded.eta(5, 3).singular_events == 1
@@ -242,17 +252,37 @@ def test_cache_skips_truncated_last_line(tmp_path, cut):
     _assert_same(reloaded.eta(5, 2), a)
     _assert_same(reloaded.eta(5, 3), b)
     assert reloaded.cache.misses == 1
-    # the recomputed record starts on a fresh line and survives the next load
-    with pytest.warns(UserWarning, match="skipped 1"):
+    # the recomputed record starts on a fresh line and survives the next load;
+    # a record that lost only its newline gets it from the next record's
+    # leading one, and is whole, so only the longer cut stays skipped
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         again = MomentCache(path)
-    assert len(again) == 2 and again.skipped == 1
+    assert len(again) == 2 and again.skipped == len(caught) == (cut > 1)
+
+
+def test_cache_skips_record_with_bad_checksum(tmp_path):
+    # a whole, newline-terminated record whose fields still parse
+    path = tmp_path / "cache.txt"
+    a = MomentSource(500, 24, cache_path=path).eta(5, 3)
+    text = path.read_text()
+    mean = text.split("\n\n")[1].split(",")[8]
+    digit = next(i for i, c in enumerate(mean) if c.isdigit() and c != "0")
+    flipped = mean[:digit] + str(int(mean[digit]) - 1) + mean[digit + 1:]
+    path.write_text(text.replace(mean, flipped))
+    with pytest.warns(UserWarning, match="skipped 1"):
+        reloaded = MomentSource(500, 24, cache_path=path)
+    assert reloaded.cache.skipped == 1 and len(reloaded.cache) == 0
+    _assert_same(reloaded.eta(5, 3), a)
+    assert reloaded.cache.misses == 1
 
 
 def test_cache_skips_garbage_line(tmp_path):
     path = tmp_path / "cache.txt"
     a = MomentSource(500, 18, cache_path=path).eta(5, 3)
-    with open(path, "ab") as fh:  # two entries where K = 3 needs three
-        fh.write(b"eta,5,3,-,500,18,0,500 500,1.0 1.0,0.1 0.1\n\xff\xfe garbage\n")
+    short = "eta,5,3,-,500,18,0,500 500,1.0 1.0,0.1 0.1"  # two entries where K = 3 needs three
+    with open(path, "ab") as fh:
+        fh.write(f"\n{short},{_checksum(short)}\n".encode() + b"\xff\xfe garbage\n")
     with pytest.warns(UserWarning, match="skipped 2"):
         reloaded = MomentSource(500, 18, cache_path=path)
     assert reloaded.cache.kind_counts() == {"eta": 1}
@@ -268,7 +298,7 @@ def test_cache_replaces_file_of_another_version(tmp_path):
     a = stale.eta(5, 3)
     stale.eta(5, 2)
     assert stale.cache.misses == 2
-    lines = path.read_text().splitlines()
+    lines = [line for line in path.read_text().splitlines() if line]
     assert lines[0] == MomentCache.VERSION and len(lines) == 3
     fresh = MomentSource(500, 21, cache_path=path)
     _assert_same(fresh.eta(5, 3), a)
