@@ -109,11 +109,6 @@ class SystemConfig:
         """Reverse-link amplitude matrix diag(sqrt(rho_r))."""
         return np.diag(np.sqrt(self.rho_r))
 
-    @property
-    def e_f(self) -> np.ndarray:
-        """Forward-link amplitude matrix diag(sqrt(rho_f))."""
-        return np.diag(np.sqrt(self.rho_f))
-
 
 def draw_channel(K: int, M: int, rng: RngStream, count: int | None = None) -> np.ndarray:
     """Draw a K x M channel with i.i.d. CN(0,1) entries, or `count` of them

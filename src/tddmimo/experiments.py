@@ -232,10 +232,6 @@ def _custom_rules(spec: ExperimentSpec):
         for m in spec.m_list:
             if k > m:
                 yield f"K <= min(M, tau_rp) violated (K={k}, M={m})"
-        for t in spec.t_list:
-            if tau > t - 2:
-                yield (f"tau_rp <= T-2 violated (tau_rp={tau}, T={t}):"
-                       " required by the net-rate search")
 
 
 def _fig5_rules(spec: ExperimentSpec):
@@ -308,7 +304,7 @@ PRESETS: dict[str, Preset] = {
         lambda spec: (dict(scheme=s, M=m, K=k,
                            tau_rp=spec.tau_rp if spec.tau_rp is not None else k)
                       for s in spec.schemes for m in spec.m_list for k in spec.k_list),
-        _sum_bound, reads=("K", "T", "tau_rp", "rho_r_db", "rho_r_offset_db"),
+        _sum_bound, reads=("K", "tau_rp", "rho_r_db", "rho_r_offset_db"),
         lists=("scheme", "M", "K"), requires=("K",), rules=_custom_rules),
 }
 

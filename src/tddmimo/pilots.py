@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import RngStream, SystemConfig
+from .channel_model import RngStream, SystemConfig, draw_channel
 
 
 def build_pilots(tau_rp: int, K: int) -> np.ndarray:
@@ -44,14 +44,9 @@ def simulate_reverse_pilots(H: np.ndarray, config: SystemConfig, psi: np.ndarray
         raise ValueError(f"H has shape {H.shape}, expected ({config.K}, {config.M})")
     if psi.shape != (config.tau_rp, config.K):
         raise ValueError(f"psi has shape {psi.shape}, expected ({config.tau_rp}, {config.K})")
-    if _noise is None:
-        g = rng.generator()
-        parts = g.standard_normal((2, M, config.tau_rp))
-        v_r = (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
-    else:
-        v_r = np.asarray(_noise)
-        if v_r.shape != (M, config.tau_rp):
-            raise ValueError("noise hook has wrong shape")
+    v_r = draw_channel(M, config.tau_rp, rng) if _noise is None else np.asarray(_noise)
+    if v_r.shape != (M, config.tau_rp):
+        raise ValueError("noise hook has wrong shape")
     return np.sqrt(config.tau_rp) * H.T @ config.e_r @ psi.conj().T + v_r
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import RngStream
+from .channel_model import RngStream, draw_channel
 from .errors import SingularChannelError
 
 COND_LIMIT = 1e12
@@ -107,12 +107,7 @@ def simulate_forward(h_s: np.ndarray, a: PrecodingMatrix, q: np.ndarray,
     if q.shape != (n,):
         raise ValueError(f"q must have length {n}")
     rho = np.broadcast_to(np.asarray(rho_f, dtype=float), (n,))
-    if _noise is None:
-        g = rng.generator()
-        parts = g.standard_normal((2, n))
-        w_f = (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
-    else:
-        w_f = np.asarray(_noise)
-        if w_f.shape != (n,):
-            raise ValueError("noise hook has wrong shape")
+    w_f = draw_channel(1, n, rng)[0] if _noise is None else np.asarray(_noise)
+    if w_f.shape != (n,):
+        raise ValueError("noise hook has wrong shape")
     return np.sqrt(rho) * (h_s @ a.a @ q) + w_f

@@ -1,8 +1,10 @@
 """Capacity lower bounds and net-rate searches.
 
-All rates are bits per symbol.  Monte Carlo inputs carry standard errors;
-rate-level standard errors are propagated with a numerical delta method and
-are approximate (cross-moment correlations are ignored).
+All rates are bits per symbol.  The searches evaluate their bounds as arrays
+and pick the optimum by one tie rule (`_first_best`).  A result's standard
+error is propagated from the Monte Carlo moments with a numerical delta
+method at the chosen optimum only; it is approximate (cross-moment
+correlations are ignored).
 """
 
 from __future__ import annotations
@@ -32,14 +34,26 @@ class RatePoint:
     auxiliary: dict = field(default_factory=dict)
 
 
+def _user_rate(rho_f, p, err, m, v):
+    """The per-user rate behind every bound here, over broadcast arrays: power
+    p, estimation-error variance err and gain moments (m, v).  float_power
+    is libm pow, as `m ** 2` is for a float; `ndarray ** 2` rounds m*m,
+    which differs for about one value in a thousand."""
+    return np.log2(1.0 + rho_f * p * np.float_power(m, 2) / (1.0 + rho_f * (err + p * v)))
+
+
 def c_ind_lb(rho_f: float, rho_r: float, tau_rp: int,
              e_chi: float, var_chi: float) -> float:
     """Per-selected-user rate bound from the chi statistic moments."""
     if rho_f <= 0 or rho_r <= 0 or e_chi < 0 or var_chi < 0:
         raise ValueError("SINRs must be positive and moments nonnegative")
-    err_var = 1.0 / (1.0 + rho_r * tau_rp)
-    return float(np.log2(1.0 + rho_f * e_chi ** 2
-                         / (1.0 + rho_f * (err_var + var_chi))))
+    return float(_user_rate(rho_f, 1.0, 1.0 / (1.0 + rho_r * tau_rp), e_chi, var_chi))
+
+
+def _bound(rho_f, rho_r, tau, e, var):
+    """c_ind_lb_scheduled over broadcast arrays, unchecked."""
+    rt = rho_r * tau
+    return _user_rate(rho_f, rt / (1.0 + rt), 1.0 / (1.0 + rt), e, var)
 
 
 def c_ind_lb_scheduled(rho_f: float, rho_r: float, tau_rp: int,
@@ -47,11 +61,24 @@ def c_ind_lb_scheduled(rho_f: float, rho_r: float, tau_rp: int,
     """Per-selected-user bound in terms of the unit-variance eta moments."""
     if rho_f <= 0 or rho_r <= 0 or e_eta < 0 or var_eta < 0:
         raise ValueError("SINRs must be positive and moments nonnegative")
-    rt = rho_r * tau_rp
-    gain = rt / (1.0 + rt)
-    return float(np.log2(
-        1.0 + rho_f * gain * e_eta ** 2
-        / (1.0 + rho_f * (1.0 / (1.0 + rt) + gain * var_eta))))
+    return float(_bound(rho_f, rho_r, tau_rp, e_eta, var_eta))
+
+
+def _first_best(values) -> np.ndarray:
+    """Index of the optimum along the last axis under the tie rule: scan in
+    order, keep the running best, and replace it only by a value larger by
+    more than _TIE_TOL.  This is neither argmax (a, a + 0.5e-12 picks a) nor
+    the first value within _TIE_TOL of the maximum (a, a + 0.6e-12,
+    a + 1.2e-12 picks the last).  NaN never replaces the running best."""
+    values = np.asarray(values, dtype=float)
+    picks = []
+    for row in values.reshape(-1, values.shape[-1]).tolist():
+        best = 0
+        for i, v in enumerate(row):
+            if v > row[best] + _TIE_TOL:
+                best = i
+        picks.append(best)
+    return np.array(picks).reshape(values.shape[:-1])
 
 
 def _delta_se(fn, mom: MomentEstimate, i) -> float:
@@ -97,6 +124,36 @@ class MomentSource:
                                                        self.seed, pool=self.pool))
 
 
+def _sum_search(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, scheduled: bool,
+                moment_source: MomentSource):
+    """Optimum of prelogs[tau] * N * bound over tau in `taus`, K in `ks` with
+    K <= tau and N <= K, as (c_sum_lb's RatePoint there, its prelog).  The
+    moments of (K, N) are entry N-1 of eta(M, K) when scheduled (the N best
+    of K rows) and of eta(M, N) otherwise (N channel-independent users)."""
+    stats = {s: moment_source.eta(M, s)
+             for s in (ks if scheduled else range(1, max(ks) + 1))}
+    est = lambda k, n: stats[k if scheduled else n]
+
+    def table(attr):  # [K, N], NaN where N > K
+        return np.array([[getattr(est(k, n), attr)[n - 1] if n <= k else np.nan
+                          for n in range(1, max(ks) + 1)] for k in ks])
+    mean, var = table("mean"), table("variance")
+    col = np.asarray(taus)[:, None]
+    sums = np.arange(1, max(ks) + 1) * _bound(rho_f, rho_r, col[..., None], mean, var)
+    sums[np.asarray(ks) > col] = np.nan  # [tau, K, N]
+    n_best = _first_best(sums)  # [tau, K]
+    net = prelogs[:, None] * np.take_along_axis(sums, n_best[..., None], axis=2)[..., 0]
+    t, row = divmod(int(_first_best(net.ravel())), len(ks))
+    tau, k, n = int(taus[t]), ks[row], int(n_best[t, row]) + 1
+    eta = est(k, n)
+    bound = lambda e, v: c_ind_lb_scheduled(rho_f, rho_r, tau, e, v)
+    return RatePoint(rate=float(sums[t, row, n - 1]), n_selected=n, tau_rp=tau, K=k,
+                     std_error=n * _delta_se(bound, eta, n - 1),
+                     auxiliary={"e_eta": float(eta.mean[n - 1]),
+                                "var_eta": float(eta.variance[n - 1]),
+                                "scheduled": scheduled}), float(prelogs[t])
+
+
 def c_sum_lb(config: SystemConfig, scheduled: bool,
              moment_source: MomentSource) -> RatePoint:
     """Sum-capacity bound: max over N <= K of N times the per-user bound.
@@ -109,21 +166,8 @@ def c_sum_lb(config: SystemConfig, scheduled: bool,
         raise ValueError("sum-rate bound requires a homogeneous config")
     if config.K > min(config.M, config.tau_rp):
         raise ValueError("homogeneous runs require K <= min(M, tau_rp)")
-    rho_f = float(config.rho_f[0])
-    rho_r = float(config.rho_r[0])
-    bound = lambda e, v: c_ind_lb_scheduled(rho_f, rho_r, config.tau_rp, e, v)
-    etas = ([moment_source.eta(config.M, config.K)] * config.K if scheduled
-            else [moment_source.eta(config.M, n) for n in range(1, config.K + 1)])
-    best = None
-    for n, eta in enumerate(etas, start=1):
-        mean, var = float(eta.mean[n - 1]), float(eta.variance[n - 1])
-        rate = n * bound(mean, var)
-        if best is None or rate > best.rate + _TIE_TOL:
-            best = RatePoint(rate=rate, n_selected=n, tau_rp=config.tau_rp,
-                             K=config.K, std_error=n * _delta_se(bound, eta, n - 1),
-                             auxiliary={"e_eta": mean, "var_eta": var,
-                                        "scheduled": scheduled})
-    return best
+    return _sum_search(config.M, float(config.rho_f[0]), float(config.rho_r[0]),
+                       [config.tau_rp], [config.K], np.ones(1), scheduled, moment_source)[0]
 
 
 def c_net(M: int, T: int, rho_f: float, rho_r: float, scheduled: bool,
@@ -136,21 +180,11 @@ def c_net(M: int, T: int, rho_f: float, rho_r: float, scheduled: bool,
     """
     if T < 3:
         raise InfeasibleError(f"net rate needs T >= 3, got T={T}")
-    best = None
-    for tau in range(1, T - 1):
-        for k in range(1, min(M, tau) + 1):
-            config = SystemConfig.homogeneous(M=M, K=k, T=T, tau_rp=tau,
-                                              rho_f=rho_f, rho_r=rho_r)
-            inner = c_sum_lb(config, scheduled, moment_source)
-            prelog = (T - tau - 1) / T
-            rate = prelog * inner.rate
-            if best is None or rate > best.rate + _TIE_TOL:
-                aux = dict(inner.auxiliary)
-                aux["prelog"] = prelog
-                best = RatePoint(rate=rate, n_selected=inner.n_selected,
-                                 tau_rp=tau, K=k, std_error=prelog * inner.std_error,
-                                 auxiliary=aux)
-    return best
+    taus = np.arange(1, T - 1)
+    inner, prelog = _sum_search(M, float(rho_f), float(rho_r), taus, range(1, min(M, T - 2) + 1),
+                                (T - taus - 1) / T, scheduled, moment_source)
+    return replace(inner, rate=prelog * inner.rate, std_error=prelog * inner.std_error,
+                   auxiliary={**inner.auxiliary, "prelog": prelog})
 
 
 def c_wt_lb(config: SystemConfig, p, phi_mean: float, phi_var: float) -> float:
@@ -161,43 +195,36 @@ def c_wt_lb(config: SystemConfig, p, phi_mean: float, phi_var: float) -> float:
     if np.any(p < 0) or phi_mean < 0 or phi_var < 0:
         raise ValueError("powers and moments must be nonnegative")
     err_var = 1.0 / (1.0 + config.rho_r * config.tau_rp)
-    sinr = (config.rho_f * p * phi_mean ** 2
-            / (1.0 + config.rho_f * (err_var + p * phi_var)))
-    return float(config.weights @ np.log2(1.0 + sinr))
+    return float(config.weights @ _user_rate(config.rho_f, p, err_var, phi_mean, phi_var))
 
 
-def _weighted_rates_per_n(config: SystemConfig, active: np.ndarray,
-                          p_star: np.ndarray, stats: MomentEstimate):
-    """Weighted rate and SE for every served-count N over the active users."""
-    ka = active.size
+def _weighted_rates(config: SystemConfig, active: np.ndarray, p_star: np.ndarray,
+                    stats: MomentEstimate):
+    """Weighted rate for every served count N (entry N-1) over the active
+    users, and se(i), the standard error of entry i: per-user delta-method
+    and selection-frequency errors added in quadrature."""
     w = config.weights[active]
     rho_f = config.rho_f[active]
     err = 1.0 / (1.0 + config.rho_r[active] * config.tau_rp)
     p = p_star[active]
-    rates = np.zeros(ka)
-    ses = np.zeros(ka)
-    for n in range(ka):
+    rates = np.zeros(active.size)
+    for k in range(active.size):  # in user order: one sum over k would reorder the bits
+        t = stats.frac[:, k] * _user_rate(rho_f[k], p[k], err[k], stats.mean[:, k],
+                                          stats.variance[:, k])
+        rates = rates + np.where(stats.count[:, k] > 0, w[k] * t, 0.0)
+
+    def se(i):
         var_sum = 0.0
-        total = 0.0
-        for k in range(ka):
-            if stats.count[n, k] == 0:
-                continue
-            frac = stats.frac[n, k]
-
-            def term(m, v, k=k, frac=frac):
-                return frac * float(np.log2(
-                    1.0 + rho_f[k] * p[k] * m ** 2
-                    / (1.0 + rho_f[k] * (err[k] + p[k] * v))))
-
-            t = term(stats.mean[n, k], stats.variance[n, k])
-            total += w[k] * t
+        for k in np.flatnonzero(stats.count[i] > 0):
+            frac = stats.frac[i, k]
+            fn = lambda m, v: frac * float(_user_rate(rho_f[k], p[k], err[k], m, v))
+            t = fn(stats.mean[i, k], stats.variance[i, k])
             se_frac = np.sqrt(max(frac * (1 - frac), 0.0) / stats.samples)
-            se_t = np.hypot(_delta_se(term, stats, (n, k)),
+            se_t = np.hypot(_delta_se(fn, stats, (i, k)),
                             (t / frac) * se_frac if frac > 0 else 0.0)
             var_sum += (w[k] * se_t) ** 2
-        rates[n] = total
-        ses[n] = np.sqrt(var_sum)
-    return rates, ses
+        return np.sqrt(var_sum)
+    return rates, se
 
 
 def default_power_source(config: SystemConfig) -> PowerAllocation:
@@ -218,31 +245,20 @@ def c_wt_net(config: SystemConfig, scheduled: bool, moment_source: MomentSource,
     if config.T < config.K + 2:
         raise InfeasibleError(
             f"weighted net rate needs T >= K + 2, got T={config.T}, K={config.K}")
-    best = None
+    points = []  # each tau's best N, with the SE function of its statistics
     for tau in range(config.K, config.T - 1):
         cfg = replace(config, tau_rp=tau)
         pa = power_source(cfg)
-        active = np.flatnonzero(pa.p_star > 0)
-        if active.size == 0:
-            continue
+        active = np.flatnonzero(pa.p_star > 0)  # waterfilling powers at least one user
         rt = cfg.rho_r[active] * tau
         f_diag = pa.p_star[active] ** -0.5 * np.sqrt(rt / (1.0 + rt))
         stats = moment_source.weighted(f_diag, pa.p_star[active], config.M)
-        rates, ses = _weighted_rates_per_n(cfg, active, pa.p_star, stats)
+        rates, se = _weighted_rates(cfg, active, pa.p_star, stats)
+        n_idx = int(_first_best(rates)) if scheduled else active.size - 1
         prelog = (config.T - tau - 1) / config.T
-        if scheduled:
-            n_idx = 0
-            for n in range(1, active.size):
-                if rates[n] > rates[n_idx] + _TIE_TOL:
-                    n_idx = n
-        else:
-            n_idx = active.size - 1
-        rate = prelog * rates[n_idx]
-        if best is None or rate > best.rate + _TIE_TOL:
-            best = RatePoint(rate=rate, n_selected=n_idx + 1, tau_rp=tau,
-                             K=config.K, std_error=prelog * ses[n_idx],
-                             auxiliary={"prelog": prelog,
-                                        "p_star": pa.p_star.copy(),
-                                        "active_users": active.copy(),
-                                        "scheduled": scheduled})
-    return best
+        points.append((RatePoint(
+            rate=prelog * rates[n_idx], n_selected=n_idx + 1, tau_rp=tau, K=config.K,
+            auxiliary={"prelog": prelog, "p_star": pa.p_star.copy(),
+                       "active_users": active.copy(), "scheduled": scheduled}), se))
+    best, se = points[int(_first_best([point.rate for point, _ in points]))]
+    return replace(best, std_error=best.auxiliary["prelog"] * se(best.n_selected - 1))

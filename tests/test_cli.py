@@ -41,11 +41,11 @@ def test_validation_collects_all_violations():
     assert "unknown key 'bogus'" in messages
     assert "K <= tau_rp" not in messages  # K=6 <= tau_rp=9 holds
     assert "K <= min(M, tau_rp)" in messages
-    assert "tau_rp <= T-2" in messages
+    assert "custom does not read key 'T'" in messages
 
 
 def test_validation_k_exceeds_tau():
-    text = "preset=custom\nM=8\nK=5\ntau_rp=3\nT=20\nrho_f_db=0\nrho_r_db=-10\n"
+    text = "preset=custom\nM=8\nK=5\ntau_rp=3\nrho_f_db=0\nrho_r_db=-10\n"
     with pytest.raises(SpecValidationError) as exc:
         parse_spec(text)
     assert any("K <= tau_rp" in v for v in exc.value.violations)
@@ -57,7 +57,7 @@ def test_feasibility_requires_sinr_source():
 
 
 def test_custom_single_cell_run(tmp_path):
-    spec = parse_spec("preset=custom\nscheme=1\nM=4\nK=2\nT=10\n"
+    spec = parse_spec("preset=custom\nscheme=1\nM=4\nK=2\n"
                       "rho_f_db=0\nrho_r_db=-10\nsamples=1000\nseed=2\n")
     manifest = run_experiment(spec, tmp_path)
     csv = (tmp_path / spec.output).read_text().splitlines()
@@ -72,7 +72,7 @@ def test_custom_single_cell_run(tmp_path):
 
 
 def test_csv_number_format(tmp_path):
-    spec = parse_spec("preset=custom\nscheme=1\nM=4\nK=2\nT=10\n"
+    spec = parse_spec("preset=custom\nscheme=1\nM=4\nK=2\n"
                       "rho_f_db=0\nrho_r_db=-10\nsamples=1000\nseed=2\n")
     run_experiment(spec, tmp_path)
     row = (tmp_path / spec.output).read_text().splitlines()[1].split(",")
@@ -81,7 +81,7 @@ def test_csv_number_format(tmp_path):
 
 
 def test_rerun_is_bit_exact(tmp_path):
-    text = ("preset=custom\nM=4\nK=2\nT=10\nrho_f_db=0\nrho_r_db=-10\n"
+    text = ("preset=custom\nM=4\nK=2\nrho_f_db=0\nrho_r_db=-10\n"
             "samples=1000\nseed=5\n")
     spec = parse_spec(text)
     run_experiment(spec, tmp_path / "a", workers=1)
@@ -116,7 +116,7 @@ def test_infeasible_cell_becomes_status_row(tmp_path):
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     spec_file = tmp_path / "spec.txt"
-    spec_file.write_text("preset=custom\nM=4\nK=2\nT=10\n"
+    spec_file.write_text("preset=custom\nM=4\nK=2\n"
                          "rho_f_db=0\nrho_r_db=-10\nseed=1\n")
     out = tmp_path / "out"
     code = main(["run", "--spec", str(spec_file), "--out", str(out),
@@ -131,7 +131,7 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert "records" in capsys.readouterr().out
 
     bad = tmp_path / "bad.txt"
-    bad.write_text("preset=custom\nM=2\nK=4\nT=10\nrho_f_db=0\nrho_r_db=0\n")
+    bad.write_text("preset=custom\nM=2\nK=4\nrho_f_db=0\nrho_r_db=0\n")
     assert main(["validate", "--spec", str(bad)]) == 1
     assert main(["validate", "--spec", str(spec_file)]) == 0
     assert main(["run", "--spec", str(tmp_path / "missing.txt")]) == 2
@@ -139,7 +139,7 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
 def test_seed_and_quick_overrides(tmp_path):
     spec_file = tmp_path / "spec.txt"
-    spec_file.write_text("preset=custom\nM=4\nK=2\nT=10\n"
+    spec_file.write_text("preset=custom\nM=4\nK=2\n"
                          "rho_f_db=0\nrho_r_db=-10\nseed=1\nsamples=777\n")
     out = tmp_path / "out"
     assert main(["run", "--spec", str(spec_file), "--out", str(out),
@@ -153,7 +153,7 @@ def test_seed_and_quick_overrides(tmp_path):
 def test_truncated_cache_recovers(tmp_path, capsys):
     spec_file = tmp_path / "spec.txt"
     # scheme 0 needs eta for K = 1, 2, 3 at M = 4; scheme 1 reuses K = 3
-    spec_file.write_text("preset=custom\nscheme=0\nscheme=1\nM=4\nK=3\nT=10\n"
+    spec_file.write_text("preset=custom\nscheme=0\nscheme=1\nM=4\nK=3\n"
                          "rho_f_db=0\nrho_r_db=-10\nseed=3\nsamples=300\n")
     out = tmp_path / "out"
     run = ["run", "--spec", str(spec_file), "--out", str(out)]
@@ -177,7 +177,7 @@ def test_truncated_cache_recovers(tmp_path, capsys):
     assert "  eta: 3" in text and "skipped lines: 1" in text
 
 
-CUSTOM_SPEC = ("preset=custom\nscheme=0\nscheme=1\nM=4\nK=2\nK=3\nT=10\n"
+CUSTOM_SPEC = ("preset=custom\nscheme=0\nscheme=1\nM=4\nK=2\nK=3\n"
                "rho_f_db=0\nrho_r_db=-10\nseed=4\nsamples=300\n")
 FIG5_SPEC = ("preset=fig5\nscheme=2\nscheme=3\nM=8\nK=8\nT=13\n"
              "rho_f_db=-4, -3, -2, -1, 0, 1, 2, 3\nrho_r_offset_db=-10\n"
@@ -361,9 +361,9 @@ INVALID_SPECS = {
     "fig4-two-T": "preset=fig4\nM=2\nrho_f_db=0\nT=20\nT=30\n",
     "fig3-two-rho_r": "preset=fig3\nM=2\nT=20\nrho_r_db=-10,-5\n",
     "fig2-two-rho_f": "preset=fig2\nM=2\nrho_f_db=0,10\n",
-    "custom-two-rho_f": "preset=custom\nM=4\nK=2\nT=10\nrho_f_db=0,10\nrho_r_db=-10\n",
+    "custom-two-rho_f": "preset=custom\nM=4\nK=2\nrho_f_db=0,10\nrho_r_db=-10\n",
     "fig5-three-rho_r": "preset=fig5\nM=8\nrho_r_db=-10,-10,-10\n",
-    "custom-nan-rho_f": "preset=custom\nM=4\nK=2\nT=10\nrho_f_db=nan\nrho_r_db=-10\n",
+    "custom-nan-rho_f": "preset=custom\nM=4\nK=2\nrho_f_db=nan\nrho_r_db=-10\n",
     "fig3-minus-inf-rho_f": "preset=fig3\nM=2\nT=20\nrho_f_db=-inf\n",
     "fig3-nan-offset": "preset=fig3\nM=2\nT=20\nrho_r_offset_db=nan\n",
     "fig3-underflowing-rho_f": "preset=fig3\nM=2\nT=20\nrho_f_db=-4000\n",
@@ -399,7 +399,7 @@ def test_invalid_spec_exits_1(tmp_path, capsys, spec_text):
      ["1,-10,2", "1,0,2"]),
     ("preset=fig5\nM=8\n", "scheme,M,tau_star,N_star,wt_net_rate,std_error,status",
      ["2,8", "3,8"]),
-    ("preset=custom\nM=4\nK=2\nK=3\nT=10\nrho_f_db=0\nrho_r_db=-10\n",
+    ("preset=custom\nM=4\nK=2\nK=3\nrho_f_db=0\nrho_r_db=-10\n",
      "scheme,M,K,tau_rp,N_star,rate,std_error,status",
      ["0,4,2,2", "0,4,3,3", "1,4,2,2", "1,4,3,3"]),
 ], ids=["fig2", "fig3", "fig4", "fig5", "custom"])

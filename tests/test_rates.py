@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from tddmimo import (InfeasibleError, SystemConfig, c_ind_lb,
-                     c_ind_lb_scheduled, c_net, c_sum_lb, c_wt_lb, c_wt_net,
+from tddmimo import (InfeasibleError, MomentEstimate, PowerAllocation, SystemConfig,
+                     c_ind_lb, c_ind_lb_scheduled, c_net, c_sum_lb, c_wt_lb, c_wt_net,
                      eta_moments)
-from tddmimo.rates import MomentSource
+from tddmimo.rates import MomentSource, _bound
 
 
 def test_zero_gain_gives_zero_rate():
@@ -205,3 +207,246 @@ def test_kernel_runs_once_per_statistic(monkeypatch):
         c_wt_net(cfg, scheduled=scheduled, moment_source=src)
     assert 0 < len(runs) == len(set(runs)) == src.cache.misses - 4
     assert src.cache.kind_counts() == {"eta": 4, "weighted": len(runs)}
+
+
+@pytest.mark.parametrize("T", [3, 12, 200])
+def test_net_rate_requests_each_statistic_once(monkeypatch, T):
+    # the search reads one eta table per (M, T) call, however many tau it scans
+    requests = []
+    eta = MomentSource.eta
+
+    def counting(self, M, K):
+        requests.append(K)
+        return eta(self, M, K)
+
+    monkeypatch.setattr(MomentSource, "eta", counting)
+    src = MomentSource(200, 32)
+    for scheduled in (True, False):
+        requests.clear()
+        c_net(4, T, 1.0, 0.1, scheduled=scheduled, moment_source=src)
+        assert len(requests) <= 4 + 1
+        assert requests == sorted(set(requests)) == list(range(1, min(4, T - 2) + 1))
+
+
+# The nested-loop searches that the array searches replaced, kept here as the
+# oracle of the tie rule: scan tau, then K, then N, and let a rate replace the
+# running best only if it is larger by more than 1e-12.  The bound is
+# evaluated on Python floats.
+
+def _ref_bound(rho_f, rho_r, tau, e, v):
+    rt = rho_r * tau
+    gain = rt / (1.0 + rt)
+    return float(np.log2(1.0 + rho_f * gain * e ** 2
+                         / (1.0 + rho_f * (1.0 / (1.0 + rt) + gain * v))))
+
+
+def _ref_sum(M, K, tau, rho_f, rho_r, scheduled, src):
+    best = None
+    for n in range(1, K + 1):
+        eta = src.eta(M, K if scheduled else n)
+        rate = n * _ref_bound(rho_f, rho_r, tau, float(eta.mean[n - 1]),
+                              float(eta.variance[n - 1]))
+        if best is None or rate > best[0] + 1e-12:
+            best = (rate, n)
+    return best
+
+
+def _ref_net(M, T, rho_f, rho_r, scheduled, src):
+    best = None
+    for tau in range(1, T - 1):
+        for k in range(1, min(M, tau) + 1):
+            inner, n = _ref_sum(M, k, tau, rho_f, rho_r, scheduled, src)
+            rate = (T - tau - 1) / T * inner
+            if best is None or rate > best[0] + 1e-12:
+                best = (rate, tau, k, n)
+    return best
+
+
+def _ref_wt_net(cfg, scheduled, src, power_source):
+    best = None
+    for tau in range(cfg.K, cfg.T - 1):
+        c = replace(cfg, tau_rp=tau)
+        p = power_source(c).p_star
+        active = np.flatnonzero(p > 0)
+        rt = c.rho_r[active] * tau
+        stats = src.weighted(p[active] ** -0.5 * np.sqrt(rt / (1.0 + rt)), p[active], c.M)
+        rates = []
+        for n in range(active.size):
+            total = 0.0
+            for j, k in enumerate(active):
+                if stats.count[n, j] == 0:
+                    continue
+                m, v = stats.mean[n, j], stats.variance[n, j]
+                err = 1.0 / (1.0 + c.rho_r[k] * tau)
+                total += c.weights[k] * (stats.frac[n, j] * float(np.log2(
+                    1.0 + c.rho_f[k] * p[k] * m ** 2 / (1.0 + c.rho_f[k] * (err + p[k] * v)))))
+            rates.append(total)
+        n_idx = active.size - 1
+        if scheduled:
+            n_idx = 0
+            for n in range(1, active.size):
+                if rates[n] > rates[n_idx] + 1e-12:
+                    n_idx = n
+        rate = (cfg.T - tau - 1) / cfg.T * rates[n_idx]
+        if best is None or rate > best[0] + 1e-12:
+            best = (rate, tau, n_idx + 1)
+    return best
+
+
+class TableSource:
+    """eta(M, K) read from fixed tables: entry N-1 of mean[K] and var[K]."""
+
+    def __init__(self, mean, var):
+        self.mean, self.var = mean, var
+
+    def eta(self, M, K):
+        mean = np.asarray(self.mean[K], dtype=float)
+        return MomentEstimate(1000, 0, np.full(K, 1000), mean,
+                              np.asarray(self.var[K], dtype=float))
+
+
+# a reverse SINR so large that the bound hardly depends on tau, so that rates
+# chosen at one tau stay near-ties at every tau
+RHO_F, RHO_R = 1.0, 1e9
+
+
+def _eta_mean_for(rates, tau=1):
+    """eta means at which n * bound(tau, mean, var=0) is rates[n-1]."""
+    rt = RHO_R * tau
+    gain = rt / (1.0 + rt)
+    per_user = np.asarray(rates) / np.arange(1, len(rates) + 1)
+    return np.sqrt(np.expm1(per_user * np.log(2.0)) * (1.0 + RHO_F / (1.0 + rt))
+                   / (RHO_F * gain))
+
+
+def _sum_pick(rates, scheduled):
+    """N chosen by c_sum_lb at tau = K when n * bound is rates[n-1]."""
+    K = len(rates)
+    mean = _eta_mean_for(rates, K)
+    # eta(M, K) holds every N for scheduled cells, eta(M, N) entry N-1 otherwise
+    src = TableSource({n: mean[:n] for n in range(1, K + 1)},
+                      {n: np.zeros(n) for n in range(1, K + 1)})
+    cfg = SystemConfig.homogeneous(M=8, K=K, T=K + 2, tau_rp=K, rho_f=RHO_F, rho_r=RHO_R)
+    rp = c_sum_lb(cfg, scheduled=scheduled, moment_source=src)
+    assert (rp.rate, rp.n_selected) == _ref_sum(8, K, K, RHO_F, RHO_R, scheduled, src)
+    return rp.n_selected
+
+
+@pytest.mark.parametrize("scheduled", [True, False])
+def test_tie_rule_keeps_the_running_best(scheduled):
+    assert _sum_pick([0.0, 0.0, 0.0], scheduled) == 1  # exact ties: the first
+    assert _sum_pick([1e-12, 1.5e-12], scheduled) == 1  # within 1e-12: not argmax
+    # a chain of near-ties: the running best moves to 2.2 (beats 1.0 by more
+    # than 1e-12), while the first value within 1e-12 of the maximum is 1.6
+    assert _sum_pick([1.0e-12, 1.6e-12, 2.2e-12, 2.5e-12], scheduled) == 3
+    assert _sum_pick([3e-12, 1e-12, 4.1e-12], scheduled) == 3
+
+
+def test_net_rate_chain_picks_the_running_best():
+    # only K = 3 has a positive rate, so tau = 3 has the largest prelog; its
+    # N values form a chain that argmax and the running best resolve to N = 3
+    # and the first value within 1e-12 of the maximum to N = 2
+    c = 1e-3
+    mean = {k: np.zeros(k) for k in range(1, 5)}
+    mean[3] = _eta_mean_for([c, c + 0.6e-12, c + 1.2e-12], tau=3)
+    src = TableSource(mean, {k: np.zeros(k) for k in range(1, 5)})
+    rp = c_net(4, 12, RHO_F, RHO_R, scheduled=True, moment_source=src)
+    assert (rp.rate, rp.tau_rp, rp.K, rp.n_selected) == _ref_net(4, 12, RHO_F, RHO_R, True, src)
+    assert (rp.tau_rp, rp.K, rp.n_selected) == (3, 3, 3)
+
+
+@pytest.mark.parametrize("scheduled", [True, False])
+def test_net_rate_tie_rule_matches_nested_loops(scheduled):
+    rng = np.random.default_rng(33)
+    chains = {1: [1e-12], 2: [0.0, 0.6e-12], 3: [1.0e-12, 1.6e-12, 2.2e-12],
+              4: [0.5e-12, 1.6e-12, 2.2e-12, 2.5e-12]}
+    tables = [  # exact ties, chains of near-ties, random rates near 1e-12
+        ({k: np.zeros(k) for k in chains}, {k: np.zeros(k) for k in chains}),
+        ({k: _eta_mean_for(r) for k, r in chains.items()}, {k: np.zeros(k) for k in chains}),
+        ({k: _eta_mean_for(rng.uniform(0, 4e-12, k)) for k in chains},
+         {k: np.zeros(k) for k in chains}),
+    ]
+    for mean, var in tables:
+        src = TableSource(mean, var)
+        for T in (3, 4, 5, 7, 12):
+            rp = c_net(4, T, RHO_F, RHO_R, scheduled=scheduled, moment_source=src)
+            assert (rp.rate, rp.tau_rp, rp.K, rp.n_selected) == _ref_net(
+                4, T, RHO_F, RHO_R, scheduled, src)
+    tied = c_net(4, 12, RHO_F, RHO_R, scheduled=scheduled, moment_source=TableSource(*tables[0]))
+    assert (tied.rate, tied.tau_rp, tied.K, tied.n_selected) == (0.0, 1, 1, 1)  # the first
+
+
+@pytest.mark.parametrize("scheduled", [True, False])
+def test_net_rate_bit_exact_on_random_tables(scheduled):
+    rng = np.random.default_rng(34)
+    for trial in range(6):
+        M = int(rng.integers(1, 9))
+        src = TableSource({k: rng.uniform(0.1, 4.0, k) for k in range(1, M + 1)},
+                          {k: rng.uniform(0.0, 0.5, k) for k in range(1, M + 1)})
+        rho_f, rho_r = 10 ** rng.uniform(-1, 1.5), 10 ** rng.uniform(-2, 0)
+        for T in (3, 9, 30):
+            rp = c_net(M, T, rho_f, rho_r, scheduled=scheduled, moment_source=src)
+            assert (rp.rate, rp.tau_rp, rp.K, rp.n_selected) == _ref_net(
+                M, T, rho_f, rho_r, scheduled, src)
+        for K in range(1, M + 1):
+            cfg = SystemConfig.homogeneous(M=M, K=K, T=K + 5, tau_rp=K + 3,
+                                           rho_f=rho_f, rho_r=rho_r)
+            rp = c_sum_lb(cfg, scheduled=scheduled, moment_source=src)
+            assert (rp.rate, rp.n_selected) == _ref_sum(M, K, K + 3, rho_f, rho_r,
+                                                        scheduled, src)
+
+
+def test_bound_array_matches_scalar_evaluation():
+    # ndarray ** 2 rounds e*e, the scalar bound uses pow; they differ for
+    # about one mean in a thousand, and a few of those reach the bound's bits
+    rng = np.random.default_rng(35)
+    mean, var = rng.uniform(0.1, 4.0, 50_000), rng.uniform(0.0, 0.01, 50_000)
+    for rho_f, rho_r, tau in ((1.0, 0.1, 4), (100.0, 10.0, 3), (1000.0, 100.0, 7)):
+        ref = [_ref_bound(rho_f, rho_r, tau, m, v) for m, v in zip(mean.tolist(), var.tolist())]
+        assert np.array_equal(_bound(rho_f, rho_r, tau, mean, var), ref)
+        assert c_ind_lb_scheduled(rho_f, rho_r, tau, float(mean[0]), float(var[0])) == ref[0]
+
+
+class WeightedTableSource:
+    """weighted(...) read from one fixed [N-1, user] table of phi moments."""
+
+    def __init__(self, count, mean, var):
+        self.est = MomentEstimate(1000, 0, np.asarray(count), np.asarray(mean, dtype=float),
+                                  np.asarray(var, dtype=float))
+
+    def weighted(self, f_diag, p_star, M):
+        return self.est
+
+
+def _equal_powers(config):
+    return PowerAllocation(p_star=np.full(config.K, 0.5), lambda_star=1.0,
+                           active=np.ones(config.K, dtype=bool))
+
+
+def _wt_rate_for(rates, w=1.0, rho_f=1.0, p=0.5):
+    """phi means at which user 0 alone, served with weight w, has rates[n]."""
+    return np.sqrt(np.expm1(np.asarray(rates) / w * np.log(2.0)) / (rho_f * p))
+
+
+@pytest.mark.parametrize("scheduled", [True, False])
+def test_weighted_tie_rule_matches_nested_loops(scheduled):
+    rng = np.random.default_rng(36)
+    K = 4
+    cfg = SystemConfig(M=8, K=K, T=9, tau_rp=K, rho_f=np.ones(K), rho_r=np.full(K, 1e12),
+                       weights=np.array([1.0, 2.0, 1.0, 1.0]))
+    only_user_0 = np.zeros((K, K), dtype=int)
+    only_user_0[:, 0] = 1000
+    sources = [  # exact ties, a chain of near-ties, random moments of every user
+        WeightedTableSource(only_user_0, np.zeros((K, K)), np.zeros((K, K))),
+        WeightedTableSource(only_user_0, np.tile(_wt_rate_for(
+            [1.0e-12, 1.6e-12, 2.2e-12, 2.5e-12])[:, None], (1, K)), np.zeros((K, K))),
+        WeightedTableSource(np.tril(np.full((K, K), 1000)), rng.uniform(0.5, 3.0, (K, K)),
+                            rng.uniform(0.0, 0.3, (K, K))),
+    ]
+    for src in sources:
+        rp = c_wt_net(cfg, scheduled=scheduled, moment_source=src, power_source=_equal_powers)
+        assert (rp.rate, rp.tau_rp, rp.n_selected) == _ref_wt_net(
+            cfg, scheduled, src, _equal_powers)
+    chain = c_wt_net(cfg, scheduled=True, moment_source=sources[1],
+                     power_source=_equal_powers)
+    assert (chain.tau_rp, chain.n_selected) == (K, 3)
