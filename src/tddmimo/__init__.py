@@ -9,8 +9,8 @@ from .moments import (MomentCache, MomentEstimate, MomentKey, eta_moments,
                       phi_f_moments, weighted_phi_stats)
 from .pilots import EstimatedChannel, build_pilots, lmmse_estimate, simulate_reverse_pilots
 from .power_opt import PowerAllocation, alpha_beta, j_objective, waterfill
-from .precoding import (PrecodingMatrix, chi_of, modified_precoder,
-                        phi_f_of, pinv_precoder, simulate_forward)
+from .precoding import (PrecodingMatrix, chi_of, modified_precoder, pinv_precoder,
+                        simulate_forward)
 from .rates import (MomentSource, RatePoint, c_ind_lb, c_ind_lb_scheduled,
                     c_net, c_sum_lb, c_wt_lb, c_wt_net)
 from .scheduling import Selection, select_top_norm, select_weighted_order
@@ -25,8 +25,8 @@ __all__ = [
     "phi_f_moments", "weighted_phi_stats",
     "EstimatedChannel", "build_pilots", "lmmse_estimate", "simulate_reverse_pilots",
     "PowerAllocation", "alpha_beta", "j_objective", "waterfill",
-    "PrecodingMatrix", "chi_of", "modified_precoder", "phi_f_of",
-    "pinv_precoder", "simulate_forward",
+    "PrecodingMatrix", "chi_of", "modified_precoder", "pinv_precoder",
+    "simulate_forward",
     "MomentSource", "RatePoint", "c_ind_lb", "c_ind_lb_scheduled",
     "c_net", "c_sum_lb", "c_wt_lb", "c_wt_net",
     "Selection", "select_top_norm", "select_weighted_order",

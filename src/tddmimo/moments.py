@@ -1,11 +1,11 @@
 """Monte Carlo estimation of the trace-inverse gain statistics.
 
-One chunk kernel serves every statistic: draw K x M channels, optionally
-order the rows by scores_k * ||z_k||^2 (stable, best first) and scale them
-by a positive diagonal F, then factor the Gram matrix once, G = L L^H.  The
-Cholesky factor of a leading block G_N is the leading block of L, so
-tr(G_N^{-1}) = sum_{i<N} ||row_i(L^{-1})||^2 for every N at once.  eta uses
-unit scores, phi_F no ordering and the weighted statistics scores p_star.
+One chunk kernel serves every statistic, composed from the physical layer
+over a sample axis: draw K x M channels, order the rows best first by
+scores_k * ||z_k||^2 (`scheduling.best_first`), scale them by a positive
+diagonal F, and read phi for every served count N from the precoders'
+guarded Cholesky factor (`precoding.chi_all_n`).  eta uses unit scores,
+phi_F no ordering and the weighted statistics scores p_star.
 
 Samples are drawn in blocks of CHUNK: block b is one draw call on the
 Philox stream keyed by (seed, b), and block results are reduced in block
@@ -14,10 +14,8 @@ any number of workers.  The caller owns the pool (`worker_pool`) and passes
 it to every statistic of a run.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
-of the samples.  The guard is applied once, to the full Gram matrix.  By
-Cauchy interlacing cond(G_N) <= cond(G), so the weighted statistics discard
-the same draws as a per-N guard, and eta with N < K may discard a draw whose
-own block would pass.
+of the samples.  The guard is applied once, to the full Gram matrix, so eta
+with N < K may discard a draw whose own block would pass.
 
 Each statistic is one MomentEstimate over all N; MomentCache holds them all.
 """
@@ -38,7 +36,8 @@ import numpy as np
 
 from .channel_model import RngStream, draw_channel
 from .errors import ExcessSingularDrawsError
-from .precoding import gram_is_regular
+from .precoding import chi_all_n
+from .scheduling import best_first
 
 CHUNK = 2048  # samples per task and per RNG block; independent of the worker count
 SINGULAR_FRACTION_LIMIT = 1e-3
@@ -104,19 +103,12 @@ def _chunk(args):
     z = draw_channel(K, M, RngStream(seed, block), count)
     order = None
     if scores is not None:
-        weight = np.asarray(scores) * np.sum(np.abs(z) ** 2, axis=2)
-        order = np.argsort(-weight, axis=1, kind="stable")
+        order = best_first(np.asarray(scores) * np.sum(np.abs(z) ** 2, axis=2))
         z = np.take_along_axis(z, order[:, :, None], axis=1)
     if f_diag is not None:
         f = np.asarray(f_diag)
         z = (f if order is None else f[order])[..., None] * z
-    gram = z @ z.conj().transpose(0, 2, 1)
-    ok = gram_is_regular(gram)
-    phi = np.full((count, K), np.nan)
-    if np.any(ok):
-        l_inv = np.tril(np.linalg.inv(np.linalg.cholesky(gram[ok])))
-        phi[ok] = np.cumsum(np.sum(np.abs(l_inv) ** 2, axis=2), axis=1) ** -0.5
-    return phi, order
+    return chi_all_n(z), order
 
 
 def worker_pool(workers: int):

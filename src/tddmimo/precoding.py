@@ -1,14 +1,17 @@
-"""Pseudo-inverse pre-conditioning, its heterogeneous variant, the scalar
-trace-inverse statistics and the forward-link simulation.
+"""Pseudo-inverse pre-conditioning, its heterogeneous variant, the
+trace-inverse statistic chi and the forward-link simulation, for one channel
+(N x M, N <= M) or a stack of them with leading sample axes (..., N, M).
 
-The Gram matrix G = H_hat H_hat^H (N x N, N <= M) is inverted directly; its
-condition number is checked against COND_LIMIT (`gram_is_regular`, shared
-with the Monte Carlo kernel) and a SingularChannelError is raised past it so
-Monte Carlo callers can resample and count the event.
+The Gram matrix G = H H^H is not inverted directly: `_inverse_cholesky`
+checks its condition number against COND_LIMIT and inverts its Cholesky
+factor, G^{-1} = L^{-H} L^{-1}.  The Monte Carlo kernel reads the factor
+through `chi_all_n`; the precoders raise SingularChannelError when a draw
+fails the guard, so callers can resample and count the event.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,93 +24,88 @@ COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class PrecodingMatrix:
-    """M x N pre-conditioning matrix with tr(A^H A) = 1."""
+    """M x N pre-conditioning matrix (or a stack of them) with tr(A^H A) = 1."""
 
     a: np.ndarray
 
 
-def gram_is_regular(gram: np.ndarray) -> np.ndarray:
-    """True where a Hermitian Gram matrix (or each of a stack) has
-    lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min."""
+def _inverse_cholesky(h: np.ndarray):
+    """(ok, l_inv) for G = h h^H = L L^H, per channel of a stack: ok is True
+    where lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min, and
+    l_inv stacks L^{-1} of those draws only, in order."""
+    n, m = h.shape[-2:]
+    if not 1 <= n <= m:
+        raise ValueError(f"need 1 <= N <= M, got shape {h.shape}")
+    gram = h @ h.conj().swapaxes(-1, -2)
     lam = np.linalg.eigvalsh(gram)
-    return (lam[..., 0] > 0) & (lam[..., -1] <= COND_LIMIT * lam[..., 0])
+    ok = (lam[..., 0] > 0) & (lam[..., -1] <= COND_LIMIT * lam[..., 0])
+    return ok, np.tril(np.linalg.inv(np.linalg.cholesky(gram[ok])))
 
 
-def _gram_inverse(h: np.ndarray) -> np.ndarray:
-    """Inverse of h h^H with a condition-number guard."""
-    n, m = h.shape
-    if n > m:
-        raise ValueError(f"need N <= M, got shape {h.shape}")
-    gram = h @ h.conj().T
-    if n == 0:
-        raise ValueError("empty channel matrix")
-    if not gram_is_regular(gram):
-        raise SingularChannelError(
-            f"Gram matrix condition number exceeds {COND_LIMIT:g}")
-    return np.linalg.inv(gram)
+def chi_all_n(h: np.ndarray) -> np.ndarray:
+    """chi of the N leading rows of h (per channel of a stack) for every N,
+    indexed [..., N-1], NaN where the draw fails the guard.  The Cholesky
+    factor of G_N is the leading block of L, so tr(G_N^{-1}) = sum_{i<N}
+    ||row_i(L^{-1})||^2, and by Cauchy interlacing cond(G_N) <= cond(G).
+    """
+    ok, l_inv = _inverse_cholesky(h)
+    chi = np.full(h.shape[:-1], np.nan)
+    chi[ok] = np.cumsum(np.sum(np.abs(l_inv) ** 2, axis=2), axis=1) ** -0.5
+    return chi
 
 
-def chi_of(h_hat_s: np.ndarray) -> float:
+def chi_of(h_hat_s: np.ndarray):
     """Effective-gain statistic (tr[(H_hat_S H_hat_S^H)^{-1}])^{-1/2}."""
-    inv = _gram_inverse(np.atleast_2d(h_hat_s))
-    return float(np.trace(inv).real) ** -0.5
+    return pinv_precoder(h_hat_s)[1]
 
 
 def pinv_precoder(h_hat_s: np.ndarray) -> tuple[PrecodingMatrix, float]:
     """Normalized pseudo-inverse precoder and its gain statistic chi.
 
-    A = H^H (H H^H)^{-1} / sqrt(tr[(H H^H)^{-1}]), so that tr(A^H A) = 1 and
-    H A = chi * I_N with chi real positive.
+    A = H^H L^{-H} L^{-1} / sqrt(tr[(H H^H)^{-1}]), so that tr(A^H A) = 1 and
+    H A = chi * I_N with chi real positive.  A stack gives stacked A and chi.
     """
     h = np.atleast_2d(h_hat_s)
-    inv = _gram_inverse(h)
-    tr = float(np.trace(inv).real)
-    a = h.conj().T @ inv / np.sqrt(tr)
+    ok, l_inv = _inverse_cholesky(h)
+    if not np.all(ok):
+        raise SingularChannelError(f"Gram matrix condition number exceeds {COND_LIMIT:g}")
+    l_inv = l_inv.reshape(h.shape[:-1] + h.shape[-2:-1])
+    tr = np.sum(np.abs(l_inv) ** 2, axis=(-2, -1))
+    g_inv = l_inv.conj().swapaxes(-1, -2) @ l_inv
+    a = h.conj().swapaxes(-1, -2) @ g_inv / np.sqrt(tr)[..., None, None]
     return PrecodingMatrix(a=a), tr ** -0.5
 
 
 def modified_precoder(h_hat: np.ndarray, p: np.ndarray) -> tuple[PrecodingMatrix, float]:
     """Heterogeneous precoder built from H_D = diag(p^{-1/2}) H_hat.
 
-    Requires strictly positive powers; zero-power users must be removed by
-    the scheduler before calling.  Returns (A_D, phi) with H_D A_D = phi*I.
+    Requires strictly positive powers, p.shape == h_hat.shape[:-1]; zero-power
+    users must be removed by the scheduler before calling.  Returns
+    (A_D, phi) with H_D A_D = phi*I.
     """
     h = np.atleast_2d(h_hat)
     p = np.asarray(p, dtype=float)
-    if p.shape != (h.shape[0],):
+    if p.shape != h.shape[:-1]:
         raise ValueError("p must have one entry per row of h_hat")
     if np.any(p <= 0):
         raise ValueError("all powers must be strictly positive")
-    d = p ** -0.5
-    return pinv_precoder(d[:, None] * h)
-
-
-def phi_f_of(f_diag: np.ndarray, z: np.ndarray) -> float:
-    """Statistic (tr[(F Z Z^H F)^{-1}])^{-1/2} for positive diagonal F."""
-    z = np.atleast_2d(z)
-    f_diag = np.asarray(f_diag, dtype=float)
-    if f_diag.shape != (z.shape[0],):
-        raise ValueError("f_diag must have one entry per row of z")
-    if np.any(f_diag <= 0):
-        raise ValueError("F must be positive diagonal")
-    return chi_of(f_diag[:, None] * z)
+    return pinv_precoder((p ** -0.5)[..., None] * h)
 
 
 def simulate_forward(h_s: np.ndarray, a: PrecodingMatrix, q: np.ndarray,
                      rho_f, rng: RngStream, *, _noise: np.ndarray | None = None) -> np.ndarray:
-    """Received vector x_f = E_f H_S A q + w_f at the selected users.
-
-    `rho_f` is a scalar or per-user vector of forward SINRs; `_noise` is a
-    test hook overriding the CN(0,1) noise draw.
-    """
-    n, m = h_s.shape
-    if a.a.shape != (m, n):
-        raise ValueError(f"precoder has shape {a.a.shape}, expected ({m}, {n})")
+    """Received vector x_f = E_f H_S A q + w_f at the selected users (per
+    channel of a stack).  `rho_f` is a scalar or per-user array of forward
+    SINRs; `_noise` is a test hook overriding the CN(0,1) noise draw."""
+    lead, (n, m) = h_s.shape[:-2], h_s.shape[-2:]
+    if a.a.shape != lead + (m, n):
+        raise ValueError(f"precoder has shape {a.a.shape}, expected {lead + (m, n)}")
     q = np.asarray(q)
-    if q.shape != (n,):
-        raise ValueError(f"q must have length {n}")
-    rho = np.broadcast_to(np.asarray(rho_f, dtype=float), (n,))
-    w_f = draw_channel(1, n, rng)[0] if _noise is None else np.asarray(_noise)
-    if w_f.shape != (n,):
+    if q.shape != lead + (n,):
+        raise ValueError(f"q must have shape {lead + (n,)}")
+    rho = np.broadcast_to(np.asarray(rho_f, dtype=float), q.shape)
+    w_f = (draw_channel(1, n, rng, math.prod(lead)).reshape(q.shape) if _noise is None
+           else np.asarray(_noise))
+    if w_f.shape != q.shape:
         raise ValueError("noise hook has wrong shape")
-    return np.sqrt(rho) * (h_s @ a.a @ q) + w_f
+    return np.sqrt(rho) * (h_s @ a.a @ q[..., None])[..., 0] + w_f

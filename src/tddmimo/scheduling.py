@@ -1,8 +1,8 @@
 """User selection: top-N estimated-gain ordering and its weighted
 heterogeneous variant.
 
-Ties are broken by lower user index everywhere, so selections are
-deterministic and reproducible.
+Every ordering, the Monte Carlo kernel's included, is `best_first`: ties go
+to the lower user index, so selections are deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -25,12 +25,16 @@ class Selection:
             raise ValueError("indices must be nonempty and distinct")
 
 
+def best_first(scores: np.ndarray) -> np.ndarray:
+    """User indices by descending score along the last axis; the stable sort
+    on -score keeps lower indices first among ties."""
+    return np.argsort(-scores, axis=-1, kind="stable")
+
+
 def _top_n(scores: np.ndarray, n: int) -> Selection:
     if n < 1 or n > scores.size:
         raise IndexError(f"need 1 <= N <= {scores.size}, got N={n}")
-    # stable sort on -score keeps lower indices first among ties
-    order = np.argsort(-scores, kind="stable")
-    return Selection(indices=tuple(int(i) for i in order[:n]))
+    return Selection(indices=tuple(int(i) for i in best_first(scores)[:n]))
 
 
 def select_top_norm(h_hat: np.ndarray, N: int) -> Selection:

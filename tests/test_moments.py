@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tddmimo import (MomentCache, MomentKey, RngStream, draw_channel,
+from tddmimo import (MomentCache, MomentKey, RngStream, chi_of, draw_channel,
                      eta_moments, phi_f_moments, weighted_phi_stats)
 from tddmimo.moments import (CHUNK, _checksum, _chunk, eta_samples, f_fingerprint,
                              worker_pool)
@@ -133,6 +133,8 @@ def test_all_n_kernel_matches_per_n_inverse(M):
         for n in range(1, K + 1):
             ref = _per_n_oracle(zf, n)
             worst = max(worst, abs(phi[i, n - 1] - ref) / ref)
+        # the kernel reads the precoders' factorization: keep the paths joined
+        assert phi[i, -1] == pytest.approx(chi_of(zf), rel=1e-12)
     assert worst < 1e-9
 
 

@@ -103,13 +103,10 @@ def test_lmmse_linearity():
 def estimation_runs():
     cfg = cfg_for(K=2, M=50, tau=2, rho_r=0.5)
     psi = build_pilots(2, 2)
-    hs, h_hats = [], []
-    for i in range(2000):  # 2000 trials * 50 antennas = 1e5 entries per row
-        h = draw_channel(2, 50, RngStream(4242, 2 * i))
-        y = simulate_reverse_pilots(h, cfg, psi, RngStream(4242, 2 * i + 1))
-        hs.append(h)
-        h_hats.append(lmmse_estimate(y, psi, cfg).h_hat)
-    return cfg, np.array(hs), np.array(h_hats)
+    # 2000 trials * 50 antennas = 1e5 entries per row
+    hs = draw_channel(2, 50, RngStream(4242, 0), 2000)
+    y = simulate_reverse_pilots(hs, cfg, psi, RngStream(4242, 1))
+    return cfg, hs, lmmse_estimate(y, psi, cfg).h_hat
 
 
 def test_estimate_and_error_variances(estimation_runs):
@@ -137,3 +134,31 @@ def test_shape_errors():
         simulate_reverse_pilots(np.zeros((3, 3), complex), cfg, psi, RngStream(0))
     with pytest.raises(ValueError):
         lmmse_estimate(np.zeros((2, 2), complex), psi, cfg)
+
+
+def test_stack_matches_single_calls():
+    cfg = SystemConfig(M=5, K=3, T=6, tau_rp=4, rho_f=np.ones(3),
+                       rho_r=np.array([0.2, 0.7, 1.5]))
+    psi = build_pilots(4, 3)
+    hs = draw_channel(3, 5, RngStream(11, 0), 6)
+    noise = draw_channel(5, 4, RngStream(11, 1), 6)
+    y = simulate_reverse_pilots(hs, cfg, psi, RngStream(0), _noise=noise)
+    h_hat = lmmse_estimate(y, psi, cfg).h_hat
+    for i in range(6):
+        y_i = simulate_reverse_pilots(hs[i], cfg, psi, RngStream(0), _noise=noise[i])
+        np.testing.assert_allclose(y[i], y_i, rtol=1e-12)
+        np.testing.assert_allclose(h_hat[i], lmmse_estimate(y_i, psi, cfg).h_hat, rtol=1e-12)
+
+
+def test_stack_draws_its_noise_in_one_block():
+    # draw i of the stack is draw i of one block on the stream; the first is
+    # the single call's draw
+    cfg = cfg_for(K=2, M=3, tau=2, rho_r=0.4)
+    psi = build_pilots(2, 2)
+    hs = draw_channel(2, 3, RngStream(12, 0), 4)
+    y = simulate_reverse_pilots(hs, cfg, psi, RngStream(12, 1))
+    noise = draw_channel(3, 2, RngStream(12, 1), 4)
+    np.testing.assert_allclose(
+        y, simulate_reverse_pilots(hs, cfg, psi, RngStream(0), _noise=noise), rtol=1e-12)
+    np.testing.assert_allclose(y[0], simulate_reverse_pilots(hs[0], cfg, psi, RngStream(12, 1)),
+                               rtol=1e-12)

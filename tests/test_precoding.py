@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tddmimo import (RngStream, SingularChannelError, SystemConfig,
+from tddmimo import (PrecodingMatrix, RngStream, SingularChannelError, SystemConfig,
                      build_pilots, chi_of, draw_channel, eta_moments,
-                     lmmse_estimate, modified_precoder, phi_f_of,
-                     pinv_precoder, simulate_forward, simulate_reverse_pilots)
+                     lmmse_estimate, modified_precoder, pinv_precoder,
+                     simulate_forward, simulate_reverse_pilots)
 
 
 def random_full_rank(n, m, seed):
@@ -40,6 +40,9 @@ def test_chi_examples():
         1 / np.sqrt(2), abs=1e-12)
     x = random_full_rank(3, 6, 5)
     assert chi_of(3 * x) == pytest.approx(3 * chi_of(x), rel=1e-12)
+    # a positive diagonal F scales the rows: phi_F of F Z
+    z0 = np.hstack([np.eye(2), np.zeros((2, 3))]).astype(complex)
+    assert chi_of(np.array([1.0, 2.0])[:, None] * z0) == pytest.approx(0.894427191, abs=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -100,14 +103,6 @@ def test_modified_diagonalizes_scaled_channel():
     assert np.allclose(np.diag(h @ a.a), phi * np.sqrt(p), atol=1e-8)
 
 
-def test_phi_f_reductions():
-    z = random_full_rank(2, 5, 12)
-    assert phi_f_of(np.ones(2), z) == pytest.approx(chi_of(z), rel=1e-12)
-    assert phi_f_of(3.0 * np.ones(2), z) == pytest.approx(3 * chi_of(z), rel=1e-12)
-    z0 = np.hstack([np.eye(2), np.zeros((2, 3))]).astype(complex)
-    assert phi_f_of(np.array([1.0, 2.0]), z0) == pytest.approx(0.894427191, abs=1e-8)
-
-
 def test_forward_noise_free_diagonalization():
     h = random_full_rank(3, 6, 13)
     a, chi = pinv_precoder(h)  # perfect estimate
@@ -124,6 +119,46 @@ def test_forward_basis_vector_picks_column():
     assert np.allclose(x, np.sqrt(1.5) * (h @ a.a)[:, 1], atol=1e-12)
 
 
+def test_stack_matches_single_calls():
+    hs = draw_channel(3, 6, RngStream(19, 0), 5)
+    p = 0.5 + draw_channel(5, 3, RngStream(19, 1)).real ** 2
+    q = draw_channel(5, 3, RngStream(19, 2))
+    noise = draw_channel(5, 3, RngStream(19, 3))
+    rho = np.array([0.5, 1.0, 2.0])
+    a, chi = pinv_precoder(hs)
+    chis = chi_of(hs)
+    a_mod, phi = modified_precoder(hs, p)
+    x = simulate_forward(hs, a, q, rho, RngStream(0), _noise=noise)
+    for i in range(5):
+        a_i, chi_i = pinv_precoder(hs[i])
+        np.testing.assert_allclose(a.a[i], a_i.a, rtol=1e-12)
+        assert chi[i] == pytest.approx(chi_i, rel=1e-12)
+        assert chis[i] == pytest.approx(chi_of(hs[i]), rel=1e-12)
+        x_i = simulate_forward(hs[i], a_i, q[i], rho, RngStream(0), _noise=noise[i])
+        np.testing.assert_allclose(x[i], x_i, rtol=1e-12)
+        a_i, phi_i = modified_precoder(hs[i], p[i])
+        np.testing.assert_allclose(a_mod.a[i], a_i.a, rtol=1e-12)
+        assert phi[i] == pytest.approx(phi_i, rel=1e-12)
+    # the stack draws its noise in one block; draw 0 is the single call's
+    x = simulate_forward(hs, a, q, rho, RngStream(20))
+    w = x - simulate_forward(hs, a, q, rho, RngStream(0), _noise=np.zeros((5, 3)))
+    np.testing.assert_allclose(w, draw_channel(1, 3, RngStream(20), 5)[:, 0], rtol=1e-12)
+    x_0 = simulate_forward(hs[0], PrecodingMatrix(a.a[0]), q[0], rho, RngStream(20))
+    np.testing.assert_allclose(x[0], x_0, rtol=1e-12)
+
+
+def test_stack_with_one_singular_draw_raises():
+    hs = draw_channel(2, 5, RngStream(21), 4)
+    hs[2, 1] = 2 * hs[2, 0]
+    with pytest.raises(SingularChannelError):
+        pinv_precoder(hs)
+    with pytest.raises(SingularChannelError):
+        modified_precoder(hs, np.ones((4, 2)))
+    with pytest.raises(SingularChannelError):
+        chi_of(hs)
+    pinv_precoder(np.delete(hs, 2, axis=0))  # the other draws are regular
+
+
 # ---------------------------------------------------------------------------
 # Statistical invariants of the homogeneous forward link (no scheduling)
 # ---------------------------------------------------------------------------
@@ -137,21 +172,14 @@ def forward_runs():
     cfg = SystemConfig.homogeneous(M=M, K=K, T=TAU + 2, tau_rp=TAU,
                                    rho_f=RHO_F, rho_r=RHO_R)
     psi = build_pilots(TAU, K)
-    gains = np.empty(TRIALS, dtype=complex)  # g_nn for user 0
-    xs = np.empty(TRIALS, dtype=complex)
-    qs = np.empty(TRIALS, dtype=complex)
-    for i in range(TRIALS):
-        h = draw_channel(K, M, RngStream(777, 4 * i))
-        y = simulate_reverse_pilots(h, cfg, psi, RngStream(777, 4 * i + 1))
-        h_hat = lmmse_estimate(y, psi, cfg).h_hat
-        a, _ = pinv_precoder(h_hat)
-        q = draw_channel(1, K, RngStream(777, 4 * i + 2))[0]
-        q /= np.abs(q)  # unit-power symbols
-        x = simulate_forward(h, a, q, RHO_F, RngStream(777, 4 * i + 3))
-        gains[i] = (np.sqrt(RHO_F) * h @ a.a)[0, 0]
-        xs[i] = x[0]
-        qs[i] = q[0]
-    return gains, xs, qs
+    h = draw_channel(K, M, RngStream(777, 0), TRIALS)
+    y = simulate_reverse_pilots(h, cfg, psi, RngStream(777, 1))
+    a, _ = pinv_precoder(lmmse_estimate(y, psi, cfg).h_hat)
+    q = draw_channel(1, K, RngStream(777, 2), TRIALS)[:, 0]
+    q /= np.abs(q)  # unit-power symbols
+    x = simulate_forward(h, a, q, RHO_F, RngStream(777, 3))
+    gains = (np.sqrt(RHO_F) * h @ a.a)[:, 0, 0]  # g_nn for user 0
+    return gains, x[:, 0], q[:, 0]
 
 
 @pytest.fixture(scope="module")
