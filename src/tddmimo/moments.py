@@ -8,16 +8,18 @@ guarded Cholesky factor (`precoding.chi_all_n`).  eta uses unit scores,
 phi_F no ordering and the weighted statistics scores p_star.
 
 Samples are drawn in blocks of CHUNK: block b is one draw call on the
-Philox stream keyed by (seed, b), and block results are reduced in block
-order, so estimates are bit-identical with or without a worker pool and for
-any number of workers.  The caller owns the pool (`worker_pool`) and passes
-it to every statistic of a run.
+Philox stream keyed by (seed, b).  Each block is reduced to per-group sums
+of phi and phi^2, draw i of a statistic being in group i % GROUPS, and the
+blocks are added in block order, so estimates are bit-identical with or
+without a worker pool and for any number of workers.  The caller owns the
+pool (`worker_pool`) and passes it to every statistic of a run.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
 of the samples.  The guard is applied once, to the full Gram matrix, so eta
 with N < K may discard a draw whose own block would pass.
 
-Each statistic is one MomentEstimate over all N; MomentCache holds them all.
+Each statistic is one MomentEstimate over all N, whose groups also give the
+leave-one-out moments of the jackknife in `rates`; MomentCache holds them all.
 """
 
 from __future__ import annotations
@@ -40,38 +42,57 @@ from .precoding import chi_all_n
 from .scheduling import best_first
 
 CHUNK = 2048  # samples per task and per RNG block; independent of the worker count
+GROUPS = 16  # draw i is in group i % GROUPS; a divisor of CHUNK, so blocks hold whole rounds
 SINGULAR_FRACTION_LIMIT = 1e-3
 
 
 @dataclass(frozen=True, eq=False)
 class MomentEstimate:
-    """Monte Carlo moments of the statistic phi, entry by entry.
+    """Monte Carlo moments of the statistic phi, entry by entry, stored as
+    regular-draw counts and sums of phi and phi^2 per group (leading axis).
 
     eta and phi_F are indexed [N-1] over the served counts N <= K; the
     weighted statistics are indexed [N-1, k] over the K active users and
     count only the draws in which user k is among the N served.  `count`
-    is the number of regular draws behind each entry; entries with zero
-    counts are NaN.
+    is the number of regular draws behind each entry and `frac` their
+    share of all regular draws; entries with zero counts are NaN.
     """
 
     samples: int
     singular_events: int
-    count: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
+    group_count: np.ndarray
+    group_sum: np.ndarray
+    group_sum_sq: np.ndarray
+
+    _sums = property(lambda self: (self.group_count, self.group_sum, self.group_sum_sq))
 
     @cached_property
-    def frac(self) -> np.ndarray:
-        """Fraction of the regular draws behind each entry."""
-        return self.count / (self.samples - self.singular_events)
+    def moments(self) -> tuple:
+        """(count, mean, variance, frac) over all draws."""
+        return _moments(*(a.sum(axis=0) for a in self._sums))
 
-    @cached_property
-    def std_error_of_mean(self) -> np.ndarray:
-        return np.sqrt(self.variance / np.maximum(self.count, 1))
+    count = property(lambda self: self.moments[0])
+    mean = property(lambda self: self.moments[1])
+    variance = property(lambda self: self.moments[2])
+    frac = property(lambda self: self.moments[3])
+    std_error_of_mean = property(lambda self: np.sqrt(self.variance / np.maximum(self.count, 1)))
 
-    @cached_property
-    def se_variance(self) -> np.ndarray:
-        return self.variance * np.sqrt(2.0 / np.maximum(self.count, 1))
+    def leave_one_out(self) -> tuple:
+        """(count, mean, variance, frac) with one group left out, along a
+        leading axis over the groups that hold a regular draw."""
+        held = self.group_count.reshape(GROUPS, -1).any(axis=1)
+        return _moments(*(a.sum(axis=0) - a[held] for a in self._sums), lead=1)
+
+
+def _moments(count, s1, s2, lead=0) -> tuple:
+    """(count, mean, variance, frac) from draw counts and sums of phi and phi^2
+    over entries after `lead` leading axes.  frac divides by the largest count,
+    which is the regular draws: at N = K every regular draw serves every user."""
+    n = np.maximum(count, 1)
+    mean = np.where(count > 0, s1 / n, np.nan)
+    var = np.where(count > 0, np.maximum(s2 / n - mean * mean, 0.0), np.nan)
+    regular = count.max(axis=tuple(range(lead, count.ndim)), keepdims=True)
+    return count, mean, var, count / np.maximum(regular, 1)
 
 
 @dataclass(frozen=True)
@@ -135,27 +156,29 @@ def _check_dims(K: int, M: int):
         raise IndexError(f"need 1 <= K <= M, got K={K}, M={M}")
 
 
-def _estimate(samples: int, singular: int, count, s1, s2) -> MomentEstimate:
-    """Moments from per-entry draw counts and sums of phi and phi^2."""
+def _group_sums(phi: np.ndarray, served: np.ndarray) -> tuple:
+    """Per-group draw counts and sums of phi and phi^2 over one block: draw j
+    is in group j % GROUPS and counts toward the entries served[j] marks,
+    phi[j, N-1] being broadcast over the user axis of a weighted mask."""
+    vals = np.where(served, phi.reshape(phi.shape + (1,) * (served.ndim - 2)), 0.0)
+    pad = -len(phi) % GROUPS
+
+    def fold(a):  # pad to whole rounds of GROUPS draws, then add the rounds
+        a = np.concatenate([a, np.zeros((pad,) + a.shape[1:], a.dtype)]) if pad else a
+        return a.reshape((-1, GROUPS) + a.shape[1:]).sum(axis=0)
+    return fold(served).astype(np.int64), fold(vals), fold(vals * vals)
+
+
+def _estimate(samples: int, blocks: list) -> MomentEstimate:
+    """The estimate from (served, phi) of every block, added in block order
+    so that the sums do not depend on the pool.  For eta and phi_F the mask
+    is np.isfinite(phi): every regular draw serves every N."""
+    singular = sum(int(np.isnan(phi[:, 0]).sum()) for _, phi in blocks)
     if singular > SINGULAR_FRACTION_LIMIT * samples:
         raise ExcessSingularDrawsError(
             f"{singular}/{samples} singular draws exceeds the 0.1% budget")
-    mean = np.where(count > 0, s1 / np.maximum(count, 1), np.nan)
-    var = np.where(count > 0, np.maximum(s2 / np.maximum(count, 1) - mean * mean, 0.0), np.nan)
-    return MomentEstimate(samples, singular, count, mean, var)
-
-
-def _draws(params: tuple, samples: int, seed: int, pool) -> np.ndarray:
-    """phi[sample, N-1] for every draw; a NaN row marks a singular draw."""
-    return np.concatenate([phi for phi, _ in _collect(params, samples, seed, pool)])
-
-
-def _moments_over_n(phi: np.ndarray) -> MomentEstimate:
-    samples, K = phi.shape
-    singular = int(np.isnan(phi[:, 0]).sum())
-    # column by column: a sum over axis 0 would add in another order
-    s1, s2 = np.array([(np.nansum(col), np.nansum(col * col)) for col in phi.T]).T
-    return _estimate(samples, singular, np.full(K, samples - singular), s1, s2)
+    sums = zip(*(_group_sums(phi, served) for served, phi in blocks))
+    return MomentEstimate(samples, singular, *(sum(terms) for terms in sums))
 
 
 def eta_samples(M: int, K: int, samples: int, seed: int,
@@ -163,14 +186,17 @@ def eta_samples(M: int, K: int, samples: int, seed: int,
     """Raw eta draws indexed [sample, N-1] (a NaN row marks a discarded
     singular draw); test oracle hook."""
     _check_dims(K, M)
-    return _draws((K, M, (1.0,) * K, None), samples, seed, pool)
+    return np.concatenate([phi for phi, _ in _collect((K, M, (1.0,) * K, None),
+                                                      samples, seed, pool)])
 
 
 def eta_moments(M: int, K: int, samples: int, seed: int, *,
                 pool=None) -> MomentEstimate:
     """Moments of eta_N, the trace-inverse statistic of the N largest-norm
     rows of a K x M i.i.d. CN(0,1) matrix, for every N <= K."""
-    return _moments_over_n(eta_samples(M, K, samples, seed, pool))
+    _check_dims(K, M)
+    parts = _collect((K, M, (1.0,) * K, None), samples, seed, pool)
+    return _estimate(samples, [(np.isfinite(phi), phi) for phi, _ in parts])
 
 
 def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
@@ -181,24 +207,8 @@ def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
     _check_dims(f_diag.size, M)
     if np.any(f_diag <= 0):
         raise ValueError("F must be positive diagonal")
-    return _moments_over_n(_draws((f_diag.size, M, None, tuple(f_diag)),
-                                  samples, seed, pool))
-
-
-# ---------------------------------------------------------------------------
-# Scheduled heterogeneous statistics (per-block selection -> conditional phi)
-# ---------------------------------------------------------------------------
-
-def _selection_sums(phi: np.ndarray, order: np.ndarray):
-    """Per-(N, user) count, sum and sum of squares of phi_N over one block."""
-    K = phi.shape[1]
-    ok = ~np.isnan(phi[:, 0])
-    rank = np.argsort(order, axis=1)
-    # served[i, N-1, k]: user k is among the N best of regular draw i
-    served = (rank[:, None, :] < np.arange(1, K + 1)[:, None]) & ok[:, None, None]
-    vals = np.where(ok[:, None], phi, 0.0)
-    return (served.sum(axis=0), np.einsum("ink,in->nk", served, vals),
-            np.einsum("ink,in->nk", served, vals * vals))
+    parts = _collect((f_diag.size, M, None, tuple(f_diag)), samples, seed, pool)
+    return _estimate(samples, [(np.isfinite(phi), phi) for phi, _ in parts])
 
 
 def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
@@ -218,10 +228,9 @@ def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
         raise ValueError("p_star and f_diag must have equal length")
     _check_dims(Ka, M)
     parts = _collect((Ka, M, tuple(p_star), tuple(f_diag)), samples, seed, pool)
-    singular = sum(int(np.isnan(phi[:, 0]).sum()) for phi, _ in parts)
-    # fixed block order keeps sums bit-exact
-    cnt, s1, s2 = (sum(terms) for terms in zip(*(_selection_sums(*p) for p in parts)))
-    return _estimate(samples, singular, cnt, s1, s2)
+    n = np.arange(1, Ka + 1)[:, None]  # served[i, N-1, k]: k is among the N best of draw i
+    return _estimate(samples, [((np.argsort(order, axis=1)[:, None, :] < n)
+                                & np.isfinite(phi[:, :1, None]), phi) for phi, order in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +249,22 @@ class MomentCache:
     File format: a version header line followed by one comma-delimited
     record per key, columns
 
-        kind,M,K,fingerprint,samples,seed,singular_events,count,mean,variance,crc
+        kind,M,K,fingerprint,samples,seed,singular_events,group_count,group_sum,group_sum_sq,crc
 
-    where count, mean and variance are the estimate's arrays, flattened and
-    space-separated: K entries for eta and phi_F, K*K for weighted.  Floats
-    are written with repr so reloaded estimates are bit-identical.  crc is
-    the zlib.crc32 of the text before its comma, in hex.  Each record is
-    written as "\n" + record + "\n" in one write(), so a torn record never
-    runs into the next one; blank lines are ignored.  A line that does not
-    parse, fails its checksum or is not newline-terminated (what a killed
-    writer leaves) is skipped and counted in `skipped`.  A repeated header
-    (what concurrent writers can leave) is ignored.  A file with another
-    header is not read, and the first append replaces it afresh.
+    where the group fields are the estimate's per-group arrays, flattened
+    group first and space-separated (GROUPS*K entries for eta and phi_F,
+    GROUPS*K*K for weighted, whatever the sample count): ints for counts,
+    floats in repr so reloaded estimates are bit-identical.  crc is the
+    zlib.crc32 of the text before its comma, in hex.  Each record is written
+    as "\n" + record + "\n" in one write(), so a torn record never runs into
+    the next one; blank lines are ignored.  A line that does not parse,
+    fails its checksum or is not newline-terminated (what a killed writer
+    leaves) is skipped and counted in `skipped`.  A repeated header (what
+    concurrent writers can leave) is ignored.  A file with another header
+    is not read, and the first append replaces it afresh.
     """
 
-    VERSION = "tddmimo-moments-cache v3"
+    VERSION = "tddmimo-moments-cache v4"
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
@@ -283,7 +293,7 @@ class MomentCache:
                 if not line.endswith("\n") or crc != _checksum(body):
                     raise ValueError("torn or corrupted record")
                 kind, m, k, fp, samples, seed, sing, *arrays = body.split(",")
-                shape = (int(k),) * (2 if kind == "weighted" else 1)
+                shape = (GROUPS,) + (int(k),) * (2 if kind == "weighted" else 1)
                 key = MomentKey(kind, int(m), int(k), fp, int(samples), int(seed))
                 est = MomentEstimate(int(samples), int(sing), *(
                     np.array([conv(v) for v in text.split()]).reshape(shape)
@@ -300,7 +310,7 @@ class MomentCache:
             return
         body = ",".join([*map(str, astuple(key)), str(est.singular_events)]
                         + [" ".join(map(repr, a.ravel().tolist()))
-                           for a in (est.count, est.mean, est.variance)])
+                           for a in (est.group_count, est.group_sum, est.group_sum_sq)])
         try:
             with open(self.path, "ab") as fh:
                 if self._stale:  # a file of another version is replaced, not extended

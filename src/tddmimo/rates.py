@@ -2,9 +2,9 @@
 
 All rates are bits per symbol.  The searches evaluate their bounds as arrays
 and pick the optimum by one tie rule (`_first_best`).  A result's standard
-error is propagated from the Monte Carlo moments with a numerical delta
-method at the chosen optimum only; it is approximate (cross-moment
-correlations are ignored).
+error is the delete-a-group jackknife (`_jackknife_se`) of the array that
+gives its rate, evaluated at the chosen optimum only on the moments with
+one group of draws left out (`MomentEstimate.leave_one_out`).
 """
 
 from __future__ import annotations
@@ -81,14 +81,13 @@ def _first_best(values) -> np.ndarray:
     return np.array(picks).reshape(values.shape[:-1])
 
 
-def _delta_se(fn, mom: MomentEstimate, i) -> float:
-    """Propagate the standard errors of entry i through fn(mean, variance)."""
-    mean, var = float(mom.mean[i]), float(mom.variance[i])
-    hm = max(1e-7, 1e-7 * abs(mean))
-    hv = max(1e-9, 1e-7 * abs(var))
-    d_mean = (fn(mean + hm, var) - fn(max(mean - hm, 0.0), var)) / (2 * hm)
-    d_var = (fn(mean, var + hv) - fn(mean, max(var - hv, 0.0))) / (2 * hv)
-    return float(np.hypot(d_mean * mom.std_error_of_mean[i], d_var * mom.se_variance[i]))
+def _jackknife_se(held_out) -> float:
+    """Delete-a-group jackknife standard error (Efron & Stein 1981) from the
+    replicates held_out[g] computed with group g left out, G of them:
+    sqrt((G-1)/G * sum_g (held_out[g] - mean)^2), or NaN when G < 2."""
+    g = np.size(held_out)
+    return float(np.sqrt((g - 1) / g * np.sum((held_out - np.mean(held_out)) ** 2))
+                 if g > 1 else np.nan)
 
 
 class MomentSource:
@@ -146,9 +145,10 @@ def _sum_search(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, scheduled
     t, row = divmod(int(_first_best(net.ravel())), len(ks))
     tau, k, n = int(taus[t]), ks[row], int(n_best[t, row]) + 1
     eta = est(k, n)
-    bound = lambda e, v: c_ind_lb_scheduled(rho_f, rho_r, tau, e, v)
+    _, mean, var, _ = eta.leave_one_out()
+    held_out = n * _bound(rho_f, rho_r, tau, mean[:, n - 1], var[:, n - 1])
     return RatePoint(rate=float(sums[t, row, n - 1]), n_selected=n, tau_rp=tau, K=k,
-                     std_error=n * _delta_se(bound, eta, n - 1),
+                     std_error=_jackknife_se(held_out),
                      auxiliary={"e_eta": float(eta.mean[n - 1]),
                                 "var_eta": float(eta.variance[n - 1]),
                                 "scheduled": scheduled}), float(prelogs[t])
@@ -199,32 +199,19 @@ def c_wt_lb(config: SystemConfig, p, phi_mean: float, phi_var: float) -> float:
 
 
 def _weighted_rates(config: SystemConfig, active: np.ndarray, p_star: np.ndarray,
-                    stats: MomentEstimate):
+                    count, mean, variance, frac):
     """Weighted rate for every served count N (entry N-1) over the active
-    users, and se(i), the standard error of entry i: per-user delta-method
-    and selection-frequency errors added in quadrature."""
+    users, from moments indexed [..., N-1, k] (MomentEstimate.moments, or
+    its leave_one_out replicates along a leading axis)."""
     w = config.weights[active]
     rho_f = config.rho_f[active]
     err = 1.0 / (1.0 + config.rho_r[active] * config.tau_rp)
     p = p_star[active]
-    rates = np.zeros(active.size)
+    rates = 0.0
     for k in range(active.size):  # in user order: one sum over k would reorder the bits
-        t = stats.frac[:, k] * _user_rate(rho_f[k], p[k], err[k], stats.mean[:, k],
-                                          stats.variance[:, k])
-        rates = rates + np.where(stats.count[:, k] > 0, w[k] * t, 0.0)
-
-    def se(i):
-        var_sum = 0.0
-        for k in np.flatnonzero(stats.count[i] > 0):
-            frac = stats.frac[i, k]
-            fn = lambda m, v: frac * float(_user_rate(rho_f[k], p[k], err[k], m, v))
-            t = fn(stats.mean[i, k], stats.variance[i, k])
-            se_frac = np.sqrt(max(frac * (1 - frac), 0.0) / stats.samples)
-            se_t = np.hypot(_delta_se(fn, stats, (i, k)),
-                            (t / frac) * se_frac if frac > 0 else 0.0)
-            var_sum += (w[k] * se_t) ** 2
-        return np.sqrt(var_sum)
-    return rates, se
+        t = frac[..., k] * _user_rate(rho_f[k], p[k], err[k], mean[..., k], variance[..., k])
+        rates = rates + np.where(count[..., k] > 0, w[k] * t, 0.0)
+    return rates
 
 
 def default_power_source(config: SystemConfig) -> PowerAllocation:
@@ -245,7 +232,7 @@ def c_wt_net(config: SystemConfig, scheduled: bool, moment_source: MomentSource,
     if config.T < config.K + 2:
         raise InfeasibleError(
             f"weighted net rate needs T >= K + 2, got T={config.T}, K={config.K}")
-    points = []  # each tau's best N, with the SE function of its statistics
+    points = []  # each tau's best N, with its config and statistics
     for tau in range(config.K, config.T - 1):
         cfg = replace(config, tau_rp=tau)
         pa = power_source(cfg)
@@ -253,12 +240,14 @@ def c_wt_net(config: SystemConfig, scheduled: bool, moment_source: MomentSource,
         rt = cfg.rho_r[active] * tau
         f_diag = pa.p_star[active] ** -0.5 * np.sqrt(rt / (1.0 + rt))
         stats = moment_source.weighted(f_diag, pa.p_star[active], config.M)
-        rates, se = _weighted_rates(cfg, active, pa.p_star, stats)
+        rates = _weighted_rates(cfg, active, pa.p_star, *stats.moments)
         n_idx = int(_first_best(rates)) if scheduled else active.size - 1
         prelog = (config.T - tau - 1) / config.T
         points.append((RatePoint(
             rate=prelog * rates[n_idx], n_selected=n_idx + 1, tau_rp=tau, K=config.K,
             auxiliary={"prelog": prelog, "p_star": pa.p_star.copy(),
-                       "active_users": active.copy(), "scheduled": scheduled}), se))
-    best, se = points[int(_first_best([point.rate for point, _ in points]))]
-    return replace(best, std_error=best.auxiliary["prelog"] * se(best.n_selected - 1))
+                       "active_users": active.copy(), "scheduled": scheduled}), cfg, stats))
+    best, cfg, stats = points[int(_first_best([point.rate for point, _, _ in points]))]
+    aux = best.auxiliary
+    held_out = _weighted_rates(cfg, aux["active_users"], aux["p_star"], *stats.leave_one_out())
+    return replace(best, std_error=aux["prelog"] * _jackknife_se(held_out[:, best.n_selected - 1]))

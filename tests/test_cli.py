@@ -137,6 +137,37 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", "--spec", str(tmp_path / "missing.txt")]) == 2
 
 
+def _custom_rows(tmp_path, samples):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text("preset=custom\nscheme=0\nscheme=1\nM=4\nK=2\n"
+                         "rho_f_db=0\nrho_r_db=-10\nseed=2\n")
+    out = tmp_path / f"out{samples}"
+    assert main(["run", "--spec", str(spec_file), "--out", str(out),
+                 "--samples", str(samples)]) == 0
+    return [row.split(",") for row in (out / "custom_sum_bound.csv").read_text().splitlines()[1:]]
+
+
+def test_one_sample_has_no_standard_error(tmp_path):
+    # one draw is one jackknife group: its spread is unknown, not zero
+    rows = _custom_rows(tmp_path, 1)
+    assert [row[6] for row in rows] == ["nan", "nan"]
+    assert all(np.isfinite(float(row[5])) for row in rows)
+
+
+def test_few_samples_give_a_delete_one_jackknife(tmp_path):
+    # with fewer draws than groups, each draw is its own group
+    samples = 5
+    row = _custom_rows(tmp_path, samples)[1]  # scheme 1: the N best of K = 2
+    n = int(row[4])
+    vals = moments.eta_samples(4, 2, samples, seed=2)[:, n - 1]
+    held_out = np.array([n * tddmimo.c_ind_lb_scheduled(1.0, 0.1, 2, np.mean(rest), np.var(rest))
+                         for rest in (np.delete(vals, i) for i in range(samples))])
+    expected = np.sqrt((samples - 1) / samples * np.sum((held_out - held_out.mean()) ** 2))
+    assert float(row[6]) == pytest.approx(expected, rel=1e-8)
+    assert float(row[5]) == pytest.approx(
+        n * tddmimo.c_ind_lb_scheduled(1.0, 0.1, 2, np.mean(vals), np.var(vals)), rel=1e-8)
+
+
 def test_seed_and_quick_overrides(tmp_path):
     spec_file = tmp_path / "spec.txt"
     spec_file.write_text("preset=custom\nM=4\nK=2\n"

@@ -6,7 +6,7 @@ import pytest
 
 from tddmimo import (MomentCache, MomentKey, RngStream, chi_of, draw_channel,
                      eta_moments, phi_f_moments, weighted_phi_stats)
-from tddmimo.moments import (CHUNK, _checksum, _chunk, eta_samples, f_fingerprint,
+from tddmimo.moments import (CHUNK, GROUPS, _checksum, _chunk, eta_samples, f_fingerprint,
                              worker_pool)
 from tddmimo.precoding import COND_LIMIT
 from tddmimo.rates import MomentSource
@@ -24,12 +24,15 @@ def test_closed_form_single_row_moments():
     assert abs(est.variance[0] - var_exact) < 3 * se_var
 
 
-def test_wishart_trace_inverse_identity():
-    # E[tr((Z Z^H)^{-1})] = N / (M - N) for a square-free complex Wishart
-    vals = eta_samples(4, 2, 100_000, seed=2)[:, 1]
+@pytest.mark.parametrize("N,M", [(1, 3), (2, 4), (2, 8), (4, 8), (4, 16), (8, 16)])
+def test_wishart_trace_inverse_identity(N, M):
+    # E[tr((Z Z^H)^{-1})] = N / (M - N) for an N x M complex Gaussian Z
+    # (Tulino & Verdu 2004); M - N >= 2 keeps its variance finite.  A draw
+    # costs more as N grows, so larger N get fewer draws, 25,000 at least
+    vals = eta_samples(M, N, min(100_000, 200_000 // N), seed=2)[:, N - 1]
     inv_sq = vals[~np.isnan(vals)] ** -2
     se = inv_sq.std() / np.sqrt(inv_sq.size)
-    assert abs(inv_sq.mean() - 1.0) < 3 * se
+    assert abs(inv_sq.mean() - N / (M - N)) < 3 * se
 
 
 def test_scheduling_gain_in_k():
@@ -139,12 +142,13 @@ def test_all_n_kernel_matches_per_n_inverse(M):
 
 
 def _weighted_oracle(f_diag, p_star, M, samples, seed):
-    """Per-sample, per-N reference for weighted_phi_stats."""
+    """Per-sample, per-N reference for weighted_phi_stats: per-group count,
+    sum and sum of squares, draw i in group i % GROUPS."""
     Ka = f_diag.size
-    cnt = np.zeros((Ka, Ka), dtype=np.int64)
-    s1 = np.zeros((Ka, Ka))
-    s2 = np.zeros((Ka, Ka))
-    for z in _block_draws(Ka, M, samples, seed):
+    cnt = np.zeros((GROUPS, Ka, Ka), dtype=np.int64)
+    s1 = np.zeros((GROUPS, Ka, Ka))
+    s2 = np.zeros((GROUPS, Ka, Ka))
+    for i, z in enumerate(_block_draws(Ka, M, samples, seed)):
         order = np.argsort(-p_star * np.sum(np.abs(z) ** 2, axis=1), kind="stable")
         zf = (f_diag[:, None] * z)[order]
         grams = [zf[:n] @ zf[:n].conj().T for n in range(1, Ka + 1)]
@@ -152,20 +156,24 @@ def _weighted_oracle(f_diag, p_star, M, samples, seed):
             continue
         for n in range(1, Ka + 1):
             phi = _per_n_oracle(zf, n)
-            cnt[n - 1, order[:n]] += 1
-            s1[n - 1, order[:n]] += phi
-            s2[n - 1, order[:n]] += phi ** 2
-    with np.errstate(all="ignore"):
-        mean = s1 / cnt
-        var = s2 / cnt - mean * mean
-    return cnt, mean, var
+            cnt[i % GROUPS, n - 1, order[:n]] += 1
+            s1[i % GROUPS, n - 1, order[:n]] += phi
+            s2[i % GROUPS, n - 1, order[:n]] += phi ** 2
+    return cnt, s1, s2
 
 
 def test_weighted_stats_match_per_sample_oracle():
     f = np.array([0.5, 1.5, 1.0, 2.0])
     p = np.array([1.0, 2.0, 0.5, 1.0])
     stats = weighted_phi_stats(f, p, 6, 300, seed=16)
-    cnt, mean, var = _weighted_oracle(f, p, 6, 300, seed=16)
+    group_cnt, group_s1, group_s2 = _weighted_oracle(f, p, 6, 300, seed=16)
+    np.testing.assert_array_equal(stats.group_count, group_cnt)
+    np.testing.assert_allclose(stats.group_sum, group_s1, rtol=1e-12)
+    np.testing.assert_allclose(stats.group_sum_sq, group_s2, rtol=1e-12)
+    cnt, s1, s2 = (a.sum(axis=0) for a in (group_cnt, group_s1, group_s2))
+    with np.errstate(all="ignore"):
+        mean = s1 / cnt
+        var = s2 / cnt - mean * mean
     np.testing.assert_array_equal(stats.count, cnt)
     assert np.any(cnt == 0)  # the NaN convention for never-served users is exercised
     np.testing.assert_allclose(stats.mean, mean, rtol=1e-12, equal_nan=True)
@@ -173,9 +181,29 @@ def test_weighted_stats_match_per_sample_oracle():
                                equal_nan=True)
 
 
+def test_draw_i_is_in_group_i_mod_groups():
+    # two blocks, the second partial and not a whole number of rounds
+    samples = CHUNK + 37
+    est = eta_moments(5, 3, samples, seed=25)
+    vals = eta_samples(5, 3, samples, seed=25)
+    for g in range(GROUPS):
+        group = vals[g::GROUPS]
+        np.testing.assert_array_equal(est.group_count[g], np.isfinite(group).sum(axis=0))
+        np.testing.assert_allclose(est.group_sum[g], np.nansum(group, axis=0), rtol=1e-12)
+        np.testing.assert_allclose(est.group_sum_sq[g], np.nansum(group ** 2, axis=0), rtol=1e-12)
+    count, mean, var, frac = est.leave_one_out()
+    assert count.shape == (GROUPS, 3)
+    rest = np.delete(vals, np.s_[5::GROUPS], axis=0)  # group 5 left out
+    np.testing.assert_allclose(mean[5], np.nanmean(rest, axis=0), rtol=1e-12)
+    np.testing.assert_allclose(var[5], np.nanvar(rest, axis=0), rtol=1e-9)
+    np.testing.assert_array_equal(frac, 1.0)
+
+
 def _assert_same(a, b):
     assert a.samples == b.samples and a.singular_events == b.singular_events
-    for name in ("count", "mean", "variance", "frac", "std_error_of_mean", "se_variance"):
+    assert a.group_count.dtype.kind == b.group_count.dtype.kind == "i"
+    for name in ("group_count", "group_sum", "group_sum_sq",
+                 "count", "mean", "variance", "frac", "std_error_of_mean"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 

@@ -6,6 +6,7 @@ import pytest
 from tddmimo import (InfeasibleError, MomentEstimate, PowerAllocation, SystemConfig,
                      c_ind_lb, c_ind_lb_scheduled, c_net, c_sum_lb, c_wt_lb, c_wt_net,
                      eta_moments)
+from tddmimo.moments import GROUPS
 from tddmimo.rates import MomentSource, _bound
 
 
@@ -184,6 +185,31 @@ def test_wt_net_infeasible():
         c_wt_net(cfg, scheduled=True, moment_source=src)
 
 
+def _se_over_spread(points):
+    """Median reported std_error over the seed-to-seed SD of the rate."""
+    return np.median([p.std_error for p in points]) / np.std([p.rate for p in points], ddof=1)
+
+
+@pytest.mark.parametrize("scheduled", [False, True], ids=["all", "scheduled"])
+def test_weighted_se_matches_seed_spread(scheduled):
+    # the hetero benchmark spec's users at M = 8; T = K + 2 leaves tau = 8
+    cfg = paper_hetero_config(M=8, T=10)
+    points = [c_wt_net(cfg, scheduled=scheduled, moment_source=MomentSource(200, seed))
+              for seed in range(1, 201)]
+    assert 0.8 <= _se_over_spread(points) <= 1.25
+
+
+def test_homogeneous_se_matches_seed_spread():
+    # at 5 dB forward and -5 dB reverse SINR, serving N = 2 of the K = 4
+    # users wins by about 0.4 bits, far beyond the noise, at every seed
+    cfg = SystemConfig.homogeneous(M=4, K=4, T=12, tau_rp=10, rho_f=10 ** 0.5,
+                                   rho_r=10 ** -0.5)
+    points = [c_sum_lb(cfg, scheduled=True, moment_source=MomentSource(2000, seed))
+              for seed in range(1, 201)]
+    assert {p.n_selected for p in points} == {2}
+    assert 0.8 <= _se_over_spread(points) <= 1.25
+
+
 def test_kernel_runs_once_per_statistic(monkeypatch):
     # a source without a cache path keeps every statistic in memory, so the
     # tau, K and N loops of both searches sample each (kind, M, K, F) once
@@ -293,6 +319,18 @@ def _ref_wt_net(cfg, scheduled, src, power_source):
     return best
 
 
+def _one_draw_estimate(mean, var, served=None):
+    """An estimate with the given moments in which each served entry (all by
+    default) is one draw in group 0, so that its mean is exact."""
+    mean, var = np.asarray(mean, dtype=float), np.asarray(var, dtype=float)
+    count = np.ones(mean.shape, dtype=int) if served is None else np.asarray(served, dtype=int)
+
+    def group_0(a):
+        return np.concatenate([a[None], np.zeros((GROUPS - 1,) + a.shape, a.dtype)])
+    return MomentEstimate(1, 0, group_0(count), group_0(np.where(count > 0, mean, 0.0)),
+                          group_0(np.where(count > 0, var + mean * mean, 0.0)))
+
+
 class TableSource:
     """eta(M, K) read from fixed tables: entry N-1 of mean[K] and var[K]."""
 
@@ -300,9 +338,7 @@ class TableSource:
         self.mean, self.var = mean, var
 
     def eta(self, M, K):
-        mean = np.asarray(self.mean[K], dtype=float)
-        return MomentEstimate(1000, 0, np.full(K, 1000), mean,
-                              np.asarray(self.var[K], dtype=float))
+        return _one_draw_estimate(self.mean[K], self.var[K])
 
 
 # a reverse SINR so large that the bound hardly depends on tau, so that rates
@@ -408,11 +444,11 @@ def test_bound_array_matches_scalar_evaluation():
 
 
 class WeightedTableSource:
-    """weighted(...) read from one fixed [N-1, user] table of phi moments."""
+    """weighted(...) read from one fixed [N-1, user] table of phi moments,
+    served where `served` is nonzero."""
 
-    def __init__(self, count, mean, var):
-        self.est = MomentEstimate(1000, 0, np.asarray(count), np.asarray(mean, dtype=float),
-                                  np.asarray(var, dtype=float))
+    def __init__(self, served, mean, var):
+        self.est = _one_draw_estimate(mean, var, served)
 
     def weighted(self, f_diag, p_star, M):
         return self.est
@@ -435,12 +471,12 @@ def test_weighted_tie_rule_matches_nested_loops(scheduled):
     cfg = SystemConfig(M=8, K=K, T=9, tau_rp=K, rho_f=np.ones(K), rho_r=np.full(K, 1e12),
                        weights=np.array([1.0, 2.0, 1.0, 1.0]))
     only_user_0 = np.zeros((K, K), dtype=int)
-    only_user_0[:, 0] = 1000
+    only_user_0[:, 0] = 1
     sources = [  # exact ties, a chain of near-ties, random moments of every user
         WeightedTableSource(only_user_0, np.zeros((K, K)), np.zeros((K, K))),
         WeightedTableSource(only_user_0, np.tile(_wt_rate_for(
             [1.0e-12, 1.6e-12, 2.2e-12, 2.5e-12])[:, None], (1, K)), np.zeros((K, K))),
-        WeightedTableSource(np.tril(np.full((K, K), 1000)), rng.uniform(0.5, 3.0, (K, K)),
+        WeightedTableSource(np.tril(np.ones((K, K))), rng.uniform(0.5, 3.0, (K, K)),
                             rng.uniform(0.0, 0.3, (K, K))),
     ]
     for src in sources:
