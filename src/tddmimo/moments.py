@@ -1,22 +1,27 @@
 """Monte Carlo estimation of the trace-inverse gain statistics.
 
-One chunk kernel serves every statistic, composed from the physical layer
-over a sample axis: draw K x M channels, order the rows best first by
-scores_k * ||z_k||^2 (`scheduling.best_first`), scale them by a positive
-diagonal F, and read phi for every served count N from the precoders'
-guarded Cholesky factor (`precoding.chi_all_n`).  eta uses unit scores,
-phi_F no ordering and the weighted statistics scores p_star.
+Every statistic is composed from the physical layer over a sample axis:
+order the rows of a draw best first by scores_k * ||z_k||^2
+(`scheduling.best_first`) and read phi for every served count N from the
+precoders' guarded Cholesky factor of the ordered rows' Gram matrix
+(`precoding.chi_all_n`).  phi_F and the weighted statistics draw K x M
+channels and scale the rows by a positive diagonal F (phi_F keeps the row
+order, the weighted statistics order by p_star).  eta, which needs every
+K <= M of one M, draws the block once at M x M and forms its Gram matrix
+once; eta(M, K) orders the first K rows by the Gram diagonal and reads the
+permuted principal K x K block, so every K of one M shares its draws.
 
 Samples are drawn in blocks of CHUNK: block b is one draw call on the
 Philox stream keyed by (seed, b).  Each block is reduced to per-group sums
 of phi and phi^2, draw i of a statistic being in group i % GROUPS, and the
 blocks are added in block order, so estimates are bit-identical with or
-without a worker pool and for any number of workers.  The caller owns the
-pool (`worker_pool`) and passes it to every statistic of a run.
+without a worker pool, for any number of workers and, for eta, whichever
+other K are sampled with it.  The caller owns the pool (`worker_pool`) and
+passes it to every statistic of a run.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
-of the samples.  The guard is applied once, to the full Gram matrix, so eta
-with N < K may discard a draw whose own block would pass.
+of the samples.  The guard is applied once, to the ordered K x K Gram
+matrix, so eta with N < K may discard a draw whose own block would pass.
 
 Each statistic is one MomentEstimate over all N, whose groups also give the
 leave-one-out moments of the jackknife in `rates`; MomentCache holds them all.
@@ -38,7 +43,7 @@ import numpy as np
 
 from .channel_model import RngStream, draw_channel
 from .errors import ExcessSingularDrawsError
-from .precoding import chi_all_n
+from .precoding import chi_all_n, gram
 from .scheduling import best_first
 
 CHUNK = 2048  # samples per task and per RNG block; independent of the worker count
@@ -114,7 +119,7 @@ def f_fingerprint(f_diag) -> str:
 
 
 def _chunk(args):
-    """phi_N for every N over one block of draws, and the row order used.
+    """phi_N for every N over one block of K x M draws, and the row order used.
 
     Returns (phi, order): phi[i, N-1] is the statistic of the N leading rows
     of draw i (a NaN row marks a singular draw) and order[i] lists the users
@@ -129,7 +134,22 @@ def _chunk(args):
     if f_diag is not None:
         f = np.asarray(f_diag)
         z = (f if order is None else f[order])[..., None] * z
-    return chi_all_n(z), order
+    return chi_all_n(gram(z)), order
+
+
+def _eta_chunk(args):
+    """eta_N for every N over one block of M x M draws, one array per K in
+    `ks`: phi[i, N-1] is the statistic of the N largest-norm of the first K
+    rows of draw i, a NaN row marking a singular draw."""
+    M, ks, seed, block, count = args
+    g = gram(draw_channel(M, M, RngStream(seed, block), count))
+    norms = np.einsum("...ii->...i", g).real  # ||z_k||^2
+    draw = np.arange(count)[:, None, None]
+    out = []
+    for K in ks:
+        order = best_first(norms[:, :K])
+        out.append(chi_all_n(g[draw, order[:, :, None], order[:, None, :]]))
+    return out
 
 
 def worker_pool(workers: int):
@@ -140,15 +160,15 @@ def worker_pool(workers: int):
     return ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
 
 
-def _collect(params: tuple, samples: int, seed: int, pool) -> list:
-    """Kernel results for the consecutive CHUNK-sized blocks, in order."""
+def _collect(kernel, params: tuple, samples: int, seed: int, pool) -> list:
+    """kernel's results for the consecutive CHUNK-sized blocks, in order."""
     if samples < 1:
         raise IndexError("samples must be positive")
     tasks = [params + (seed, block, min(CHUNK, samples - start))
              for block, start in enumerate(range(0, samples, CHUNK))]
     if pool is None or len(tasks) == 1:
-        return [_chunk(t) for t in tasks]
-    return list(pool.map(_chunk, tasks))
+        return [kernel(t) for t in tasks]
+    return list(pool.map(kernel, tasks))
 
 
 def _check_dims(K: int, M: int):
@@ -186,17 +206,26 @@ def eta_samples(M: int, K: int, samples: int, seed: int,
     """Raw eta draws indexed [sample, N-1] (a NaN row marks a discarded
     singular draw); test oracle hook."""
     _check_dims(K, M)
-    return np.concatenate([phi for phi, _ in _collect((K, M, (1.0,) * K, None),
-                                                      samples, seed, pool)])
+    parts = _collect(_eta_chunk, (M, (K,)), samples, seed, pool)
+    return np.concatenate([phi_per_k[0] for phi_per_k in parts])
 
 
-def eta_moments(M: int, K: int, samples: int, seed: int, *,
-                pool=None) -> MomentEstimate:
+def eta_moments(M: int, K, samples: int, seed: int, *, pool=None):
     """Moments of eta_N, the trace-inverse statistic of the N largest-norm
-    rows of a K x M i.i.d. CN(0,1) matrix, for every N <= K."""
-    _check_dims(K, M)
-    parts = _collect((K, M, (1.0,) * K, None), samples, seed, pool)
-    return _estimate(samples, [(np.isfinite(phi), phi) for phi, _ in parts])
+    of the first K rows of an M x M i.i.d. CN(0,1) matrix, for every N <= K.
+
+    K may also be a sequence of user counts: they are sampled together, one
+    draw and one Gram matrix per block for all of them, and the result is a
+    list of estimates in the order of K.  Each estimate is the same, bit for
+    bit, as when its K is sampled alone.
+    """
+    ks = [K] if np.ndim(K) == 0 else list(K)
+    for k in ks:
+        _check_dims(k, M)
+    parts = _collect(_eta_chunk, (M, tuple(ks)), samples, seed, pool)
+    ests = [_estimate(samples, [(np.isfinite(phi), phi) for phi in per_k])
+            for per_k in zip(*parts)]
+    return ests[0] if np.ndim(K) == 0 else ests
 
 
 def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
@@ -207,7 +236,7 @@ def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
     _check_dims(f_diag.size, M)
     if np.any(f_diag <= 0):
         raise ValueError("F must be positive diagonal")
-    parts = _collect((f_diag.size, M, None, tuple(f_diag)), samples, seed, pool)
+    parts = _collect(_chunk, (f_diag.size, M, None, tuple(f_diag)), samples, seed, pool)
     return _estimate(samples, [(np.isfinite(phi), phi) for phi, _ in parts])
 
 
@@ -227,7 +256,7 @@ def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
     if p_star.shape != (Ka,):
         raise ValueError("p_star and f_diag must have equal length")
     _check_dims(Ka, M)
-    parts = _collect((Ka, M, tuple(p_star), tuple(f_diag)), samples, seed, pool)
+    parts = _collect(_chunk, (Ka, M, tuple(p_star), tuple(f_diag)), samples, seed, pool)
     n = np.arange(1, Ka + 1)[:, None]  # served[i, N-1, k]: k is among the N best of draw i
     return _estimate(samples, [((np.argsort(order, axis=1)[:, None, :] < n)
                                 & np.isfinite(phi[:, :1, None]), phi) for phi, order in parts])
@@ -252,19 +281,21 @@ class MomentCache:
         kind,M,K,fingerprint,samples,seed,singular_events,group_count,group_sum,group_sum_sq,crc
 
     where the group fields are the estimate's per-group arrays, flattened
-    group first and space-separated (GROUPS*K entries for eta and phi_F,
-    GROUPS*K*K for weighted, whatever the sample count): ints for counts,
-    floats in repr so reloaded estimates are bit-identical.  crc is the
-    zlib.crc32 of the text before its comma, in hex.  Each record is written
-    as "\n" + record + "\n" in one write(), so a torn record never runs into
-    the next one; blank lines are ignored.  A line that does not parse,
-    fails its checksum or is not newline-terminated (what a killed writer
-    leaves) is skipped and counted in `skipped`.  A repeated header (what
-    concurrent writers can leave) is ignored.  A file with another header
-    is not read, and the first append replaces it afresh.
+    group first (GROUPS*K entries for eta and phi_F, GROUPS*K*K for weighted,
+    whatever the sample count): counts as space-separated ints, and the sums
+    as the hex of their little-endian float64 bytes, which is exact, so
+    reloaded estimates are bit-identical, and about a hundred times cheaper
+    to write than repr.  crc is the zlib.crc32 of the text before its comma,
+    in hex.  Each record is written as "\n" + record + "\n" in one write(),
+    so a torn record never runs into the next one; blank lines are ignored.
+    A line that does not parse, fails its checksum or is not
+    newline-terminated (what a killed writer leaves) is skipped and counted
+    in `skipped`.  A repeated header (what concurrent writers can leave) is
+    ignored.  A file with another header is not read, and the first append
+    replaces it afresh.
     """
 
-    VERSION = "tddmimo-moments-cache v4"
+    VERSION = "tddmimo-moments-cache v5"
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
@@ -292,12 +323,14 @@ class MomentCache:
                 body, _, crc = line.rstrip("\n").rpartition(",")
                 if not line.endswith("\n") or crc != _checksum(body):
                     raise ValueError("torn or corrupted record")
-                kind, m, k, fp, samples, seed, sing, *arrays = body.split(",")
+                kind, m, k, fp, samples, seed, sing, counts, s1, s2 = body.split(",")
                 shape = (GROUPS,) + (int(k),) * (2 if kind == "weighted" else 1)
                 key = MomentKey(kind, int(m), int(k), fp, int(samples), int(seed))
-                est = MomentEstimate(int(samples), int(sing), *(
-                    np.array([conv(v) for v in text.split()]).reshape(shape)
-                    for conv, text in zip((int, float, float), arrays, strict=True)))
+                est = MomentEstimate(
+                    int(samples), int(sing),
+                    np.array([int(v) for v in counts.split()], dtype=np.int64).reshape(shape),
+                    *(np.frombuffer(bytes.fromhex(text), "<f8").reshape(shape)
+                      for text in (s1, s2)))
             except ValueError:
                 self.skipped += 1
                 continue
@@ -308,9 +341,10 @@ class MomentCache:
     def _append(self, key: MomentKey, est: MomentEstimate):
         if self.path is None:
             return
-        body = ",".join([*map(str, astuple(key)), str(est.singular_events)]
-                        + [" ".join(map(repr, a.ravel().tolist()))
-                           for a in (est.group_count, est.group_sum, est.group_sum_sq)])
+        body = ",".join([*map(str, astuple(key)), str(est.singular_events),
+                         " ".join(map(str, est.group_count.ravel().tolist())),
+                         *(a.astype("<f8").tobytes().hex()
+                           for a in (est.group_sum, est.group_sum_sq))])
         try:
             with open(self.path, "ab") as fh:
                 if self._stale:  # a file of another version is replaced, not extended
@@ -338,6 +372,9 @@ class MomentCache:
             self._used.add(key)
             self.singular_events += est.singular_events
         return est
+
+    def __contains__(self, key: MomentKey) -> bool:
+        return key in self._store
 
     def kind_counts(self) -> dict[str, int]:
         """Number of stored records per statistic kind."""

@@ -2,11 +2,14 @@
 trace-inverse statistic chi and the forward-link simulation, for one channel
 (N x M, N <= M) or a stack of them with leading sample axes (..., N, M).
 
-The Gram matrix G = H H^H is not inverted directly: `_inverse_cholesky`
-checks its condition number against COND_LIMIT and inverts its Cholesky
-factor, G^{-1} = L^{-H} L^{-1}.  The Monte Carlo kernel reads the factor
-through `chi_all_n`; the precoders raise SingularChannelError when a draw
-fails the guard, so callers can resample and count the event.
+The Gram matrix G = H H^H (`gram`) is not inverted directly:
+`_inverse_cholesky` inverts its Cholesky factor, G^{-1} = L^{-H} L^{-1},
+and guards every draw against cond(G) > COND_LIMIT.  The guard is certified
+first: a draw with tr(G) tr(G^{-1}) <= COND_LIMIT passes without its
+eigenvalues, and only a stack with a draw that fails the certificate pays
+for `eigvalsh`.  The Monte Carlo kernel reads the factor through
+`chi_all_n`; the precoders raise SingularChannelError when a draw fails the
+guard, so callers can resample and count the event.
 """
 
 from __future__ import annotations
@@ -29,29 +32,55 @@ class PrecodingMatrix:
     a: np.ndarray
 
 
-def _inverse_cholesky(h: np.ndarray):
-    """(ok, l_inv) for G = h h^H = L L^H, per channel of a stack: ok is True
-    where lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min, and
-    l_inv stacks L^{-1} of those draws only, in order."""
+def gram(h: np.ndarray) -> np.ndarray:
+    """G = h h^H per channel of a stack (..., N, M), N <= M."""
     n, m = h.shape[-2:]
     if not 1 <= n <= m:
         raise ValueError(f"need 1 <= N <= M, got shape {h.shape}")
-    gram = h @ h.conj().swapaxes(-1, -2)
-    lam = np.linalg.eigvalsh(gram)
-    ok = (lam[..., 0] > 0) & (lam[..., -1] <= COND_LIMIT * lam[..., 0])
-    return ok, np.tril(np.linalg.inv(np.linalg.cholesky(gram[ok])))
+    return h @ h.conj().swapaxes(-1, -2)
 
 
-def chi_all_n(h: np.ndarray) -> np.ndarray:
-    """chi of the N leading rows of h (per channel of a stack) for every N,
-    indexed [..., N-1], NaN where the draw fails the guard.  The Cholesky
-    factor of G_N is the leading block of L, so tr(G_N^{-1}) = sum_{i<N}
-    ||row_i(L^{-1})||^2, and by Cauchy interlacing cond(G_N) <= cond(G).
+def _inverse_cholesky(g: np.ndarray):
+    """(ok, l_inv, tr_inv) for G = L L^H per matrix of a Gram stack: ok is
+    True where lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min,
+    l_inv stacks L^{-1} of those draws only, in order, and tr_inv[j, N-1] =
+    tr(G_N^{-1}) = sum_{i<N} ||row_i(L^{-1})||^2 for the leading N x N block.
+
+    The whole stack is factored first.  For a positive-definite G,
+    lambda_max <= tr(G) and 1/lambda_min <= tr(G^{-1}), so cond(G) <=
+    tr(G) tr(G^{-1}), and a stack whose draws all have tr(G) tr(G^{-1}) <=
+    COND_LIMIT passes as it is.  When the stack's Cholesky fails or some draw
+    is not certified, the stack takes the eigenvalue guard instead.  Each
+    matrix is factored on its own, so both routes give the same bits.
     """
-    ok, l_inv = _inverse_cholesky(h)
-    chi = np.full(h.shape[:-1], np.nan)
-    chi[ok] = np.cumsum(np.sum(np.abs(l_inv) ** 2, axis=2), axis=1) ** -0.5
-    return chi
+    g = g.reshape((-1,) + g.shape[-2:])
+    try:
+        l_inv, tr_inv = _factor(g)
+        if np.all(np.trace(g, axis1=1, axis2=2).real * tr_inv[:, -1] <= COND_LIMIT):
+            return np.ones(len(g), bool), l_inv, tr_inv
+    except np.linalg.LinAlgError:
+        pass
+    lam = np.linalg.eigvalsh(g)
+    ok = (lam[:, 0] > 0) & (lam[:, -1] <= COND_LIMIT * lam[:, 0])
+    return (ok, *_factor(g[ok]))
+
+
+def _factor(g: np.ndarray):
+    """(L^{-1}, cumulative row norms of L^{-1}) of a Gram stack (n, K, K)."""
+    l_inv = np.tril(np.linalg.inv(np.linalg.cholesky(g)))
+    return l_inv, np.cumsum(np.sum(np.abs(l_inv) ** 2, axis=2), axis=1)
+
+
+def chi_all_n(g: np.ndarray) -> np.ndarray:
+    """chi of the N leading rows for every N, from the Gram stack g (..., K, K)
+    of those rows, indexed [..., N-1], NaN where the draw fails the guard.
+    The Cholesky factor of G_N is the leading block of L, so tr(G_N^{-1}) is
+    a cumulative sum, and by Cauchy interlacing cond(G_N) <= cond(G).
+    """
+    ok, _, tr_inv = _inverse_cholesky(g)
+    chi = np.full((ok.size, g.shape[-1]), np.nan)
+    chi[ok] = tr_inv ** -0.5
+    return chi.reshape(g.shape[:-1])
 
 
 def chi_of(h_hat_s: np.ndarray):
@@ -66,7 +95,7 @@ def pinv_precoder(h_hat_s: np.ndarray) -> tuple[PrecodingMatrix, float]:
     H A = chi * I_N with chi real positive.  A stack gives stacked A and chi.
     """
     h = np.atleast_2d(h_hat_s)
-    ok, l_inv = _inverse_cholesky(h)
+    ok, l_inv, _ = _inverse_cholesky(gram(h))
     if not np.all(ok):
         raise SingularChannelError(f"Gram matrix condition number exceeds {COND_LIMIT:g}")
     l_inv = l_inv.reshape(h.shape[:-1] + h.shape[-2:-1])

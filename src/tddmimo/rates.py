@@ -92,7 +92,8 @@ def _jackknife_se(held_out) -> float:
 
 class MomentSource:
     """Sampling protocol (samples, seed) and the MomentCache, in memory only
-    without `cache_path`, behind every statistic it serves.  Statistics are
+    without `cache_path`, behind every statistic it serves, and the
+    waterfilling powers of every config it has seen.  Statistics are
     sampled on `pool` (see moments.worker_pool), or in-process without one.
     Keys are built here only: each statistic is sampled once per source."""
 
@@ -101,15 +102,25 @@ class MomentSource:
         self.seed = seed
         self.pool = pool
         self.cache = MomentCache(cache_path)
+        self._powers: dict[tuple, PowerAllocation] = {}
+
+    def _key(self, kind: str, M: int, K: int, fingerprint: str) -> MomentKey:
+        return MomentKey(kind, M, K, fingerprint, self.samples, self.seed)
 
     def _cached(self, kind: str, M: int, K: int, fingerprint: str, compute):
-        key = MomentKey(kind, M, K, fingerprint, self.samples, self.seed)
-        return self.cache.cached(key, compute)
+        return self.cache.cached(self._key(kind, M, K, fingerprint), compute)
 
-    def eta(self, M: int, K: int) -> MomentEstimate:
-        """eta moments for every served count N <= K (entry N-1)."""
-        return self._cached("eta", M, K, "-", lambda: eta_moments(
-            M, K, self.samples, self.seed, pool=self.pool))
+    def eta(self, M: int, K):
+        """eta moments for every served count N <= K (entry N-1).  K may be a
+        sequence of user counts, which gives a dict K -> estimate; the ones
+        not in the cache are sampled together in one pass over the blocks."""
+        ks = [K] if np.ndim(K) == 0 else list(K)
+        missing = list(dict.fromkeys(k for k in ks
+                                     if self._key("eta", M, k, "-") not in self.cache))
+        sampled = dict(zip(missing, eta_moments(M, missing, self.samples, self.seed,
+                                                pool=self.pool))) if missing else {}
+        ests = {k: self._cached("eta", M, k, "-", lambda k=k: sampled[k]) for k in ks}
+        return ests[K] if np.ndim(K) == 0 else ests
 
     def phi(self, f_diag, M: int) -> MomentEstimate:
         return self._cached("phi_F", M, np.size(f_diag), f_fingerprint(f_diag),
@@ -122,6 +133,15 @@ class MomentSource:
                             lambda: weighted_phi_stats(f_diag, p_star, M, self.samples,
                                                        self.seed, pool=self.pool))
 
+    def powers(self, config: SystemConfig) -> PowerAllocation:
+        """default_power_source(config), computed once per distinct (M, tau,
+        SINRs, weights): the schemes of one sweep scan the same configs."""
+        key = (config.M, config.tau_rp, *(a.tobytes() for a in
+                                          (config.rho_f, config.rho_r, config.weights)))
+        if key not in self._powers:
+            self._powers[key] = default_power_source(config)
+        return self._powers[key]
+
 
 def _sum_search(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, scheduled: bool,
                 moment_source: MomentSource):
@@ -129,8 +149,7 @@ def _sum_search(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, scheduled
     K <= tau and N <= K, as (c_sum_lb's RatePoint there, its prelog).  The
     moments of (K, N) are entry N-1 of eta(M, K) when scheduled (the N best
     of K rows) and of eta(M, N) otherwise (N channel-independent users)."""
-    stats = {s: moment_source.eta(M, s)
-             for s in (ks if scheduled else range(1, max(ks) + 1))}
+    stats = moment_source.eta(M, ks if scheduled else range(1, max(ks) + 1))
     est = lambda k, n: stats[k if scheduled else n]
 
     def table(attr):  # [K, N], NaN where N > K
@@ -221,14 +240,16 @@ def default_power_source(config: SystemConfig) -> PowerAllocation:
 
 
 def c_wt_net(config: SystemConfig, scheduled: bool, moment_source: MomentSource,
-             power_source=default_power_source) -> RatePoint:
+             power_source=None) -> RatePoint:
     """Net weighted-sum rate, maximized over the training length.
 
-    For each feasible tau the powers are re-optimized, users with zero
-    power are dropped, and the weighted selection statistics are sampled
-    once per coherence block.  With `scheduled` the served count N is also
-    maximized; otherwise all active users are served (N fixed).
+    For each feasible tau the powers are re-optimized, by `power_source` or
+    else by the source's waterfilling (`MomentSource.powers`), users with
+    zero power are dropped, and the weighted selection statistics are
+    sampled once per coherence block.  With `scheduled` the served count N
+    is also maximized; otherwise all active users are served (N fixed).
     """
+    power_source = power_source or moment_source.powers
     if config.T < config.K + 2:
         raise InfeasibleError(
             f"weighted net rate needs T >= K + 2, got T={config.T}, K={config.K}")

@@ -324,6 +324,17 @@ def test_concurrent_writers_share_one_cache(tmp_path):
     assert (out / csv).read_bytes() == (alone / csv).read_bytes()
 
 
+def test_hetero_spec_waterfills_once_per_config(tmp_path, monkeypatch):
+    # schemes 2 and 3 scan the same 22 configs: M = 8, 16 and tau = 8..18
+    from tddmimo import rates
+    calls = []
+    waterfill = rates.waterfill
+    monkeypatch.setattr(rates, "waterfill", lambda *args: calls.append(args) or waterfill(*args))
+    spec = parse_spec((ROOT / "perfbench" / "specs" / "hetero.txt").read_text())
+    assert run_experiment(spec, tmp_path)["rows"] == 4
+    assert len(calls) == 22
+
+
 @pytest.mark.parametrize("spec_text,evaluator,workers", [
     (CUSTOM_SPEC, "rates.c_sum_lb", 1),
     (FIG5_SPEC, "rates.c_wt_net", 1),
@@ -364,14 +375,15 @@ def test_one_pool_per_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(moments, "ProcessPoolExecutor", CountingPool)
     spec_file = tmp_path / "spec.txt"
-    # three eta statistics (M=4, K=1, 2, 3) of three blocks each, the last partial
+    # three eta statistics (M=4, K=1, 2, 3) in two passes of three blocks each,
+    # the last partial: K=2 asks for K=1, 2 and K=3 then for the missing K=3
     spec_file.write_text(CUSTOM_SPEC.replace("samples=300", f"samples={2 * moments.CHUNK + 17}"))
     run = ["run", "--spec", str(spec_file)]
     assert main(run + ["--out", str(tmp_path / "serial")]) == 0
     assert not built
     assert main(run + ["--out", str(tmp_path / "out"), "--workers", "2"]) == 0
     assert _manifest(tmp_path / "out")["cache_misses"] == "3"
-    assert len(built) == 1 and len(submitted) == 9
+    assert len(built) == 1 and len(submitted) == 6
     csv = "custom_sum_bound.csv"
     assert (tmp_path / "out" / csv).read_bytes() == (tmp_path / "serial" / csv).read_bytes()
     submitted.clear()

@@ -108,6 +108,107 @@ def test_worker_count_independence():
             np.testing.assert_array_equal(getattr(b, name), value)
 
 
+def test_eta_batch_matches_each_k_alone():
+    # the Ks of one M share their draws; each K's estimate is the same bits
+    # whichever other Ks it is sampled with and on however many workers
+    samples, M = 2 * CHUNK + 17, 5
+    alone = [eta_moments(M, k, samples, seed=26) for k in range(1, M + 1)]
+    shuffled = eta_moments(M, [4, 1, 5, 2, 3], samples, seed=26)
+    with worker_pool(2) as pool:
+        pooled = eta_moments(M, range(1, M + 1), samples, seed=26, pool=pool)
+        source = MomentSource(samples, 26, pool=pool)
+        source.eta(M, 2)
+        from_source = source.eta(M, range(1, M + 1))
+    assert source.cache.misses == M and source.cache.hits == 1
+    for k, est in enumerate(alone, start=1):
+        for other in (shuffled[[4, 1, 5, 2, 3].index(k)], pooled[k - 1], from_source[k]):
+            _assert_same(est, other)
+
+
+def test_eta_kernel_reads_the_first_k_rows_of_the_m_by_m_draw():
+    # eta(M, K) orders the first K rows of each M x M draw by norm, best first
+    M, K, seed, count = 5, 3, 27, 300
+    vals = eta_samples(M, K, count, seed)
+    for i, z in enumerate(_block_draws(M, M, count, seed)):
+        rows = z[:K][np.argsort(-np.sum(np.abs(z[:K]) ** 2, axis=1), kind="stable")]
+        ref = [_per_n_oracle(rows, n) for n in range(1, K + 1)]
+        np.testing.assert_allclose(vals[i], ref, rtol=1e-9)
+    # at K = M every row is served, and chi does not depend on their order
+    np.testing.assert_allclose(eta_samples(M, M, count, seed)[:, -1],
+                               chi_of(_block_draws(M, M, count, seed)), rtol=1e-12)
+
+
+def _eigvalsh_guard(g):
+    """The guard without its certificate: every draw's eigenvalues decide."""
+    g = g.reshape((-1,) + g.shape[-2:])
+    lam = np.linalg.eigvalsh(g)
+    ok = (lam[:, 0] > 0) & (lam[:, -1] <= COND_LIMIT * lam[:, 0])
+    l_inv = np.tril(np.linalg.inv(np.linalg.cholesky(g[ok])))
+    return ok, l_inv, np.cumsum(np.sum(np.abs(l_inv) ** 2, axis=2), axis=1)
+
+
+def _with_cond(z, cond):
+    """z (K x M) with its singular vectors kept and its squared singular
+    values set to 1, ..., 1, 1/cond: a Gram matrix of condition number cond."""
+    u, _, vh = np.linalg.svd(z, full_matrices=False)
+    s = np.ones(len(z))
+    s[-1] = cond ** -0.5
+    return (u * s) @ vh
+
+
+def _hard_block(K, M, count, seed):
+    """A block whose draws 3, 7 and 11 are singular, just above COND_LIMIT,
+    and below it but not certified (tr(G) tr(G^-1) about 1.6e12 at K = 4)."""
+    z = draw_channel(K, M, RngStream(seed, 0), count)
+    z[3, 1] = z[3, 0]
+    z[7] = _with_cond(z[7], 1.1 * COND_LIMIT)
+    z[11] = _with_cond(z[11], 0.55 * COND_LIMIT)
+    return z
+
+
+def test_certified_guard_matches_eigenvalue_guard(monkeypatch):
+    from tddmimo.precoding import _inverse_cholesky, chi_all_n, gram
+    g = gram(_hard_block(4, 6, 64, 28))
+    assert np.trace(g[11]).real * np.trace(np.linalg.inv(g[11])).real > COND_LIMIT
+    stacks = (g[:3], g[:8], g[8:], g[:12], g)
+    refs = [_eigvalsh_guard(stack) for stack in stacks]
+    eigvalsh, fallbacks = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: fallbacks.append(len(a)) or eigvalsh(a))
+    for stack, ref in zip(stacks, refs):
+        for got, want in zip(_inverse_cholesky(stack), ref):
+            np.testing.assert_array_equal(got, want)
+    assert fallbacks == [8, 56, 12, 64]  # only the first stack is certified whole
+    chi = chi_all_n(g)
+    assert np.flatnonzero(np.isnan(chi[:, 0])).tolist() == [3, 7]
+
+
+def test_certificate_fallback_gives_the_eigenvalue_guards_statistics(monkeypatch):
+    # the kernel's certificate fails on these blocks; the eigenvalue guard
+    # alone must give the same singular draws and the same phi
+    import tddmimo.moments as moments
+    import tddmimo.precoding as precoding
+    draw = moments.draw_channel
+
+    def hard(K, M, rng, count):
+        z = draw(K, M, rng, count)
+        if rng.stream_id == 0:  # one block, within the singular-draw budget
+            z[:12] = _hard_block(K, M, 12, rng.seed)
+        return z
+
+    monkeypatch.setattr(moments, "draw_channel", hard)
+    f = np.array([0.5, 1.5, 1.0, 2.0])
+    p = np.array([1.0, 2.0, 0.5, 1.0])
+    runs = [lambda: eta_moments(4, [2, 3, 4], 4000, seed=29),
+            lambda: [phi_f_moments(f, 6, 4000, seed=29)],
+            lambda: [weighted_phi_stats(f, p, 6, 4000, seed=29)]]
+    certified = [run() for run in runs]
+    monkeypatch.setattr(precoding, "_inverse_cholesky", _eigvalsh_guard)
+    for ests, run in zip(certified, runs):
+        for est, ref in zip(ests, run()):
+            assert est.singular_events == ref.singular_events > 0
+            _assert_same(est, ref)
+
+
 def _block_draws(K: int, M: int, samples: int, seed: int) -> np.ndarray:
     """Sample i of a statistic is draw i % CHUNK of block i // CHUNK."""
     return np.concatenate([draw_channel(K, M, RngStream(seed, b), min(CHUNK, samples - start))
@@ -296,10 +397,10 @@ def test_cache_skips_record_with_bad_checksum(tmp_path):
     path = tmp_path / "cache.txt"
     a = MomentSource(500, 24, cache_path=path).eta(5, 3)
     text = path.read_text()
-    mean = text.split("\n\n")[1].split(",")[8]
-    digit = next(i for i, c in enumerate(mean) if c.isdigit() and c != "0")
-    flipped = mean[:digit] + str(int(mean[digit]) - 1) + mean[digit + 1:]
-    path.write_text(text.replace(mean, flipped))
+    sums = text.split("\n\n")[1].split(",")[8]  # group_sum, float64 bytes in hex
+    flipped = sums[:-1] + format(int(sums[-1], 16) ^ 1, "x")  # the top byte's low bit
+    assert np.frombuffer(bytes.fromhex(flipped), "<f8").size == GROUPS * 3
+    path.write_text(text.replace(sums, flipped))
     with pytest.warns(UserWarning, match="skipped 1"):
         reloaded = MomentSource(500, 24, cache_path=path)
     assert reloaded.cache.skipped == 1 and len(reloaded.cache) == 0

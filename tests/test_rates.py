@@ -217,15 +217,16 @@ def test_kernel_runs_once_per_statistic(monkeypatch):
     runs = []
     collect = moments._collect
 
-    def counting(params, *args):
+    def counting(kernel, params, *args):
         runs.append(params)
-        return collect(params, *args)
+        return collect(kernel, params, *args)
 
     monkeypatch.setattr(moments, "_collect", counting)
     src = MomentSource(200, 31)
     for scheduled in (True, False):
         c_net(4, 10, 1.0, 0.1, scheduled=scheduled, moment_source=src)
-    assert len(runs) == len(set(runs)) == src.cache.misses == 4  # K = 1..4 at M = 4
+    # K = 1..4 at M = 4: four statistics from one pass over the blocks
+    assert len(runs) == len(set(runs)) == 1 and src.cache.misses == 4
     assert src.cache.hits > 0
     runs.clear()
     cfg = paper_hetero_config(M=8, T=14)
@@ -237,12 +238,13 @@ def test_kernel_runs_once_per_statistic(monkeypatch):
 
 @pytest.mark.parametrize("T", [3, 12, 200])
 def test_net_rate_requests_each_statistic_once(monkeypatch, T):
-    # the search reads one eta table per (M, T) call, however many tau it scans
+    # the search reads one eta table per (M, T) call, however many tau it
+    # scans, with one request that names every K it needs
     requests = []
     eta = MomentSource.eta
 
     def counting(self, M, K):
-        requests.append(K)
+        requests.append(list(K))
         return eta(self, M, K)
 
     monkeypatch.setattr(MomentSource, "eta", counting)
@@ -250,8 +252,9 @@ def test_net_rate_requests_each_statistic_once(monkeypatch, T):
     for scheduled in (True, False):
         requests.clear()
         c_net(4, T, 1.0, 0.1, scheduled=scheduled, moment_source=src)
-        assert len(requests) <= 4 + 1
-        assert requests == sorted(set(requests)) == list(range(1, min(4, T - 2) + 1))
+        assert len(requests) == 1
+        ks = requests[0]
+        assert ks == sorted(set(ks)) == list(range(1, min(4, T - 2) + 1))
 
 
 # The nested-loop searches that the array searches replaced, kept here as the
@@ -332,12 +335,15 @@ def _one_draw_estimate(mean, var, served=None):
 
 
 class TableSource:
-    """eta(M, K) read from fixed tables: entry N-1 of mean[K] and var[K]."""
+    """eta(M, K) read from fixed tables: entry N-1 of mean[K] and var[K]; a
+    sequence of K gives a dict K -> estimate, as MomentSource.eta does."""
 
     def __init__(self, mean, var):
         self.mean, self.var = mean, var
 
     def eta(self, M, K):
+        if np.ndim(K):
+            return {k: self.eta(M, k) for k in K}
         return _one_draw_estimate(self.mean[K], self.var[K])
 
 
