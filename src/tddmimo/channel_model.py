@@ -33,15 +33,18 @@ class RngStream:
     Each logical stream (one per fixed-size block of Monte Carlo samples) is
     an independent Philox stream, so a block is identical no matter how the
     blocks are partitioned across workers or in what order they are consumed.
+    `row` r > 0 starts the same key's counter at r * 2**192: a sub-stream per
+    channel row of a block, which no other row's draws ever reach.
     """
 
     seed: int
     stream_id: int = 0
+    row: int = 0
 
     def generator(self) -> np.random.Generator:
         """Fresh generator; repeated calls replay the same draws."""
         key = ((self.seed & _MASK64) << 64) | (self.stream_id & _MASK64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=key, counter=(self.row & _MASK64) << 192))
 
     def substream(self, offset: int) -> "RngStream":
         """Derived stream for a sub-draw (noise vs. channel, etc.)."""

@@ -6,18 +6,21 @@ order the rows of a draw best first by scores_k * ||z_k||^2
 precoders' guarded Cholesky factor of the ordered rows' Gram matrix
 (`precoding.chi_all_n`).  phi_F and the weighted statistics draw K x M
 channels and scale the rows by a positive diagonal F (phi_F keeps the row
-order, the weighted statistics order by p_star).  eta, which needs every
-K <= M of one M, draws the block once at M x M and forms its Gram matrix
-once; eta(M, K) orders the first K rows by the Gram diagonal and reads the
-permuted principal K x K block, so every K of one M shares its draws.
+order, the weighted statistics order by p_star).  eta draws each row of a
+block on its own sub-stream (`RngStream.row`), so the first K rows do not
+depend on how many rows are drawn: the Ks of one M requested together share
+one draw of max(K) rows, and eta(M, K) orders the first K of them by norm
+and factors the permuted Gram matrix of those K rows.
 
 Samples are drawn in blocks of CHUNK: block b is one draw call on the
-Philox stream keyed by (seed, b).  Each block is reduced to per-group sums
-of phi and phi^2, draw i of a statistic being in group i % GROUPS, and the
-blocks are added in block order, so estimates are bit-identical with or
-without a worker pool, for any number of workers and, for eta, whichever
-other K are sampled with it.  The caller owns the pool (`worker_pool`) and
-passes it to every statistic of a run.
+Philox stream keyed by (seed, b), or one per row for eta.  Draw i of a
+block does not depend on the block's size, so fewer samples read a prefix
+of the draws of more.  Each block is reduced to per-group sums of phi and
+phi^2, draw i of a statistic being in group i % GROUPS, and the blocks are
+added in block order, so estimates are bit-identical with or without a
+worker pool, for any number of workers and, for eta, whichever other K are
+sampled with it.  The caller owns the pool (`worker_pool`) and passes it to
+every statistic of a run.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
 of the samples.  The guard is applied once, to the ordered K x K Gram
@@ -138,16 +141,25 @@ def _chunk(args):
 
 
 def _eta_chunk(args):
-    """eta_N for every N over one block of M x M draws, one array per K in
-    `ks`: phi[i, N-1] is the statistic of the N largest-norm of the first K
-    rows of draw i, a NaN row marking a singular draw."""
+    """eta_N for every N over one block, one array per K in `ks`: phi[i, N-1]
+    is the statistic of the N largest-norm of the first K rows of draw i, a
+    NaN row marking a singular draw.
+
+    Row r is drawn from RngStream(seed, block, r) and the rows are stacked
+    outermost, so the first K rows, their norms and their Gram matrix are
+    the same bits however many rows the block draws.  The Gram matrix of
+    the first K rows is formed in row order and then permuted best first.
+    """
     M, ks, seed, block, count = args
-    g = gram(draw_channel(M, M, RngStream(seed, block), count))
-    norms = np.einsum("...ii->...i", g).real  # ||z_k||^2
+    rows = np.empty((max(ks), count, M), complex)  # [row, draw, antenna]
+    for r in range(len(rows)):
+        rows[r] = draw_channel(1, M, RngStream(seed, block, r), count)[:, 0]
+    norms = np.sum(rows.real ** 2 + rows.imag ** 2, axis=2).T  # ||z_k||^2
     draw = np.arange(count)[:, None, None]
     out = []
     for K in ks:
         order = best_first(norms[:, :K])
+        g = gram(rows[:K].swapaxes(0, 1))
         out.append(chi_all_n(g[draw, order[:, :, None], order[:, None, :]]))
     return out
 
@@ -176,29 +188,47 @@ def _check_dims(K: int, M: int):
         raise IndexError(f"need 1 <= K <= M, got K={K}, M={M}")
 
 
-def _group_sums(phi: np.ndarray, served: np.ndarray) -> tuple:
-    """Per-group draw counts and sums of phi and phi^2 over one block: draw j
-    is in group j % GROUPS and counts toward the entries served[j] marks,
-    phi[j, N-1] being broadcast over the user axis of a weighted mask."""
+def _block_sums(phi: np.ndarray, served: np.ndarray) -> tuple:
+    """(singular draws, per-group draw counts, sums of phi and phi^2) of one
+    block: draw j is in group j % GROUPS and counts toward the entries
+    served[j] marks, phi[j, N-1] being broadcast over the user axis of a
+    weighted mask.  Kernels reduce their blocks in the task, so a statistic
+    holds group sums, not draws, however many blocks it has."""
     vals = np.where(served, phi.reshape(phi.shape + (1,) * (served.ndim - 2)), 0.0)
     pad = -len(phi) % GROUPS
 
     def fold(a):  # pad to whole rounds of GROUPS draws, then add the rounds
         a = np.concatenate([a, np.zeros((pad,) + a.shape[1:], a.dtype)]) if pad else a
         return a.reshape((-1, GROUPS) + a.shape[1:]).sum(axis=0)
-    return fold(served).astype(np.int64), fold(vals), fold(vals * vals)
+    return (int(np.isnan(phi[:, 0]).sum()), fold(served).astype(np.int64), fold(vals),
+            fold(vals * vals))
+
+
+def _chunk_sums(args):
+    """`_chunk`'s block as `_block_sums`: without scores (phi_F) every regular
+    draw serves every N; with them (weighted) user k counts toward [N-1, k]
+    when it is among the N best."""
+    phi, order = _chunk(args)
+    served = np.isfinite(phi)
+    if order is not None:
+        n = np.arange(1, order.shape[1] + 1)[:, None]
+        served = (np.argsort(order, axis=1)[:, None, :] < n) & served[:, :1, None]
+    return _block_sums(phi, served)
+
+
+def _eta_sums(args):
+    """`_eta_chunk`'s block as one `_block_sums` per K."""
+    return [_block_sums(phi, np.isfinite(phi)) for phi in _eta_chunk(args)]
 
 
 def _estimate(samples: int, blocks: list) -> MomentEstimate:
-    """The estimate from (served, phi) of every block, added in block order
-    so that the sums do not depend on the pool.  For eta and phi_F the mask
-    is np.isfinite(phi): every regular draw serves every N."""
-    singular = sum(int(np.isnan(phi[:, 0]).sum()) for _, phi in blocks)
-    if singular > SINGULAR_FRACTION_LIMIT * samples:
+    """The estimate from the `_block_sums` of every block, added in block
+    order so that the sums do not depend on the pool."""
+    singular, *sums = zip(*blocks)
+    if sum(singular) > SINGULAR_FRACTION_LIMIT * samples:
         raise ExcessSingularDrawsError(
-            f"{singular}/{samples} singular draws exceeds the 0.1% budget")
-    sums = zip(*(_group_sums(phi, served) for served, phi in blocks))
-    return MomentEstimate(samples, singular, *(sum(terms) for terms in sums))
+            f"{sum(singular)}/{samples} singular draws exceeds the 0.1% budget")
+    return MomentEstimate(samples, sum(singular), *(sum(terms) for terms in sums))
 
 
 def eta_samples(M: int, K: int, samples: int, seed: int,
@@ -212,19 +242,18 @@ def eta_samples(M: int, K: int, samples: int, seed: int,
 
 def eta_moments(M: int, K, samples: int, seed: int, *, pool=None):
     """Moments of eta_N, the trace-inverse statistic of the N largest-norm
-    of the first K rows of an M x M i.i.d. CN(0,1) matrix, for every N <= K.
+    rows of a K x M i.i.d. CN(0,1) matrix, for every N <= K.
 
     K may also be a sequence of user counts: they are sampled together, one
-    draw and one Gram matrix per block for all of them, and the result is a
-    list of estimates in the order of K.  Each estimate is the same, bit for
-    bit, as when its K is sampled alone.
+    draw of max(K) rows per block for all of them, and the result is a list
+    of estimates in the order of K.  Each estimate is the same, bit for bit,
+    as when its K is sampled alone.
     """
     ks = [K] if np.ndim(K) == 0 else list(K)
     for k in ks:
         _check_dims(k, M)
-    parts = _collect(_eta_chunk, (M, tuple(ks)), samples, seed, pool)
-    ests = [_estimate(samples, [(np.isfinite(phi), phi) for phi in per_k])
-            for per_k in zip(*parts)]
+    parts = _collect(_eta_sums, (M, tuple(ks)), samples, seed, pool)
+    ests = [_estimate(samples, per_k) for per_k in zip(*parts)]
     return ests[0] if np.ndim(K) == 0 else ests
 
 
@@ -236,8 +265,8 @@ def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
     _check_dims(f_diag.size, M)
     if np.any(f_diag <= 0):
         raise ValueError("F must be positive diagonal")
-    parts = _collect(_chunk, (f_diag.size, M, None, tuple(f_diag)), samples, seed, pool)
-    return _estimate(samples, [(np.isfinite(phi), phi) for phi, _ in parts])
+    return _estimate(samples, _collect(_chunk_sums, (f_diag.size, M, None, tuple(f_diag)),
+                                       samples, seed, pool))
 
 
 def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
@@ -256,10 +285,8 @@ def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
     if p_star.shape != (Ka,):
         raise ValueError("p_star and f_diag must have equal length")
     _check_dims(Ka, M)
-    parts = _collect(_chunk, (Ka, M, tuple(p_star), tuple(f_diag)), samples, seed, pool)
-    n = np.arange(1, Ka + 1)[:, None]  # served[i, N-1, k]: k is among the N best of draw i
-    return _estimate(samples, [((np.argsort(order, axis=1)[:, None, :] < n)
-                                & np.isfinite(phi[:, :1, None]), phi) for phi, order in parts])
+    return _estimate(samples, _collect(_chunk_sums, (Ka, M, tuple(p_star), tuple(f_diag)),
+                                       samples, seed, pool))
 
 
 # ---------------------------------------------------------------------------

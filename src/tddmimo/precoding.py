@@ -95,11 +95,11 @@ def pinv_precoder(h_hat_s: np.ndarray) -> tuple[PrecodingMatrix, float]:
     H A = chi * I_N with chi real positive.  A stack gives stacked A and chi.
     """
     h = np.atleast_2d(h_hat_s)
-    ok, l_inv, _ = _inverse_cholesky(gram(h))
+    ok, l_inv, tr_inv = _inverse_cholesky(gram(h))
     if not np.all(ok):
         raise SingularChannelError(f"Gram matrix condition number exceeds {COND_LIMIT:g}")
     l_inv = l_inv.reshape(h.shape[:-1] + h.shape[-2:-1])
-    tr = np.sum(np.abs(l_inv) ** 2, axis=(-2, -1))
+    tr = tr_inv[:, -1].reshape(h.shape[:-2])
     g_inv = l_inv.conj().swapaxes(-1, -2) @ l_inv
     a = h.conj().swapaxes(-1, -2) @ g_inv / np.sqrt(tr)[..., None, None]
     return PrecodingMatrix(a=a), tr ** -0.5

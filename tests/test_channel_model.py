@@ -35,6 +35,14 @@ def test_substream_offsets():
     assert base.substream(2) == RngStream(9, 5)
 
 
+def test_row_streams():
+    # row 0 is the stream itself; other rows are distinct draws of the same key
+    rows = [draw_channel(1, 6, RngStream(9, 3, r), 50) for r in range(3)]
+    np.testing.assert_array_equal(rows[0], draw_channel(1, 6, RngStream(9, 3), 50))
+    assert not np.allclose(rows[1], rows[0]) and not np.allclose(rows[2], rows[1])
+    assert not np.allclose(rows[1], draw_channel(1, 6, RngStream(9, 4), 50))
+
+
 @pytest.fixture(scope="module")
 def big_draw():
     return draw_channel(100, 1000, RngStream(2024, 0))  # 1e5 entries

@@ -125,17 +125,34 @@ def test_eta_batch_matches_each_k_alone():
             _assert_same(est, other)
 
 
-def test_eta_kernel_reads_the_first_k_rows_of_the_m_by_m_draw():
-    # eta(M, K) orders the first K rows of each M x M draw by norm, best first
+def test_eta_kernel_reads_the_first_k_rows_of_the_row_draws():
+    # eta(M, K) orders the first K rows of each draw by norm, best first,
+    # row r of block b being drawn from RngStream(seed, b, r)
     M, K, seed, count = 5, 3, 27, 300
     vals = eta_samples(M, K, count, seed)
-    for i, z in enumerate(_block_draws(M, M, count, seed)):
+    for i, z in enumerate(_row_draws(M, M, count, seed)):
         rows = z[:K][np.argsort(-np.sum(np.abs(z[:K]) ** 2, axis=1), kind="stable")]
         ref = [_per_n_oracle(rows, n) for n in range(1, K + 1)]
         np.testing.assert_allclose(vals[i], ref, rtol=1e-9)
     # at K = M every row is served, and chi does not depend on their order
     np.testing.assert_allclose(eta_samples(M, M, count, seed)[:, -1],
-                               chi_of(_block_draws(M, M, count, seed)), rtol=1e-12)
+                               chi_of(_row_draws(M, M, count, seed)), rtol=1e-12)
+    # fewer samples read a prefix of the draws of more
+    np.testing.assert_array_equal(vals, eta_samples(M, K, CHUNK + 5, seed)[:count])
+
+
+def test_eta_draws_only_the_rows_it_reads(monkeypatch):
+    # a block draws max(K) rows of M, so a small K at a large M stays cheap
+    import tddmimo.moments as moments
+    calls = []
+    draw = moments.draw_channel
+    monkeypatch.setattr(moments, "draw_channel",
+                        lambda *args: calls.append(args[:2]) or draw(*args))
+    eta_moments(64, 2, 100, seed=30)
+    assert calls == [(1, 64)] * 2
+    calls.clear()
+    eta_moments(64, [3, 1, 5], 100, seed=30)
+    assert calls == [(1, 64)] * 5
 
 
 def _eigvalsh_guard(g):
@@ -192,7 +209,9 @@ def test_certificate_fallback_gives_the_eigenvalue_guards_statistics(monkeypatch
     def hard(K, M, rng, count):
         z = draw(K, M, rng, count)
         if rng.stream_id == 0:  # one block, within the singular-draw budget
-            z[:12] = _hard_block(K, M, 12, rng.seed)
+            # eta draws one row per call: row r of the same four-row block
+            z[:12] = (_hard_block(4, M, 12, rng.seed)[:, rng.row:rng.row + 1] if K == 1
+                      else _hard_block(K, M, 12, rng.seed))
         return z
 
     monkeypatch.setattr(moments, "draw_channel", hard)
@@ -213,6 +232,14 @@ def _block_draws(K: int, M: int, samples: int, seed: int) -> np.ndarray:
     """Sample i of a statistic is draw i % CHUNK of block i // CHUNK."""
     return np.concatenate([draw_channel(K, M, RngStream(seed, b), min(CHUNK, samples - start))
                            for b, start in enumerate(range(0, samples, CHUNK))])
+
+
+def _row_draws(K: int, M: int, samples: int, seed: int) -> np.ndarray:
+    """eta's draws: row r of block b is drawn from RngStream(seed, b, r)."""
+    return np.concatenate([
+        np.concatenate([draw_channel(1, M, RngStream(seed, b, r), min(CHUNK, samples - start))
+                        for r in range(K)], axis=1)
+        for b, start in enumerate(range(0, samples, CHUNK))])
 
 
 def _per_n_oracle(z: np.ndarray, n: int) -> float:
