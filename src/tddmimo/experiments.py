@@ -243,6 +243,9 @@ def _fig5_rules(spec: ExperimentSpec):
         for t in spec.t_list:
             if t < k + 2:
                 yield f"weighted net rate needs T >= K+2 (K={k}, T={t})"
+        for m in spec.m_list:
+            if m < k:
+                yield f"fig5 needs M >= K (K={k}, M={m})"
 
 
 @dataclass(frozen=True)

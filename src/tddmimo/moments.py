@@ -1,30 +1,31 @@
 """Monte Carlo estimation of the trace-inverse gain statistics.
 
-Every statistic is composed from the physical layer over a sample axis:
-order the rows of a draw best first by scores_k * ||z_k||^2
+Every statistic is one kernel (`_chunk`) composed from the physical layer
+over a sample axis: draw max(K) rows of M per block, each row on its own
+sub-stream (`RngStream.row`), form the Gram matrix of the first K rows,
+scale it by f_i f_j, order the rows best first by scores_k * ||z_k||^2
 (`scheduling.best_first`) and read phi for every served count N from the
-precoders' guarded Cholesky factor of the ordered rows' Gram matrix
-(`precoding.chi_all_n`).  phi_F and the weighted statistics draw K x M
-channels and scale the rows by a positive diagonal F (phi_F keeps the row
-order, the weighted statistics order by p_star).  eta draws each row of a
-block on its own sub-stream (`RngStream.row`), so the first K rows do not
-depend on how many rows are drawn: the Ks of one M requested together share
-one draw of max(K) rows, and eta(M, K) orders the first K of them by norm
-and factors the permuted Gram matrix of those K rows.
+precoders' guarded Cholesky factor (`precoding.chi_all_n`).  The statistics
+differ only in their parameters: eta has unit scores and no F, phi_F has F
+and keeps the row order, and the weighted statistics have F and order by
+p_star.  The first K rows do not depend on how many rows are drawn, so the
+Ks of one M requested together share one draw, and every statistic of one
+(seed, M) reads the same rows (common random numbers).
 
-Samples are drawn in blocks of CHUNK: block b is one draw call on the
-Philox stream keyed by (seed, b), or one per row for eta.  Draw i of a
+Samples are drawn in blocks of CHUNK: row r of block b is one draw call on
+the Philox stream keyed by (seed, b) with its counter at row r.  Draw i of a
 block does not depend on the block's size, so fewer samples read a prefix
 of the draws of more.  Each block is reduced to per-group sums of phi and
 phi^2, draw i of a statistic being in group i % GROUPS, and the blocks are
 added in block order, so estimates are bit-identical with or without a
-worker pool, for any number of workers and, for eta, whichever other K are
-sampled with it.  The caller owns the pool (`worker_pool`) and passes it to
-every statistic of a run.
+worker pool, for any number of workers and whichever other K are sampled
+with them.  The caller owns the pool (`worker_pool`) and passes it to every
+statistic of a run.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
 of the samples.  The guard is applied once, to the ordered K x K Gram
-matrix, so eta with N < K may discard a draw whose own block would pass.
+matrix, so a statistic with N < K may discard a draw whose own block would
+pass.
 
 Each statistic is one MomentEstimate over all N, whose groups also give the
 leave-one-out moments of the jackknife in `rates`; MomentCache holds them all.
@@ -122,35 +123,19 @@ def f_fingerprint(f_diag) -> str:
 
 
 def _chunk(args):
-    """phi_N for every N over one block of K x M draws, and the row order used.
-
-    Returns (phi, order): phi[i, N-1] is the statistic of the N leading rows
-    of draw i (a NaN row marks a singular draw) and order[i] lists the users
-    best first, or is None when `scores` is None and rows keep their order.
-    """
-    K, M, scores, f_diag, seed, block, count = args
-    z = draw_channel(K, M, RngStream(seed, block), count)
-    order = None
-    if scores is not None:
-        order = best_first(np.asarray(scores) * np.sum(np.abs(z) ** 2, axis=2))
-        z = np.take_along_axis(z, order[:, :, None], axis=1)
-    if f_diag is not None:
-        f = np.asarray(f_diag)
-        z = (f if order is None else f[order])[..., None] * z
-    return chi_all_n(gram(z)), order
-
-
-def _eta_chunk(args):
-    """eta_N for every N over one block, one array per K in `ks`: phi[i, N-1]
-    is the statistic of the N largest-norm of the first K rows of draw i, a
-    NaN row marking a singular draw.
+    """phi_N for every N over one block, one (phi, order) per K in `ks`:
+    phi[i, N-1] is the statistic of the N leading of the first K rows of
+    draw i once ordered (a NaN row marks a singular draw), and order[i]
+    lists those rows best first by scores_k * ||z_k||^2, or is None when
+    `scores` is None and the rows keep their order.
 
     Row r is drawn from RngStream(seed, block, r) and the rows are stacked
     outermost, so the first K rows, their norms and their Gram matrix are
     the same bits however many rows the block draws.  The Gram matrix of
-    the first K rows is formed in row order and then permuted best first.
+    the first K rows is formed in row order, scaled by f_i f_j unless
+    `f_diag` is None, and then permuted best first.
     """
-    M, ks, seed, block, count = args
+    M, ks, scores, f_diag, seed, block, count = args
     rows = np.empty((max(ks), count, M), complex)  # [row, draw, antenna]
     for r in range(len(rows)):
         rows[r] = draw_channel(1, M, RngStream(seed, block, r), count)[:, 0]
@@ -158,9 +143,15 @@ def _eta_chunk(args):
     draw = np.arange(count)[:, None, None]
     out = []
     for K in ks:
-        order = best_first(norms[:, :K])
         g = gram(rows[:K].swapaxes(0, 1))
-        out.append(chi_all_n(g[draw, order[:, :, None], order[:, None, :]]))
+        if f_diag is not None:
+            f = np.asarray(f_diag)
+            g = g * (f[:, None] * f)
+        order = None
+        if scores is not None:
+            order = best_first(np.asarray(scores[:K]) * norms[:, :K])
+            g = g[draw, order[:, :, None], order[:, None, :]]
+        out.append((chi_all_n(g), order))
     return out
 
 
@@ -205,30 +196,31 @@ def _block_sums(phi: np.ndarray, served: np.ndarray) -> tuple:
 
 
 def _chunk_sums(args):
-    """`_chunk`'s block as `_block_sums`: without scores (phi_F) every regular
-    draw serves every N; with them (weighted) user k counts toward [N-1, k]
-    when it is among the N best."""
-    phi, order = _chunk(args)
-    served = np.isfinite(phi)
-    if order is not None:
-        n = np.arange(1, order.shape[1] + 1)[:, None]
-        served = (np.argsort(order, axis=1)[:, None, :] < n) & served[:, :1, None]
-    return _block_sums(phi, served)
+    """`_chunk`'s block as one `_block_sums` per K.  With `per_user`
+    (weighted) user k counts toward [N-1, k] when it is among the N best;
+    otherwise every regular draw counts toward every N."""
+    per_user, *params = args
+    out = []
+    for phi, order in _chunk(params):
+        served = np.isfinite(phi)
+        if per_user:
+            n = np.arange(1, order.shape[1] + 1)[:, None]
+            served = (np.argsort(order, axis=1)[:, None, :] < n) & served[:, :1, None]
+        out.append(_block_sums(phi, served))
+    return out
 
 
-def _eta_sums(args):
-    """`_eta_chunk`'s block as one `_block_sums` per K."""
-    return [_block_sums(phi, np.isfinite(phi)) for phi in _eta_chunk(args)]
-
-
-def _estimate(samples: int, blocks: list) -> MomentEstimate:
-    """The estimate from the `_block_sums` of every block, added in block
-    order so that the sums do not depend on the pool."""
-    singular, *sums = zip(*blocks)
-    if sum(singular) > SINGULAR_FRACTION_LIMIT * samples:
-        raise ExcessSingularDrawsError(
-            f"{sum(singular)}/{samples} singular draws exceeds the 0.1% budget")
-    return MomentEstimate(samples, sum(singular), *(sum(terms) for terms in sums))
+def _estimates(params: tuple, samples: int, seed: int, pool) -> list:
+    """One MomentEstimate per K of `_chunk_sums`' params, from the block sums
+    added in block order, so that they do not depend on the pool."""
+    ests = []
+    for blocks in zip(*_collect(_chunk_sums, params, samples, seed, pool)):
+        singular, *sums = zip(*blocks)
+        if sum(singular) > SINGULAR_FRACTION_LIMIT * samples:
+            raise ExcessSingularDrawsError(
+                f"{sum(singular)}/{samples} singular draws exceeds the 0.1% budget")
+        ests.append(MomentEstimate(samples, sum(singular), *(sum(terms) for terms in sums)))
+    return ests
 
 
 def eta_samples(M: int, K: int, samples: int, seed: int,
@@ -236,8 +228,8 @@ def eta_samples(M: int, K: int, samples: int, seed: int,
     """Raw eta draws indexed [sample, N-1] (a NaN row marks a discarded
     singular draw); test oracle hook."""
     _check_dims(K, M)
-    parts = _collect(_eta_chunk, (M, (K,)), samples, seed, pool)
-    return np.concatenate([phi_per_k[0] for phi_per_k in parts])
+    blocks = _collect(_chunk, (M, (K,), (1.0,) * K, None), samples, seed, pool)
+    return np.concatenate([phi for [(phi, _)] in blocks])
 
 
 def eta_moments(M: int, K, samples: int, seed: int, *, pool=None):
@@ -252,8 +244,7 @@ def eta_moments(M: int, K, samples: int, seed: int, *, pool=None):
     ks = [K] if np.ndim(K) == 0 else list(K)
     for k in ks:
         _check_dims(k, M)
-    parts = _collect(_eta_sums, (M, tuple(ks)), samples, seed, pool)
-    ests = [_estimate(samples, per_k) for per_k in zip(*parts)]
+    ests = _estimates((False, M, tuple(ks), (1.0,) * max(ks), None), samples, seed, pool)
     return ests[0] if np.ndim(K) == 0 else ests
 
 
@@ -265,8 +256,7 @@ def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
     _check_dims(f_diag.size, M)
     if np.any(f_diag <= 0):
         raise ValueError("F must be positive diagonal")
-    return _estimate(samples, _collect(_chunk_sums, (f_diag.size, M, None, tuple(f_diag)),
-                                       samples, seed, pool))
+    return _estimates((False, M, (f_diag.size,), None, tuple(f_diag)), samples, seed, pool)[0]
 
 
 def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
@@ -285,8 +275,7 @@ def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
     if p_star.shape != (Ka,):
         raise ValueError("p_star and f_diag must have equal length")
     _check_dims(Ka, M)
-    return _estimate(samples, _collect(_chunk_sums, (Ka, M, tuple(p_star), tuple(f_diag)),
-                                       samples, seed, pool))
+    return _estimates((True, M, (Ka,), tuple(p_star), tuple(f_diag)), samples, seed, pool)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +311,7 @@ class MomentCache:
     replaces it afresh.
     """
 
-    VERSION = "tddmimo-moments-cache v5"
+    VERSION = "tddmimo-moments-cache v6"
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None

@@ -394,7 +394,7 @@ def test_one_pool_per_run(tmp_path, monkeypatch):
 
 # A scheme the preset does not evaluate, several values for a list key it
 # reads once, SINRs or weights that are not finite or that under/overflow,
-# and keys the preset does not read.
+# keys the preset does not read, and fig5 with fewer antennas than users.
 INVALID_SPECS = {
     "fig2-scheme-3": "preset=fig2\nM=4\nscheme=3\n",
     "fig5-scheme-0": "preset=fig5\nM=8\nscheme=0\n",
@@ -416,6 +416,7 @@ INVALID_SPECS = {
     "fig4-unread-rho_r": "preset=fig4\nM=2\nrho_r_db=-10\n",
     "fig5-unread-rho_r": "preset=fig5\nM=8\nrho_r_db=-10\n",
     "fig3-rho_r-and-offset": "preset=fig3\nM=2\nT=20\nrho_r_db=-10\nrho_r_offset_db=-10\n",
+    "fig5-M-below-K": "preset=fig5\nM=4\nM=8\nK=8\nT=20\n",
 }
 
 

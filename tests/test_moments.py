@@ -58,11 +58,29 @@ def test_jensen_consistency():
         np.sqrt(est.variance / (est.samples - est.singular_events)), rtol=0, atol=1e-15)
 
 
+# three blocks, the last partial
+SHARED_SAMPLES = 2 * CHUNK + 17
+
+
 def test_phi_reduces_to_eta_at_identity_f():
-    eta = eta_moments(6, 3, 20_000, seed=7)
-    phi = phi_f_moments(np.ones(3), 6, 20_000, seed=7)
-    assert abs(phi.mean[2] - eta.mean[2]) < 3 * np.hypot(eta.std_error_of_mean[2],
-                                                         phi.std_error_of_mean[2])
+    # phi_F reads eta's draws; at F = I only the row order of the Gram
+    # matrix differs, and tr(G^-1) does not depend on it
+    eta = eta_moments(6, 3, SHARED_SAMPLES, seed=7)
+    phi = phi_f_moments(np.ones(3), 6, SHARED_SAMPLES, seed=7)
+    np.testing.assert_allclose(phi.mean[2], eta.mean[2], rtol=1e-12)
+
+
+def test_weighted_stats_at_unit_f_and_p_are_eta():
+    # at unit F and p_star the weighted kernel is eta's: the same rows, the
+    # same order and the same factorization, so every served user's N = K
+    # entry holds eta's sums bit for bit
+    M, K = 6, 4
+    eta = eta_moments(M, K, SHARED_SAMPLES, seed=7)
+    wtd = weighted_phi_stats(np.ones(K), np.ones(K), M, SHARED_SAMPLES, seed=7)
+    assert wtd.singular_events == eta.singular_events
+    for k in range(K):
+        np.testing.assert_array_equal(wtd.group_sum[:, K - 1, k], eta.group_sum[:, K - 1])
+        np.testing.assert_array_equal(wtd.group_count[:, K - 1, k], eta.group_count[:, K - 1])
 
 
 def test_phi_homogeneity():
@@ -209,9 +227,8 @@ def test_certificate_fallback_gives_the_eigenvalue_guards_statistics(monkeypatch
     def hard(K, M, rng, count):
         z = draw(K, M, rng, count)
         if rng.stream_id == 0:  # one block, within the singular-draw budget
-            # eta draws one row per call: row r of the same four-row block
-            z[:12] = (_hard_block(4, M, 12, rng.seed)[:, rng.row:rng.row + 1] if K == 1
-                      else _hard_block(K, M, 12, rng.seed))
+            # one row per call: row r of the same four-row block
+            z[:12] = _hard_block(4, M, 12, rng.seed)[:, rng.row:rng.row + 1]
         return z
 
     monkeypatch.setattr(moments, "draw_channel", hard)
@@ -228,14 +245,9 @@ def test_certificate_fallback_gives_the_eigenvalue_guards_statistics(monkeypatch
             _assert_same(est, ref)
 
 
-def _block_draws(K: int, M: int, samples: int, seed: int) -> np.ndarray:
-    """Sample i of a statistic is draw i % CHUNK of block i // CHUNK."""
-    return np.concatenate([draw_channel(K, M, RngStream(seed, b), min(CHUNK, samples - start))
-                           for b, start in enumerate(range(0, samples, CHUNK))])
-
-
 def _row_draws(K: int, M: int, samples: int, seed: int) -> np.ndarray:
-    """eta's draws: row r of block b is drawn from RngStream(seed, b, r)."""
+    """Every statistic's draws: sample i is draw i % CHUNK of block
+    i // CHUNK, whose row r is drawn from RngStream(seed, b, r)."""
     return np.concatenate([
         np.concatenate([draw_channel(1, M, RngStream(seed, b, r), min(CHUNK, samples - start))
                         for r in range(K)], axis=1)
@@ -253,9 +265,9 @@ def test_all_n_kernel_matches_per_n_inverse(M):
     K, seed, count = 4, 15, 400
     scores = np.array([1.0, 2.0, 0.5, 1.0])
     f = np.array([0.5, 1.5, 1.0, 2.0])
-    phi, order = _chunk((K, M, tuple(scores), tuple(f), seed, 0, count))
+    [(phi, order)] = _chunk((M, (K,), tuple(scores), tuple(f), seed, 0, count))
     worst = 0.0
-    for i, z in enumerate(_block_draws(K, M, count, seed)):
+    for i, z in enumerate(_row_draws(K, M, count, seed)):
         expected = np.argsort(-scores * np.sum(np.abs(z) ** 2, axis=1), kind="stable")
         np.testing.assert_array_equal(order[i], expected)
         if np.isnan(phi[i, 0]):
@@ -276,7 +288,7 @@ def _weighted_oracle(f_diag, p_star, M, samples, seed):
     cnt = np.zeros((GROUPS, Ka, Ka), dtype=np.int64)
     s1 = np.zeros((GROUPS, Ka, Ka))
     s2 = np.zeros((GROUPS, Ka, Ka))
-    for i, z in enumerate(_block_draws(Ka, M, samples, seed)):
+    for i, z in enumerate(_row_draws(Ka, M, samples, seed)):
         order = np.argsort(-p_star * np.sum(np.abs(z) ** 2, axis=1), kind="stable")
         zf = (f_diag[:, None] * z)[order]
         grams = [zf[:n] @ zf[:n].conj().T for n in range(1, Ka + 1)]
@@ -361,15 +373,17 @@ def test_cache_persistence_round_trip(tmp_path):
 
 
 def test_cache_round_trips_every_kind(tmp_path):
-    # weighted statistics persist with the others, NaN entries included
+    # weighted statistics persist with the others, NaN entries included: the
+    # last user ranks first only if every other ||z_k||^2 is about 1e12 times
+    # smaller than its own, so its N = 1 entry is never served
     path = tmp_path / "cache.txt"
     f = np.array([0.5, 1.5, 1.0, 2.0])
-    p = np.array([1.0, 2.0, 0.5, 1.0])
+    p = np.array([1.0, 2.0, 0.5, 1e-12])
     requests = [lambda s: s.eta(6, 4), lambda s: s.phi(f, 6),
                 lambda s: s.weighted(f, p, 6), lambda s: s.weighted(f, 2 * p, 6)]
     first = MomentSource(300, 19, cache_path=path)
     ests = [request(first) for request in requests]
-    assert np.isnan(ests[2].mean).any()
+    assert ests[2].count[0, 3] == 0 and np.isnan(ests[2].mean[0, 3])
     reloaded = MomentSource(300, 19, cache_path=path)
     assert reloaded.cache.kind_counts() == {"eta": 1, "phi_F": 1, "weighted": 2}
     for request, est in zip(requests, ests):
