@@ -3,8 +3,7 @@ LMMSE estimation, pseudo-inverse pre-conditioning, norm-based scheduling,
 waterfilling power optimization and the resulting rate lower bounds."""
 
 from .channel_model import RngStream, SystemConfig, db_to_linear, draw_channel, linear_to_db
-from .errors import (ConvergenceError, ExcessSingularDrawsError,
-                     InfeasibleError, SingularChannelError)
+from .errors import ExcessSingularDrawsError, InfeasibleError, SingularChannelError
 from .moments import (MomentCache, MomentEstimate, MomentKey, eta_moments,
                       phi_f_moments, weighted_phi_stats)
 from .pilots import EstimatedChannel, build_pilots, lmmse_estimate, simulate_reverse_pilots
@@ -19,8 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "RngStream", "SystemConfig", "db_to_linear", "linear_to_db", "draw_channel",
-    "ConvergenceError", "ExcessSingularDrawsError", "InfeasibleError",
-    "SingularChannelError",
+    "ExcessSingularDrawsError", "InfeasibleError", "SingularChannelError",
     "MomentCache", "MomentEstimate", "MomentKey", "eta_moments",
     "phi_f_moments", "weighted_phi_stats",
     "EstimatedChannel", "build_pilots", "lmmse_estimate", "simulate_reverse_pilots",

@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiments import (QUICK_SAMPLES, SpecValidationError,
+from .experiments import (CACHE_FILE, QUICK_SAMPLES, SpecValidationError,
                           check_feasibility, parse_spec, run_experiment)
 from .moments import MomentCache
 
@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     info = sub.add_parser("cache-info", help="summarize a moment cache")
     info.add_argument("--out", default="out",
-                      help="directory containing moments_cache.txt")
+                      help=f"directory containing {CACHE_FILE}")
     return parser
 
 
@@ -79,7 +79,7 @@ def main(argv=None) -> int:
         return 0
 
     # cache-info
-    path = Path(args.out) / "moments_cache.txt"
+    path = Path(args.out) / CACHE_FILE
     if not path.exists():
         print(f"no cache at {path}")
         return 0

@@ -15,7 +15,3 @@ class ExcessSingularDrawsError(RuntimeError):
 
 class InfeasibleError(ValueError):
     """No feasible (K, tau_rp) cell exists for the given coherence interval."""
-
-
-class ConvergenceError(RuntimeError):
-    """Root search failed to reach the required residual."""

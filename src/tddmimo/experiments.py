@@ -23,6 +23,8 @@ from .rates import MomentSource, c_net, c_sum_lb, c_wt_net
 
 DEFAULT_SAMPLES = 100_000
 QUICK_SAMPLES = 10_000
+MANIFEST_FILE = "run_manifest.txt"
+CACHE_FILE = "moments_cache.txt"
 
 
 class SpecValidationError(ValueError):
@@ -161,6 +163,12 @@ def check_feasibility(spec: ExperimentSpec) -> list[str]:
         v.append("samples must be positive")
     if spec.seed < 0:
         v.append("seed must be a nonnegative integer")
+    elif spec.seed >= 2**64:  # RngStream keys on the seed's low 64 bits
+        v.append(f"seed must be below 2**64, got {spec.seed}")
+    if spec.output in ("", ".", "..") or Path(spec.output).name != spec.output:
+        v.append(f"output must be a file name without a directory, got {spec.output!r}")
+    elif spec.output in (MANIFEST_FILE, CACHE_FILE):
+        v.append(f"output {spec.output!r} is a file the run writes itself")
     if spec.weights is not None:
         if not np.all(np.isfinite(spec.weights)):
             v.append("weights must be finite")
@@ -337,7 +345,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     with worker_pool(workers) as pool:
         source = MomentSource(spec.samples, spec.seed, pool=pool,
-                              cache_path=out / "moments_cache.txt")
+                              cache_path=out / CACHE_FILE)
         started = time.time()
         header, rows = _sweep_rows(spec, source)
     cache = source.cache
@@ -359,7 +367,5 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
         "numpy_version": np.__version__,
         "moments_version": MomentCache.VERSION,
     }
-    manifest_path = out / "run_manifest.txt"
-    manifest_path.write_text(
-        "".join(f"{k}={v}\n" for k, v in manifest.items()))
+    (out / MANIFEST_FILE).write_text("".join(f"{k}={v}\n" for k, v in manifest.items()))
     return manifest

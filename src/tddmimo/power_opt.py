@@ -3,7 +3,9 @@
 The weighted-sum bound collapses, in the M-large regime, to the objective
 J(p) = sum_i w_i log2(1 + beta_i p_i / sum_j alpha_j p_j), whose maximizers
 form the ray c * p_bar with p_bar_i = (w_i / (lambda* alpha_i) - 1/beta_i)^+
-and lambda* fixing sum_i alpha_i p_bar_i = 1.
+and lambda* fixing sum_i alpha_i p_bar_i = 1.  The users with positive power
+are a prefix of the users sorted by w_i beta_i / alpha_i (Palomar &
+Fonollosa, IEEE Trans. Signal Process. 2005), so lambda* has a closed form.
 """
 
 from __future__ import annotations
@@ -13,15 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_model import SystemConfig
-from .errors import ConvergenceError
-
-_BISECT_ITERS = 200
-_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Optimized powers, the multiplier and the active-user mask.
+    """Optimized powers and the multiplier.
 
     Normalized so that sum_i alpha_i * p_star_i = 1 (the free scale of the
     maximizer family is fixed to c = 1).
@@ -29,7 +27,11 @@ class PowerAllocation:
 
     p_star: np.ndarray
     lambda_star: float
-    active: np.ndarray
+
+    @property
+    def active(self) -> np.ndarray:
+        """Mask of the users with positive power."""
+        return self.p_star > 0.0
 
 
 def alpha_beta(config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -65,9 +67,12 @@ def _powers_at(lam: float, w, alpha, beta) -> np.ndarray:
 def waterfill(w, alpha, beta) -> PowerAllocation:
     """Waterfilling maximizer of J under the normalization alpha . p = 1.
 
-    lambda* is located by bracketed bisection (the constraint residual is
-    strictly decreasing in lambda), then recomputed in closed form on the
-    identified active set so the KKT conditions hold to machine precision.
+    With the users sorted by threshold t_i = w_i beta_i / alpha_i, best
+    first, the multiplier of the n best is lambda_n = W_n / (1 + A_n), where
+    W_n and A_n are the partial sums of w and alpha / beta.  The active set is
+    the longest prefix with t_(n) > lambda_n.  In exact arithmetic it is
+    never empty: t_(1) = w_1 / a_1 > w_1 / (1 + a_1) = lambda_1 for
+    a = alpha / beta.
     """
     w = np.asarray(w, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -77,29 +82,11 @@ def waterfill(w, alpha, beta) -> PowerAllocation:
     if np.any(alpha <= 0) or np.any(beta <= 0):
         raise ValueError("alpha and beta must be strictly positive")
 
-    thresholds = np.where(w > 0, w * beta / alpha, 0.0)
-    hi = float(np.max(thresholds))  # all powers zero at lam >= hi
-    lo = hi
-    while float(alpha @ _powers_at(lo, w, alpha, beta)) < 1.0:
-        lo /= 2.0
-        if lo < 1e-300:
-            raise ConvergenceError("failed to bracket the multiplier")
-    lam = 0.5 * (lo + hi)
-    for _ in range(_BISECT_ITERS):
-        lam = 0.5 * (lo + hi)
-        residual = float(alpha @ _powers_at(lam, w, alpha, beta)) - 1.0
-        if abs(residual) <= _RESIDUAL_TOL:
-            break
-        if residual > 0.0:
-            lo = lam
-        else:
-            hi = lam
-
-    # exact multiplier on the active set found by the bisection
-    active = _powers_at(lam, w, alpha, beta) > 0.0
+    thresholds = w * beta / alpha
+    order = np.argsort(-thresholds, kind="stable")
+    lams = np.cumsum(w[order]) / (1.0 + np.cumsum((alpha / beta)[order]))
+    n_active = int(np.logical_and.accumulate(thresholds[order] > lams).sum())
+    active = np.zeros(w.size, dtype=bool)
+    active[order[:n_active]] = True
     lam = float(np.sum(w[active]) / (1.0 + np.sum(alpha[active] / beta[active])))
-    p = _powers_at(lam, w, alpha, beta)
-    residual = abs(float(alpha @ p) - 1.0)
-    if residual > 1e-10:
-        raise ConvergenceError(f"constraint residual {residual:g} after polish")
-    return PowerAllocation(p_star=p, lambda_star=lam, active=p > 0.0)
+    return PowerAllocation(p_star=_powers_at(lam, w, alpha, beta), lambda_star=lam)

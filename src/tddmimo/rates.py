@@ -17,7 +17,7 @@ from .channel_model import SystemConfig
 from .errors import InfeasibleError
 from .moments import (MomentCache, MomentEstimate, MomentKey, eta_moments,
                       f_fingerprint, phi_f_moments, weighted_phi_stats)
-from .power_opt import PowerAllocation, alpha_beta, waterfill
+from .power_opt import alpha_beta, waterfill
 
 _TIE_TOL = 1e-12
 
@@ -92,8 +92,7 @@ def _jackknife_se(held_out) -> float:
 
 class MomentSource:
     """Sampling protocol (samples, seed) and the MomentCache, in memory only
-    without `cache_path`, behind every statistic it serves, and the
-    waterfilling powers of every config it has seen.  Statistics are
+    without `cache_path`, behind every statistic it serves.  Statistics are
     sampled on `pool` (see moments.worker_pool), or in-process without one.
     Keys are built here only: each statistic is sampled once per source."""
 
@@ -102,7 +101,6 @@ class MomentSource:
         self.seed = seed
         self.pool = pool
         self.cache = MomentCache(cache_path)
-        self._powers: dict[tuple, PowerAllocation] = {}
 
     def _key(self, kind: str, M: int, K: int, fingerprint: str) -> MomentKey:
         return MomentKey(kind, M, K, fingerprint, self.samples, self.seed)
@@ -132,15 +130,6 @@ class MomentSource:
         return self._cached("weighted", M, np.size(f_diag), fingerprint,
                             lambda: weighted_phi_stats(f_diag, p_star, M, self.samples,
                                                        self.seed, pool=self.pool))
-
-    def powers(self, config: SystemConfig) -> PowerAllocation:
-        """default_power_source(config), computed once per distinct (M, tau,
-        SINRs, weights): the schemes of one sweep scan the same configs."""
-        key = (config.M, config.tau_rp, *(a.tobytes() for a in
-                                          (config.rho_f, config.rho_r, config.weights)))
-        if key not in self._powers:
-            self._powers[key] = default_power_source(config)
-        return self._powers[key]
 
 
 def _sum_search(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, scheduled: bool,
@@ -233,31 +222,24 @@ def _weighted_rates(config: SystemConfig, active: np.ndarray, p_star: np.ndarray
     return rates
 
 
-def default_power_source(config: SystemConfig) -> PowerAllocation:
-    """Waterfilling on the M-large coefficients of the config."""
-    alpha, beta = alpha_beta(config)
-    return waterfill(config.weights, alpha, beta)
-
-
-def c_wt_net(config: SystemConfig, scheduled: bool, moment_source: MomentSource,
-             power_source=None) -> RatePoint:
+def c_wt_net(config: SystemConfig, scheduled: bool,
+             moment_source: MomentSource) -> RatePoint:
     """Net weighted-sum rate, maximized over the training length.
 
-    For each feasible tau the powers are re-optimized, by `power_source` or
-    else by the source's waterfilling (`MomentSource.powers`), users with
-    zero power are dropped, and the weighted selection statistics are
-    sampled once per coherence block.  With `scheduled` the served count N
-    is also maximized; otherwise all active users are served (N fixed).
+    For each feasible tau the powers are re-optimized by waterfilling on the
+    M-large coefficients (`waterfill`, closed form), users with zero power
+    are dropped, and the weighted selection statistics are sampled once per
+    coherence block.  With `scheduled` the served count N is also
+    maximized; otherwise all active users are served (N fixed).
     """
-    power_source = power_source or moment_source.powers
     if config.T < config.K + 2:
         raise InfeasibleError(
             f"weighted net rate needs T >= K + 2, got T={config.T}, K={config.K}")
     points = []  # each tau's best N, with its config and statistics
     for tau in range(config.K, config.T - 1):
         cfg = replace(config, tau_rp=tau)
-        pa = power_source(cfg)
-        active = np.flatnonzero(pa.p_star > 0)  # waterfilling powers at least one user
+        pa = waterfill(cfg.weights, *alpha_beta(cfg))
+        active = np.flatnonzero(pa.active)  # waterfilling powers at least one user
         rt = cfg.rho_r[active] * tau
         f_diag = pa.p_star[active] ** -0.5 * np.sqrt(rt / (1.0 + rt))
         stats = moment_source.weighted(f_diag, pa.p_star[active], config.M)

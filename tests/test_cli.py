@@ -246,6 +246,7 @@ def _subprocess_env():
     (["--samples", "-4"], "samples must be positive"),
     (["--seed", "-1"], "seed must be a nonnegative integer"),
     (["--workers", "0"], "workers must be at least 1"),
+    (["--seed", str(2**64)], "seed must be below 2**64"),
 ])
 def test_invalid_overrides_exit_1(tmp_path, capsys, override, message):
     spec_file = tmp_path / "spec.txt"
@@ -322,17 +323,6 @@ def test_concurrent_writers_share_one_cache(tmp_path):
     assert _manifest(out)["cache_misses"] == "0"
     csv = "fig5_weighted_net_rate.csv"
     assert (out / csv).read_bytes() == (alone / csv).read_bytes()
-
-
-def test_hetero_spec_waterfills_once_per_config(tmp_path, monkeypatch):
-    # schemes 2 and 3 scan the same 22 configs: M = 8, 16 and tau = 8..18
-    from tddmimo import rates
-    calls = []
-    waterfill = rates.waterfill
-    monkeypatch.setattr(rates, "waterfill", lambda *args: calls.append(args) or waterfill(*args))
-    spec = parse_spec((ROOT / "perfbench" / "specs" / "hetero.txt").read_text())
-    assert run_experiment(spec, tmp_path)["rows"] == 4
-    assert len(calls) == 22
 
 
 @pytest.mark.parametrize("spec_text,evaluator,workers", [
@@ -417,13 +407,18 @@ INVALID_SPECS = {
     "fig5-unread-rho_r": "preset=fig5\nM=8\nrho_r_db=-10\n",
     "fig3-rho_r-and-offset": "preset=fig3\nM=2\nT=20\nrho_r_db=-10\nrho_r_offset_db=-10\n",
     "fig5-M-below-K": "preset=fig5\nM=4\nM=8\nK=8\nT=20\n",
+    "output-manifest": "preset=fig2\nM=2\noutput=run_manifest.txt\n",
+    "output-cache": "preset=fig2\nM=2\noutput=moments_cache.txt\n",
+    "output-empty": "preset=fig2\nM=2\noutput=\n",
+    "output-in-subdirectory": "preset=fig2\nM=2\noutput=sub/x.csv\n",
+    "seed-2-to-the-64": f"preset=fig2\nM=2\nseed={2**64}\n",
 }
 
 
 @pytest.mark.parametrize("spec_text", INVALID_SPECS.values(), ids=INVALID_SPECS.keys())
 def test_invalid_spec_exits_1(tmp_path, capsys, spec_text):
     spec_file = tmp_path / "spec.txt"
-    spec_file.write_text(spec_text + "samples=100\nseed=1\n")
+    spec_file.write_text(spec_text + "samples=100\n" + ("" if "seed=" in spec_text else "seed=1\n"))
     out = tmp_path / "out"
     assert main(["validate", "--spec", str(spec_file)]) == 1
     assert "invalid spec: " in capsys.readouterr().err

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from tddmimo import (ConvergenceError, RngStream, SystemConfig, alpha_beta,
-                     draw_channel, j_objective, select_weighted_order,
-                     waterfill)
+from tddmimo import (RngStream, SystemConfig, alpha_beta, draw_channel,
+                     j_objective, select_weighted_order, waterfill)
 from tddmimo.power_opt import _powers_at
 
 
@@ -88,13 +87,26 @@ def test_waterfill_zero_weight_gets_zero_power():
     assert not pa.active[1]
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_waterfill_constraint_and_kkt(seed):
+# (seed, users or None for 2-5, leading zero weights, equal users in pairs)
+_KKT_CASES = [pytest.param(seed, None, 0, False, id=str(seed)) for seed in range(6)] + [
+    pytest.param(6, 1, 0, False, id="K1"),
+    *(pytest.param(k, k, 0, False, id=f"K{k}") for k in range(7, 12)),
+    pytest.param(12, 6, 0, True, id="tied"),
+    pytest.param(13, 9, 3, False, id="zero-weights"),
+    pytest.param(14, 11, 4, True, id="tied-zero-weights"),
+]
+
+
+@pytest.mark.parametrize("seed,k,zeros,tied", _KKT_CASES)
+def test_waterfill_constraint_and_kkt(seed, k, zeros, tied):
     rng = np.random.default_rng(seed)
-    k = int(rng.integers(2, 6))
+    k = int(rng.integers(2, 6)) if k is None else k
     w = rng.uniform(0.1, 3.0, k)
     alpha = rng.uniform(1.0, 4.0, k)
     beta = rng.uniform(0.05, 50.0, k)
+    if tied:  # users 2j and 2j+1 are equal, so their thresholds tie
+        w, alpha, beta = (np.repeat(x[:(k + 1) // 2], 2)[:k] for x in (w, alpha, beta))
+    w[:zeros] = 0.0
     pa = waterfill(w, alpha, beta)
     assert abs(alpha @ pa.p_star - 1.0) < 1e-10
     closed = np.maximum(w / (pa.lambda_star * alpha) - 1.0 / beta, 0.0)

@@ -295,7 +295,7 @@ def _ref_wt_net(cfg, scheduled, src, power_source):
     best = None
     for tau in range(cfg.K, cfg.T - 1):
         c = replace(cfg, tau_rp=tau)
-        p = power_source(c).p_star
+        p = power_source(c.weights).p_star
         active = np.flatnonzero(p > 0)
         rt = c.rho_r[active] * tau
         stats = src.weighted(p[active] ** -0.5 * np.sqrt(rt / (1.0 + rt)), p[active], c.M)
@@ -460,9 +460,9 @@ class WeightedTableSource:
         return self.est
 
 
-def _equal_powers(config):
-    return PowerAllocation(p_star=np.full(config.K, 0.5), lambda_star=1.0,
-                           active=np.ones(config.K, dtype=bool))
+def _equal_powers(w, *_):
+    """A stand-in for waterfill(w, alpha, beta): power 0.5 for every user."""
+    return PowerAllocation(p_star=np.full(np.size(w), 0.5), lambda_star=1.0)
 
 
 def _wt_rate_for(rates, w=1.0, rho_f=1.0, p=0.5):
@@ -471,7 +471,8 @@ def _wt_rate_for(rates, w=1.0, rho_f=1.0, p=0.5):
 
 
 @pytest.mark.parametrize("scheduled", [True, False])
-def test_weighted_tie_rule_matches_nested_loops(scheduled):
+def test_weighted_tie_rule_matches_nested_loops(scheduled, monkeypatch):
+    monkeypatch.setattr("tddmimo.rates.waterfill", _equal_powers)
     rng = np.random.default_rng(36)
     K = 4
     cfg = SystemConfig(M=8, K=K, T=9, tau_rp=K, rho_f=np.ones(K), rho_r=np.full(K, 1e12),
@@ -486,9 +487,8 @@ def test_weighted_tie_rule_matches_nested_loops(scheduled):
                             rng.uniform(0.0, 0.3, (K, K))),
     ]
     for src in sources:
-        rp = c_wt_net(cfg, scheduled=scheduled, moment_source=src, power_source=_equal_powers)
+        rp = c_wt_net(cfg, scheduled=scheduled, moment_source=src)
         assert (rp.rate, rp.tau_rp, rp.n_selected) == _ref_wt_net(
             cfg, scheduled, src, _equal_powers)
-    chain = c_wt_net(cfg, scheduled=True, moment_source=sources[1],
-                     power_source=_equal_powers)
+    chain = c_wt_net(cfg, scheduled=True, moment_source=sources[1])
     assert (chain.tau_rp, chain.n_selected) == (K, 3)
