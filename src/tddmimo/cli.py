@@ -9,8 +9,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiments import (CACHE_FILE, QUICK_SAMPLES, SpecValidationError,
-                          check_feasibility, parse_spec, run_experiment)
+from .experiments import (CACHE_FILE, QUICK_SAMPLES, SpecValidationError, parse_spec,
+                          run_experiment)
 from .moments import MomentCache
 
 
@@ -34,6 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="validate a spec file")
     val.add_argument("--spec", required=True)
+    val.set_defaults(seed=None, samples=None, quick=False, workers=1)  # no overrides
 
     info = sub.add_parser("cache-info", help="summarize a moment cache")
     info.add_argument("--out", default="out",
@@ -50,25 +51,18 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot read spec: {exc}", file=sys.stderr)
             return 2
+        violations = ["workers must be at least 1"] if args.workers < 1 else []
         try:
-            spec = parse_spec(text)
-            if args.command == "validate":
-                print(f"spec ok: preset={spec.preset}, output={spec.output}")
-                return 0
-            if args.seed is not None:
-                spec.seed = args.seed
-            if args.quick:
-                spec.samples = QUICK_SAMPLES
-            if args.samples is not None:
-                spec.samples = args.samples
-            violations = check_feasibility(spec) + (
-                ["workers must be at least 1"] if args.workers < 1 else [])
-            if violations:
-                raise SpecValidationError(violations)
+            spec = parse_spec(text, seed=args.seed, samples=args.samples, quick=args.quick)
         except SpecValidationError as exc:
-            for violation in exc.violations:
-                print(f"invalid spec: {violation}", file=sys.stderr)
+            violations = exc.violations + violations
+        for violation in violations:
+            print(f"invalid spec: {violation}", file=sys.stderr)
+        if violations:
             return 1
+        if args.command == "validate":
+            print(f"spec ok: preset={spec.preset}, output={spec.output}")
+            return 0
         try:
             manifest = run_experiment(spec, args.out, workers=args.workers)
         except Exception as exc:  # noqa: BLE001 - surface as exit code 2

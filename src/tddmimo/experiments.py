@@ -61,9 +61,12 @@ _SCALARS = ("preset", "tau_rp", "rho_r_offset_db", "samples", "seed", "quick", "
 _READ_BY_ALL = ("preset", "samples", "seed", "quick", "output", "scheme", "M", "rho_f_db")
 
 
-def parse_spec(text: str) -> ExperimentSpec:
+def parse_spec(text: str, *, seed: int | None = None, samples: int | None = None,
+               quick: bool = False) -> ExperimentSpec:
     """Parse and validate a key=value spec document.
 
+    seed, samples and quick are command-line values: they replace the
+    document's before validation, quick its samples and samples both.
     Raises SpecValidationError listing every problem found, not just the
     first one.
     """
@@ -78,6 +81,11 @@ def parse_spec(text: str) -> ExperimentSpec:
             continue
         key, value = (part.strip() for part in stripped.split("=", 1))
         raw.setdefault(key.lower(), []).append(value)
+    if quick:
+        raw["quick"] = ["true"]
+        raw.pop("samples", None)
+    raw.update({key: [str(v)] for key, v in (("seed", seed), ("samples", samples))
+                if v is not None})
 
     known = {key.lower() for key in _LISTS} | set(_SCALARS)
     for key in raw:

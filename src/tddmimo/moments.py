@@ -6,8 +6,8 @@ sub-stream (`RngStream.row`), form the Gram matrix of the first K rows,
 scale it by f_i f_j, order the rows best first by scores_k * ||z_k||^2
 (`scheduling.best_first`) and read phi for every served count N from the
 precoders' guarded Cholesky factor (`precoding.chi_all_n`).  The statistics
-differ only in their parameters: eta has unit scores and no F, phi_F has F
-and keeps the row order, and the weighted statistics have F and order by
+differ only in their parameters: eta has unit scores and unit F, phi_F has
+unit scores and its F, and the weighted statistics have F and order by
 p_star.  The first K rows do not depend on how many rows are drawn, so the
 Ks of one M requested together share one draw, and every statistic of one
 (seed, M) reads the same rows (common random numbers).
@@ -126,32 +126,26 @@ def _chunk(args):
     """phi_N for every N over one block, one (phi, order) per K in `ks`:
     phi[i, N-1] is the statistic of the N leading of the first K rows of
     draw i once ordered (a NaN row marks a singular draw), and order[i]
-    lists those rows best first by scores_k * ||z_k||^2, or is None when
-    `scores` is None and the rows keep their order.
+    lists those rows best first by scores_k * ||z_k||^2.
 
     Row r is drawn from RngStream(seed, block, r) and the rows are stacked
     outermost, so the first K rows, their norms and their Gram matrix are
     the same bits however many rows the block draws.  The Gram matrix of
-    the first K rows is formed in row order, scaled by f_i f_j unless
-    `f_diag` is None, and then permuted best first.
+    the first K rows is formed in row order, scaled by f_i f_j and then
+    permuted best first; `scores` and `f_diag` hold max(ks) entries.
     """
     M, ks, scores, f_diag, seed, block, count = args
     rows = np.empty((max(ks), count, M), complex)  # [row, draw, antenna]
     for r in range(len(rows)):
         rows[r] = draw_channel(1, M, RngStream(seed, block, r), count)[:, 0]
     norms = np.sum(rows.real ** 2 + rows.imag ** 2, axis=2).T  # ||z_k||^2
+    scores, f = np.asarray(scores), np.asarray(f_diag)
     draw = np.arange(count)[:, None, None]
     out = []
     for K in ks:
-        g = gram(rows[:K].swapaxes(0, 1))
-        if f_diag is not None:
-            f = np.asarray(f_diag)
-            g = g * (f[:, None] * f)
-        order = None
-        if scores is not None:
-            order = best_first(np.asarray(scores[:K]) * norms[:, :K])
-            g = g[draw, order[:, :, None], order[:, None, :]]
-        out.append((chi_all_n(g), order))
+        g = gram(rows[:K].swapaxes(0, 1)) * (f[:K, None] * f[:K])
+        order = best_first(scores[:K] * norms[:, :K])
+        out.append((chi_all_n(g[draw, order[:, :, None], order[:, None, :]]), order))
     return out
 
 
@@ -228,7 +222,7 @@ def eta_samples(M: int, K: int, samples: int, seed: int,
     """Raw eta draws indexed [sample, N-1] (a NaN row marks a discarded
     singular draw); test oracle hook."""
     _check_dims(K, M)
-    blocks = _collect(_chunk, (M, (K,), (1.0,) * K, None), samples, seed, pool)
+    blocks = _collect(_chunk, (M, (K,), (1.0,) * K, (1.0,) * K), samples, seed, pool)
     return np.concatenate([phi for [(phi, _)] in blocks])
 
 
@@ -244,19 +238,22 @@ def eta_moments(M: int, K, samples: int, seed: int, *, pool=None):
     ks = [K] if np.ndim(K) == 0 else list(K)
     for k in ks:
         _check_dims(k, M)
-    ests = _estimates((False, M, tuple(ks), (1.0,) * max(ks), None), samples, seed, pool)
+    ones = (1.0,) * max(ks)
+    ests = _estimates((False, M, tuple(ks), ones, ones), samples, seed, pool)
     return ests[0] if np.ndim(K) == 0 else ests
 
 
 def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
                   pool=None) -> MomentEstimate:
-    """Moments of phi of the N leading rows of F Z, Z of size K x M, for
-    every N <= K; entry K-1 is phi_F = (tr[(F Z Z^H F)^{-1}])^{-1/2}."""
+    """Moments of phi_F = (tr[(F Z Z^H F)^{-1}])^{-1/2}, Z of size K x M, at
+    entry K-1.  Entry N-1 < K-1 is phi of F_S Z_S for the N largest-norm
+    rows S of Z, the order eta uses, so at F = I every entry is eta's."""
     f_diag = np.asarray(f_diag, dtype=float)
     _check_dims(f_diag.size, M)
     if np.any(f_diag <= 0):
         raise ValueError("F must be positive diagonal")
-    return _estimates((False, M, (f_diag.size,), None, tuple(f_diag)), samples, seed, pool)[0]
+    return _estimates((False, M, (f_diag.size,), (1.0,) * f_diag.size, tuple(f_diag)),
+                      samples, seed, pool)[0]
 
 
 def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
@@ -311,7 +308,7 @@ class MomentCache:
     replaces it afresh.
     """
 
-    VERSION = "tddmimo-moments-cache v6"
+    VERSION = "tddmimo-moments-cache v7"
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None

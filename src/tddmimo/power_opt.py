@@ -60,19 +60,18 @@ def j_objective(p, w, alpha, beta) -> float:
     return float(w @ np.log2(1.0 + beta * p / denom))
 
 
-def _powers_at(lam: float, w, alpha, beta) -> np.ndarray:
-    return np.maximum(w / (lam * alpha) - 1.0 / beta, 0.0)
-
-
 def waterfill(w, alpha, beta) -> PowerAllocation:
     """Waterfilling maximizer of J under the normalization alpha . p = 1.
 
     With the users sorted by threshold t_i = w_i beta_i / alpha_i, best
     first, the multiplier of the n best is lambda_n = W_n / (1 + A_n), where
-    W_n and A_n are the partial sums of w and alpha / beta.  The active set is
-    the longest prefix with t_(n) > lambda_n.  In exact arithmetic it is
-    never empty: t_(1) = w_1 / a_1 > w_1 / (1 + a_1) = lambda_1 for
-    a = alpha / beta.
+    W_n and A_n are the partial sums of w and a = alpha / beta.  The active
+    set is the longest prefix with t_(n) > lambda_n, and lambda* its
+    lambda_n.  The best user is always kept: t_(1) = w_1 / a_1 > lambda_1
+    holds in exact arithmetic but fails when 1 + a_1 rounds to a_1.  The
+    active powers (w_i + sum_j (w_i a_j - w_j a_i)) / (W_n alpha_i) equal
+    w_i / (lambda* alpha_i) - 1/beta_i without cancelling two terms of
+    order 1/beta_i: one user gets 1/alpha, however small next to 1/beta.
     """
     w = np.asarray(w, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
@@ -82,11 +81,14 @@ def waterfill(w, alpha, beta) -> PowerAllocation:
     if np.any(alpha <= 0) or np.any(beta <= 0):
         raise ValueError("alpha and beta must be strictly positive")
 
+    a = alpha / beta
     thresholds = w * beta / alpha
     order = np.argsort(-thresholds, kind="stable")
-    lams = np.cumsum(w[order]) / (1.0 + np.cumsum((alpha / beta)[order]))
-    n_active = int(np.logical_and.accumulate(thresholds[order] > lams).sum())
-    active = np.zeros(w.size, dtype=bool)
-    active[order[:n_active]] = True
-    lam = float(np.sum(w[active]) / (1.0 + np.sum(alpha[active] / beta[active])))
-    return PowerAllocation(p_star=_powers_at(lam, w, alpha, beta), lambda_star=lam)
+    total_w = np.cumsum(w[order])
+    lams = total_w / (1.0 + np.cumsum(a[order]))
+    n = max(1, int(np.logical_and.accumulate(thresholds[order] > lams).sum()))
+    on = order[:n]
+    cross = np.sum(w[on, None] * a[on] - w[on] * a[on, None], axis=1)
+    p_star = np.zeros(w.size)
+    p_star[on] = np.maximum(w[on] + cross, 0.0) / (total_w[n - 1] * alpha[on])
+    return PowerAllocation(p_star=p_star, lambda_star=float(lams[n - 1]))

@@ -24,7 +24,8 @@ _TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RatePoint:
-    """A rate value with its optimizers and the moments behind it."""
+    """A rate value with its optimizers; auxiliary["prelog"] is the factor
+    (T - tau - 1) / T already in rate and std_error (1 for a sum bound)."""
 
     rate: float
     n_selected: int
@@ -135,9 +136,9 @@ class MomentSource:
 def _sum_search(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, scheduled: bool,
                 moment_source: MomentSource):
     """Optimum of prelogs[tau] * N * bound over tau in `taus`, K in `ks` with
-    K <= tau and N <= K, as (c_sum_lb's RatePoint there, its prelog).  The
-    moments of (K, N) are entry N-1 of eta(M, K) when scheduled (the N best
-    of K rows) and of eta(M, N) otherwise (N channel-independent users)."""
+    K <= tau and N <= K, prelog included.  The moments of (K, N) are entry
+    N-1 of eta(M, K) when scheduled (the N best of K rows) and of eta(M, N)
+    otherwise (N channel-independent users)."""
     stats = moment_source.eta(M, ks if scheduled else range(1, max(ks) + 1))
     est = lambda k, n: stats[k if scheduled else n]
 
@@ -152,14 +153,11 @@ def _sum_search(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, scheduled
     net = prelogs[:, None] * np.take_along_axis(sums, n_best[..., None], axis=2)[..., 0]
     t, row = divmod(int(_first_best(net.ravel())), len(ks))
     tau, k, n = int(taus[t]), ks[row], int(n_best[t, row]) + 1
-    eta = est(k, n)
-    _, mean, var, _ = eta.leave_one_out()
+    _, mean, var, _ = est(k, n).leave_one_out()
     held_out = n * _bound(rho_f, rho_r, tau, mean[:, n - 1], var[:, n - 1])
-    return RatePoint(rate=float(sums[t, row, n - 1]), n_selected=n, tau_rp=tau, K=k,
-                     std_error=_jackknife_se(held_out),
-                     auxiliary={"e_eta": float(eta.mean[n - 1]),
-                                "var_eta": float(eta.variance[n - 1]),
-                                "scheduled": scheduled}), float(prelogs[t])
+    prelog = float(prelogs[t])
+    return RatePoint(rate=prelog * float(sums[t, row, n - 1]), n_selected=n, tau_rp=tau, K=k,
+                     std_error=prelog * _jackknife_se(held_out), auxiliary={"prelog": prelog})
 
 
 def c_sum_lb(config: SystemConfig, scheduled: bool,
@@ -175,7 +173,7 @@ def c_sum_lb(config: SystemConfig, scheduled: bool,
     if config.K > min(config.M, config.tau_rp):
         raise ValueError("homogeneous runs require K <= min(M, tau_rp)")
     return _sum_search(config.M, float(config.rho_f[0]), float(config.rho_r[0]),
-                       [config.tau_rp], [config.K], np.ones(1), scheduled, moment_source)[0]
+                       [config.tau_rp], [config.K], np.ones(1), scheduled, moment_source)
 
 
 def c_net(M: int, T: int, rho_f: float, rho_r: float, scheduled: bool,
@@ -189,10 +187,8 @@ def c_net(M: int, T: int, rho_f: float, rho_r: float, scheduled: bool,
     if T < 3:
         raise InfeasibleError(f"net rate needs T >= 3, got T={T}")
     taus = np.arange(1, T - 1)
-    inner, prelog = _sum_search(M, float(rho_f), float(rho_r), taus, range(1, min(M, T - 2) + 1),
-                                (T - taus - 1) / T, scheduled, moment_source)
-    return replace(inner, rate=prelog * inner.rate, std_error=prelog * inner.std_error,
-                   auxiliary={**inner.auxiliary, "prelog": prelog})
+    return _sum_search(M, float(rho_f), float(rho_r), taus, range(1, min(M, T - 2) + 1),
+                       (T - taus - 1) / T, scheduled, moment_source)
 
 
 def c_wt_lb(config: SystemConfig, p, phi_mean: float, phi_var: float) -> float:
@@ -235,7 +231,7 @@ def c_wt_net(config: SystemConfig, scheduled: bool,
     if config.T < config.K + 2:
         raise InfeasibleError(
             f"weighted net rate needs T >= K + 2, got T={config.T}, K={config.K}")
-    points = []  # each tau's best N, with its config and statistics
+    points = []  # each tau's best N, with what its standard error needs
     for tau in range(config.K, config.T - 1):
         cfg = replace(config, tau_rp=tau)
         pa = waterfill(cfg.weights, *alpha_beta(cfg))
@@ -246,11 +242,10 @@ def c_wt_net(config: SystemConfig, scheduled: bool,
         rates = _weighted_rates(cfg, active, pa.p_star, *stats.moments)
         n_idx = int(_first_best(rates)) if scheduled else active.size - 1
         prelog = (config.T - tau - 1) / config.T
-        points.append((RatePoint(
-            rate=prelog * rates[n_idx], n_selected=n_idx + 1, tau_rp=tau, K=config.K,
-            auxiliary={"prelog": prelog, "p_star": pa.p_star.copy(),
-                       "active_users": active.copy(), "scheduled": scheduled}), cfg, stats))
-    best, cfg, stats = points[int(_first_best([point.rate for point, _, _ in points]))]
-    aux = best.auxiliary
-    held_out = _weighted_rates(cfg, aux["active_users"], aux["p_star"], *stats.leave_one_out())
-    return replace(best, std_error=aux["prelog"] * _jackknife_se(held_out[:, best.n_selected - 1]))
+        points.append((RatePoint(rate=prelog * rates[n_idx], n_selected=n_idx + 1, tau_rp=tau,
+                                 K=config.K, auxiliary={"prelog": prelog}),
+                       cfg, active, pa.p_star, stats))
+    best, cfg, active, p_star, stats = points[int(_first_best([pt[0].rate for pt in points]))]
+    held_out = _weighted_rates(cfg, active, p_star, *stats.leave_one_out())
+    return replace(best, std_error=best.auxiliary["prelog"]
+                   * _jackknife_se(held_out[:, best.n_selected - 1]))

@@ -181,6 +181,47 @@ def test_seed_and_quick_overrides(tmp_path):
     assert manifest["samples"] == "600"
 
 
+@pytest.mark.parametrize("spec_line,override,samples", [
+    ("samples=777", ["--quick"], "10000"),  # --quick beats the spec's samples
+    ("samples=777", ["--quick", "--samples", "600"], "600"),  # --samples beats both
+    ("samples=0", ["--samples", "100"], "100"),  # a replaced value is not checked
+    ("quick=maybe", ["--quick"], "10000"),
+], ids=["quick", "quick-and-samples", "replaced-samples", "replaced-quick"])
+def test_overrides_replace_spec_values(tmp_path, spec_line, override, samples):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(f"preset=custom\nM=4\nK=2\nrho_f_db=0\nrho_r_db=-10\n{spec_line}\n")
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec_file), "--out", str(out)] + override) == 0
+    assert _manifest(out)["samples"] == samples
+
+
+def test_runtime_error_exits_2(tmp_path, capsys):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(CUSTOM_SPEC)
+    out = tmp_path / "out"
+    out.write_text("a file, not a directory\n")
+    assert main(["run", "--spec", str(spec_file), "--out", str(out)]) == 2
+    assert "runtime error: " in capsys.readouterr().err
+
+
+def test_cache_info_without_cache(tmp_path, capsys):
+    assert main(["cache-info", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"no cache at {tmp_path / 'moments_cache.txt'}\n"
+
+
+def test_fig5_at_extreme_reverse_sinr(tmp_path):
+    # at -200 dB 1 + alpha/beta rounds to alpha/beta; waterfilling keeps the
+    # best user, and a rate of about 0 is reported
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text("preset=fig5\nM=8\nT=20\nrho_r_offset_db=-200\nsamples=100\nseed=1\n")
+    out = tmp_path / "out"
+    assert main(["run", "--spec", str(spec_file), "--out", str(out)]) == 0
+    rows = [row.split(",") for row in
+            (out / "fig5_weighted_net_rate.csv").read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["ok", "ok"]
+    assert all(0.0 <= float(row[4]) < 1e-12 for row in rows)
+
+
 def test_truncated_cache_recovers(tmp_path, capsys):
     spec_file = tmp_path / "spec.txt"
     # scheme 0 needs eta for K = 1, 2, 3 at M = 4; scheme 1 reuses K = 3
@@ -258,23 +299,25 @@ def test_invalid_overrides_exit_1(tmp_path, capsys, override, message):
 
 
 def test_stale_cache_version_recovers(tmp_path, capsys):
+    # v6 is the last format whose phi_F entries N < K kept the drawn row order
     spec_file = tmp_path / "spec.txt"
     spec_file.write_text(CUSTOM_SPEC)
-    out = tmp_path / "out"
-    out.mkdir()
-    cache_file = out / "moments_cache.txt"
-    cache_file.write_text("tddmimo-moments-cache v0\n"
-                          "eta,4,3,2,-,300,4,1.0,0.1,0.01,0\n")
-    run = ["run", "--spec", str(spec_file), "--out", str(out)]
-    with pytest.warns(UserWarning, match="unrecognized cache version"):
+    for version in ("v0", "v6"):
+        out = tmp_path / version
+        out.mkdir()
+        cache_file = out / "moments_cache.txt"
+        cache_file.write_text(f"tddmimo-moments-cache {version}\n"
+                              "eta,4,3,2,-,300,4,1.0,0.1,0.01,0\n")
+        run = ["run", "--spec", str(spec_file), "--out", str(out)]
+        with pytest.warns(UserWarning, match="unrecognized cache version"):
+            assert main(run) == 0
+        assert "cache_misses=3" in capsys.readouterr().out
+        first = (out / "custom_sum_bound.csv").read_bytes()
         assert main(run) == 0
-    assert "cache_misses=3" in capsys.readouterr().out
-    first = (out / "custom_sum_bound.csv").read_bytes()
-    assert main(run) == 0
-    assert "cache_misses=0" in capsys.readouterr().out
-    assert (out / "custom_sum_bound.csv").read_bytes() == first
-    lines = [line for line in cache_file.read_text().splitlines() if line]
-    assert lines[0] == tddmimo.MomentCache.VERSION and len(lines) == 4
+        assert "cache_misses=0" in capsys.readouterr().out
+        assert (out / "custom_sum_bound.csv").read_bytes() == first
+        lines = [line for line in cache_file.read_text().splitlines() if line]
+        assert lines[0] == tddmimo.MomentCache.VERSION and len(lines) == 4
 
 
 def test_manifest_counts_singular_draws_once(tmp_path):
@@ -412,13 +455,28 @@ INVALID_SPECS = {
     "output-empty": "preset=fig2\nM=2\noutput=\n",
     "output-in-subdirectory": "preset=fig2\nM=2\noutput=sub/x.csv\n",
     "seed-2-to-the-64": f"preset=fig2\nM=2\nseed={2**64}\n",
+    "line-without-equals": "preset=fig2\nM=2\nfig2\n",
+    "seed-twice": "preset=fig2\nM=2\nseed=1\nseed=2\n",
+    "M-not-a-number": "preset=fig2\nM=x\n",
+    "samples-not-an-integer": "preset=fig2\nM=2\nsamples=1.5\n",
+    "unknown-preset": "preset=fig9\nM=2\n",
+    "quick-maybe": "preset=fig2\nM=2\nquick=maybe\n",
+    "custom-without-M": "preset=custom\nK=2\nrho_f_db=0\nrho_r_db=-10\n",
+    "M-zero": "preset=fig2\nM=0\n",
+    "K-zero": "preset=custom\nM=4\nK=0\nrho_f_db=0\nrho_r_db=-10\n",
+    "fig5-negative-weight": "preset=fig5\nM=8\nweight=2,2,2,2,1,1,1,-1\n",
+    "fig5-zero-weights": "preset=fig5\nM=8\nweight=0,0,0,0,0,0,0,0\n",
+    "fig5-seven-weights": "preset=fig5\nM=8\nweight=2,2,2,2,1,1,1\n",
+    "fig5-seven-rho_f": "preset=fig5\nM=8\nrho_f_db=-4,-3,-2,-1,0,1,2\n",
+    "fig5-T-below-K-plus-2": "preset=fig5\nM=8\nT=9\n",
 }
 
 
 @pytest.mark.parametrize("spec_text", INVALID_SPECS.values(), ids=INVALID_SPECS.keys())
 def test_invalid_spec_exits_1(tmp_path, capsys, spec_text):
     spec_file = tmp_path / "spec.txt"
-    spec_file.write_text(spec_text + "samples=100\n" + ("" if "seed=" in spec_text else "seed=1\n"))
+    spec_file.write_text(spec_text + ("" if "samples=" in spec_text else "samples=100\n")
+                         + ("" if "seed=" in spec_text else "seed=1\n"))
     out = tmp_path / "out"
     assert main(["validate", "--spec", str(spec_file)]) == 1
     assert "invalid spec: " in capsys.readouterr().err

@@ -63,11 +63,13 @@ SHARED_SAMPLES = 2 * CHUNK + 17
 
 
 def test_phi_reduces_to_eta_at_identity_f():
-    # phi_F reads eta's draws; at F = I only the row order of the Gram
-    # matrix differs, and tr(G^-1) does not depend on it
+    # phi_F reads eta's draws in eta's row order, so at F = I every entry,
+    # N < K included, holds eta's sums bit for bit
     eta = eta_moments(6, 3, SHARED_SAMPLES, seed=7)
     phi = phi_f_moments(np.ones(3), 6, SHARED_SAMPLES, seed=7)
-    np.testing.assert_allclose(phi.mean[2], eta.mean[2], rtol=1e-12)
+    assert phi.singular_events == eta.singular_events
+    for name in ("group_count", "group_sum", "group_sum_sq"):
+        np.testing.assert_array_equal(getattr(phi, name), getattr(eta, name))
 
 
 def test_weighted_stats_at_unit_f_and_p_are_eta():

@@ -3,7 +3,6 @@ import pytest
 
 from tddmimo import (RngStream, SystemConfig, alpha_beta, draw_channel,
                      j_objective, select_weighted_order, waterfill)
-from tddmimo.power_opt import _powers_at
 
 
 def test_alpha_beta_values():
@@ -119,13 +118,20 @@ def test_waterfill_constraint_and_kkt(seed, k, zeros, tied):
             assert w[i] * beta[i] / alpha[i] <= pa.lambda_star + 1e-8
 
 
-def test_constraint_map_monotone_in_lambda():
-    w = np.array([1.0, 2.0, 0.5])
-    alpha = np.array([1.2, 2.0, 1.1])
-    beta = np.array([4.0, 30.0, 0.8])
-    lams = np.geomspace(1e-3, 1e3, 200)
-    totals = [alpha @ _powers_at(lam, w, alpha, beta) for lam in lams]
-    assert np.all(np.diff(totals) <= 1e-12)
+@pytest.mark.parametrize("w,alpha,beta", [
+    # 1 + alpha/beta rounds to alpha/beta (about 1e17), so lambda_1 rounds to
+    # t_1 and the prefix test can find no active user
+    ([1.0], [1e19], [100.0]),
+    ([2.0, 1.0], [1e19, 3e19], [100.0, 100.0]),
+    ([1.0, 1.0, 0.5], [2e18, 2e18, 5e18], [20.0, 20.0, 40.0]),
+    ([2.0] * 4 + [1.0] * 4, np.geomspace(1e18, 1e19, 8), np.linspace(8.0, 60.0, 8)),
+], ids=["one-user", "two-users", "tied-users", "fig5-shaped"])
+def test_waterfill_at_extreme_reverse_sinr(w, alpha, beta):
+    alpha = np.asarray(alpha, dtype=float)
+    pa = waterfill(w, alpha, beta)
+    assert np.all(np.isfinite(pa.p_star)) and np.isfinite(pa.lambda_star)
+    assert np.any(pa.p_star > 0) and np.all(pa.p_star >= 0)
+    assert abs(alpha @ pa.p_star - 1.0) < 1e-12
 
 
 def test_waterfill_beats_coarse_grid():
