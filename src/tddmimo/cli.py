@@ -9,8 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiments import (CACHE_FILE, QUICK_SAMPLES, SpecValidationError, parse_spec,
-                          run_experiment)
+from .experiments import CACHE_FILE, SpecValidationError, parse_spec, run_experiment
 from .moments import MomentCache
 
 
@@ -27,14 +26,12 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override spec seed")
     run.add_argument("--samples", type=int, default=None,
                      help="override Monte Carlo sample count")
-    run.add_argument("--quick", action="store_true",
-                     help=f"quick mode ({QUICK_SAMPLES} samples)")
     run.add_argument("--workers", type=int, default=1,
                      help="parallel sampling workers")
 
     val = sub.add_parser("validate", help="validate a spec file")
     val.add_argument("--spec", required=True)
-    val.set_defaults(seed=None, samples=None, quick=False, workers=1)  # no overrides
+    val.set_defaults(seed=None, samples=None, workers=1)  # no overrides
 
     info = sub.add_parser("cache-info", help="summarize a moment cache")
     info.add_argument("--out", default="out",
@@ -53,7 +50,7 @@ def main(argv=None) -> int:
             return 2
         violations = ["workers must be at least 1"] if args.workers < 1 else []
         try:
-            spec = parse_spec(text, seed=args.seed, samples=args.samples, quick=args.quick)
+            spec = parse_spec(text, seed=args.seed, samples=args.samples)
         except SpecValidationError as exc:
             violations = exc.violations + violations
         for violation in violations:

@@ -1,9 +1,9 @@
 """Experiment spec parsing, figure-data sweeps and CSV/manifest emission.
 
-Spec files are plain-text key=value documents; repeating a key builds a
-list.  SINRs are entered in dB and converted per cell.  CSV numbers are
-pinned to 9 significant digits so reruns with the same seed are
-byte-identical.  Each preset is one `Preset` record in `PRESETS`.
+Spec files are plain-text key=value documents over the keys of `_KEYS`; a
+list key's values add up over lines.  SINRs are entered in dB and converted
+per cell.  CSV numbers are pinned to 9 significant digits so reruns with the
+same seed are byte-identical.  Each preset is one `Preset` record in `PRESETS`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .moments import MomentCache, worker_pool
 from .rates import MomentSource, c_net, c_sum_lb, c_wt_net
 
 DEFAULT_SAMPLES = 100_000
-QUICK_SAMPLES = 10_000
 MANIFEST_FILE = "run_manifest.txt"
 CACHE_FILE = "moments_cache.txt"
 
@@ -43,7 +42,7 @@ class ExperimentSpec:
     t_list: list[int] = field(default_factory=list)
     tau_rp: int | None = None
     rho_f_db: list[float] = field(default_factory=lambda: [0.0])
-    rho_r_db: list[float] | None = None
+    rho_r_db: float | None = None
     rho_r_offset_db: float | None = None
     weights: list[float] | None = None
     schemes: list[int] = field(default_factory=list)
@@ -52,26 +51,32 @@ class ExperimentSpec:
     output: str = "sweep.csv"
 
 
-# list key (case-insensitive in a spec) -> (ExperimentSpec field, element type)
-_LISTS = {"M": ("m_list", int), "K": ("k_list", int), "T": ("t_list", int),
-          "scheme": ("schemes", int), "rho_f_db": ("rho_f_db", float),
-          "rho_r_db": ("rho_r_db", float), "weight": ("weights", float)}
-_SCALARS = ("preset", "tau_rp", "rho_r_offset_db", "samples", "seed", "quick", "output")
+# spec key (case-insensitive) -> (ExperimentSpec field, element type, list?).
+# A list key's values are split at commas and spaces, and repeating the key
+# adds to them; any other key is given at most once.
+_KEYS = {"preset": ("preset", str, False), "scheme": ("schemes", int, True),
+         "M": ("m_list", int, True), "K": ("k_list", int, True), "T": ("t_list", int, True),
+         "tau_rp": ("tau_rp", int, False), "rho_f_db": ("rho_f_db", float, True),
+         "rho_r_db": ("rho_r_db", float, False),
+         "rho_r_offset_db": ("rho_r_offset_db", float, False),
+         "weight": ("weights", float, True), "samples": ("samples", int, False),
+         "seed": ("seed", int, False), "output": ("output", str, False)}
 # keys that every preset reads; Preset.reads names the others
-_READ_BY_ALL = ("preset", "samples", "seed", "quick", "output", "scheme", "M", "rho_f_db")
+_READ_BY_ALL = ("preset", "samples", "seed", "output", "scheme", "M", "rho_f_db")
 
 
-def parse_spec(text: str, *, seed: int | None = None, samples: int | None = None,
-               quick: bool = False) -> ExperimentSpec:
+def parse_spec(text: str, *, seed: int | None = None,
+               samples: int | None = None) -> ExperimentSpec:
     """Parse and validate a key=value spec document.
 
-    seed, samples and quick are command-line values: they replace the
-    document's before validation, quick its samples and samples both.
-    Raises SpecValidationError listing every problem found, not just the
-    first one.
+    seed and samples are command-line values: they replace the document's
+    before validation.  A key given in the document replaces the preset's
+    value, even when it is empty.  Raises SpecValidationError listing every
+    problem found, not just the first one.
     """
     violations: list[str] = []
-    raw: dict[str, list[str]] = {}
+    names = {key.lower(): key for key in _KEYS}
+    raw: dict[str, list[str]] = {}  # key as in _KEYS (unknown ones lower-case) -> values
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -80,66 +85,38 @@ def parse_spec(text: str, *, seed: int | None = None, samples: int | None = None
             violations.append(f"line {lineno}: expected key=value, got {stripped!r}")
             continue
         key, value = (part.strip() for part in stripped.split("=", 1))
-        raw.setdefault(key.lower(), []).append(value)
-    if quick:
-        raw["quick"] = ["true"]
-        raw.pop("samples", None)
+        raw.setdefault(names.get(key.lower(), key.lower()), []).append(value)
     raw.update({key: [str(v)] for key, v in (("seed", seed), ("samples", samples))
                 if v is not None})
 
-    known = {key.lower() for key in _LISTS} | set(_SCALARS)
-    for key in raw:
-        if key not in known:
+    fields = {}  # ExperimentSpec field -> the spec's value
+    for key, values in raw.items():
+        if key not in _KEYS:
             violations.append(f"unknown key {key!r}")
-
-    def scalar(key, conv, default=None):
-        if key not in raw:
-            return default
-        if len(raw[key]) > 1:
+            continue
+        attr, conv, is_list = _KEYS[key]
+        if not is_list and len(values) > 1:
             violations.append(f"key {key!r} given more than once")
+        tokens = " ".join(values).replace(",", " ").split() if is_list else values[-1:]
         try:
-            return conv(raw[key][-1])
-        except ValueError:
-            violations.append(f"key {key!r}: cannot parse {raw[key][-1]!r}")
-            return default
+            parsed = [conv(token) for token in tokens]
+        except ValueError as exc:  # e.g. "invalid literal for int() with base 10: 'x'"
+            violations.append(f"key {key!r}: {exc}")
+            continue
+        fields[attr] = parsed if is_list else parsed[0]
 
-    def numlist(key, conv):
-        out = []
-        for v in raw.get(key, []):
-            for tok in v.replace(",", " ").split():
-                try:
-                    out.append(conv(tok))
-                except ValueError:
-                    violations.append(f"key {key!r}: cannot parse {tok!r}")
-        return out
-
-    preset = scalar("preset", str, "custom")
+    preset = fields.pop("preset", "custom")
     if preset in PRESETS:
         reads = _READ_BY_ALL + PRESETS[preset].reads
-        violations += [f"{preset} does not read key {key!r}" for key in (*_LISTS, *_SCALARS)
-                       if key.lower() in raw and key not in reads]
+        violations += [f"{preset} does not read key {key!r}" for key in raw
+                       if key in _KEYS and key not in reads]
     else:
         violations.append(f"preset must be one of {tuple(PRESETS)}, got {preset!r}")
         preset = "custom"
     if "rho_r_db" in raw and "rho_r_offset_db" in raw:
         violations.append("give rho_r_db or rho_r_offset_db, not both")
 
-    fields = copy.deepcopy(PRESETS[preset].defaults)
-    for key, (attr, conv) in _LISTS.items():
-        values = numlist(key.lower(), conv)
-        if values:
-            fields[attr] = values
-
-    spec = ExperimentSpec(preset=preset, **fields)
-    for key, conv in (("tau_rp", int), ("rho_r_offset_db", float), ("samples", int),
-                      ("seed", int), ("output", str)):
-        setattr(spec, key, scalar(key, conv, getattr(spec, key)))
-    quick = scalar("quick", str, "false").lower()
-    if quick not in ("true", "1", "yes", "false", "0", "no"):
-        violations.append(f"key 'quick': expected true/false, got {quick!r}")
-    elif quick in ("true", "1", "yes") and "samples" not in raw:
-        spec.samples = QUICK_SAMPLES
-
+    spec = ExperimentSpec(preset=preset, **(copy.deepcopy(PRESETS[preset].defaults) | fields))
     violations.extend(check_feasibility(spec))
     if violations:
         raise SpecValidationError(violations)
@@ -150,18 +127,20 @@ def check_feasibility(spec: ExperimentSpec) -> list[str]:
     """All feasibility violations of a parsed spec (empty list when valid)."""
     preset = PRESETS[spec.preset]
     v: list[str] = []
-    if not spec.m_list:
-        v.append("M list must be nonempty")
+    for key in _READ_BY_ALL + preset.reads:
+        attr, _, is_list = _KEYS[key]
+        n = len(getattr(spec, attr) or []) if is_list else 1
+        if n == 0 or n > 1 and key not in preset.lists:
+            least = "at least " if key in preset.lists else ""
+            v.append(f"{spec.preset} needs {least}one {key} value, got {n}")
     if any(m < 1 for m in spec.m_list):
         v.append("all M must be positive")
     if any(k < 1 for k in spec.k_list):
         v.append("all K must be positive")
-    if not spec.rho_f_db:
-        v.append("rho_f_db list must be nonempty")
-    if spec.rho_r_db is None and spec.rho_r_offset_db is None:
-        v.append("either rho_r_db or rho_r_offset_db is required")
     offset = spec.rho_r_offset_db
-    reverse = (spec.rho_r_db or []) if offset is None else [f + offset for f in spec.rho_f_db]
+    if offset is None and spec.rho_r_db is None:
+        v.append("either rho_r_db or rho_r_offset_db is required")
+    reverse = [spec.rho_r_db or 0.0] if offset is None else [f + offset for f in spec.rho_f_db]
     with np.errstate(over="ignore"):
         linear = db_to_linear(np.asarray([*spec.rho_f_db, *reverse], dtype=float))
     if not np.all((linear > 0) & np.isfinite(linear)):
@@ -186,10 +165,6 @@ def check_feasibility(spec: ExperimentSpec) -> list[str]:
             v.append("at least one weight must be positive")
     v += [f"{spec.preset} evaluates schemes {'/'.join(map(str, preset.schemes))},"
           f" not scheme {s}" for s in spec.schemes if s not in preset.schemes]
-    counts = {key: len(getattr(spec, attr) or []) for key, (attr, _) in _LISTS.items()}
-    v += [f"{spec.preset} reads one {key} value, got {n}" for key, n in counts.items()
-          if n > 1 and key not in preset.lists]
-    v += [f"{spec.preset} preset requires {key}" for key in preset.requires if not counts[key]]
     v += [f"T must be at least 3, got {t}" for t in spec.t_list if t < 3]
     return v + list(preset.rules(spec))
 
@@ -203,7 +178,7 @@ def _fmt(x) -> str:
 def _rho_r_db_for(spec: ExperimentSpec, rho_f_db):
     if spec.rho_r_offset_db is not None:
         return np.asarray(rho_f_db, dtype=float) + spec.rho_r_offset_db
-    return np.asarray(spec.rho_r_db[0], dtype=float)  # every preset reads one value
+    return np.asarray(spec.rho_r_db, dtype=float)
 
 
 # Evaluators look c_sum_lb, c_net and c_wt_net up when called, so that
@@ -269,8 +244,8 @@ class Preset:
     """One sweep.  `cells(spec)` yields each row's leading columns as a dict
     keyed by header name; `evaluate(spec, source, **cell)` returns the columns
     up to `status`.  A spec may give the keys every preset reads and those in
-    `reads`; list keys outside `lists` take one value, those in `requires`
-    must be given, and `rules(spec)` yields further violations."""
+    `reads`.  Each list key it reads needs one value, or at least one if the
+    key is in `lists`, and `rules(spec)` yields further violations."""
 
     defaults: dict
     header: str
@@ -279,13 +254,12 @@ class Preset:
     evaluate: Callable
     reads: tuple[str, ...]
     lists: tuple[str, ...]
-    requires: tuple[str, ...] = ()
     rules: Callable = lambda spec: ()
 
 
 PRESETS: dict[str, Preset] = {
     "fig2": Preset(
-        dict(m_list=[4, 8, 16], rho_f_db=[0.0], rho_r_db=[-10.0], schemes=[0, 1],
+        dict(m_list=[4, 8, 16], rho_f_db=[0.0], rho_r_db=-10.0, schemes=[0, 1],
              output="fig2_sum_bound.csv"),
         "scheme,M,K,N_star,rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, M=m, K=k) for s in spec.schemes
@@ -293,12 +267,11 @@ PRESETS: dict[str, Preset] = {
         _sum_bound, reads=("rho_r_db", "rho_r_offset_db"), lists=("scheme", "M")),
     "fig3": Preset(
         dict(m_list=[2, 4, 6, 8, 10, 12, 14, 16], t_list=[20, 30], rho_f_db=[0.0],
-             rho_r_db=[-10.0], schemes=[0, 1], output="fig3_net_rate.csv"),
+             rho_r_db=-10.0, schemes=[0, 1], output="fig3_net_rate.csv"),
         "scheme,T,M,K_star,tau_star,N_star,net_rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, T=t, M=m) for s in spec.schemes
                       for t in spec.t_list for m in spec.m_list),
-        _net_rate, reads=("T", "rho_r_db", "rho_r_offset_db"), lists=("scheme", "T", "M"),
-        requires=("T",)),
+        _net_rate, reads=("T", "rho_r_db", "rho_r_offset_db"), lists=("scheme", "T", "M")),
     "fig4": Preset(
         dict(m_list=[32], t_list=[20],
              rho_f_db=[-10.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
@@ -306,8 +279,7 @@ PRESETS: dict[str, Preset] = {
         "scheme,rho_f_db,M,K_star,tau_star,N_star,net_rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, rho_f_db=f, M=m) for s in spec.schemes
                       for f in spec.rho_f_db for m in spec.m_list),
-        _net_rate, reads=("T", "rho_r_offset_db"), lists=("scheme", "rho_f_db", "M"),
-        requires=("T",)),
+        _net_rate, reads=("T", "rho_r_offset_db"), lists=("scheme", "rho_f_db", "M")),
     "fig5": Preset(
         dict(m_list=[8, 12, 16, 24], k_list=[8], t_list=[20],
              rho_f_db=[-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0],
@@ -316,7 +288,7 @@ PRESETS: dict[str, Preset] = {
         "scheme,M,tau_star,N_star,wt_net_rate,std_error,status", (2, 3),
         lambda spec: (dict(scheme=s, M=m) for s in spec.schemes for m in spec.m_list),
         _weighted_net_rate, reads=("K", "T", "rho_r_offset_db", "weight"),
-        lists=("scheme", "M", "rho_f_db", "weight"), requires=("T",), rules=_fig5_rules),
+        lists=("scheme", "M", "rho_f_db", "weight"), rules=_fig5_rules),
     "custom": Preset(
         dict(m_list=[], schemes=[0, 1], output="custom_sum_bound.csv"),
         "scheme,M,K,tau_rp,N_star,rate,std_error,status", (0, 1),
@@ -324,7 +296,7 @@ PRESETS: dict[str, Preset] = {
                            tau_rp=spec.tau_rp if spec.tau_rp is not None else k)
                       for s in spec.schemes for m in spec.m_list for k in spec.k_list),
         _sum_bound, reads=("K", "tau_rp", "rho_r_db", "rho_r_offset_db"),
-        lists=("scheme", "M", "K"), requires=("K",), rules=_custom_rules),
+        lists=("scheme", "M", "K"), rules=_custom_rules),
 }
 
 

@@ -34,6 +34,7 @@ leave-one-out moments of the jackknife in `rates`; MomentCache holds them all.
 from __future__ import annotations
 
 import hashlib
+import os
 import warnings
 import zlib
 from collections import Counter
@@ -150,11 +151,11 @@ def _chunk(args):
 
 
 def worker_pool(workers: int):
-    """A process pool of `workers` processes for the statistics of one run,
-    or a context that yields None (sample in-process) when workers <= 1.
-    The pool starts its processes at the first task, so a run that samples
-    nothing starts none."""
-    return ProcessPoolExecutor(workers) if workers > 1 else nullcontext()
+    """A process pool for the statistics of one run, of `workers` processes
+    but no more than the machine's CPUs, or a context that yields None
+    (sample in-process) when workers <= 1.  The pool starts all its
+    processes at the first task, so a run that samples nothing starts none."""
+    return ProcessPoolExecutor(min(workers, os.cpu_count() or 1)) if workers > 1 else nullcontext()
 
 
 def _collect(kernel, params: tuple, samples: int, seed: int, pool) -> list:

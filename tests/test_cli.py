@@ -22,15 +22,10 @@ def test_parse_preset_defaults():
 
 
 def test_parse_overrides_and_lists():
-    spec = parse_spec("preset=fig2\nM=4\nM=8\nsamples=500\nseed=9\nquick=false\n")
+    spec = parse_spec("preset=fig2\nM=4\nM=8\nsamples=500\nseed=9\n")
     assert spec.m_list == [4, 8]
     assert spec.samples == 500
     assert spec.seed == 9
-
-
-def test_quick_mode_sample_default():
-    spec = parse_spec("preset=fig2\nquick=true\n")
-    assert spec.samples == 10_000
 
 
 def test_validation_collects_all_violations():
@@ -182,11 +177,8 @@ def test_seed_and_quick_overrides(tmp_path):
 
 
 @pytest.mark.parametrize("spec_line,override,samples", [
-    ("samples=777", ["--quick"], "10000"),  # --quick beats the spec's samples
-    ("samples=777", ["--quick", "--samples", "600"], "600"),  # --samples beats both
     ("samples=0", ["--samples", "100"], "100"),  # a replaced value is not checked
-    ("quick=maybe", ["--quick"], "10000"),
-], ids=["quick", "quick-and-samples", "replaced-samples", "replaced-quick"])
+], ids=["replaced-samples"])
 def test_overrides_replace_spec_values(tmp_path, spec_line, override, samples):
     spec_file = tmp_path / "spec.txt"
     spec_file.write_text(f"preset=custom\nM=4\nK=2\nrho_f_db=0\nrho_r_db=-10\n{spec_line}\n")
@@ -469,6 +461,14 @@ INVALID_SPECS = {
     "fig5-seven-weights": "preset=fig5\nM=8\nweight=2,2,2,2,1,1,1\n",
     "fig5-seven-rho_f": "preset=fig5\nM=8\nrho_f_db=-4,-3,-2,-1,0,1,2\n",
     "fig5-T-below-K-plus-2": "preset=fig5\nM=8\nT=9\n",
+    # an empty value replaces the preset's and is an error
+    "fig3-empty-M": "preset=fig3\nM=\n",
+    "fig3-empty-T": "preset=fig3\nM=2\nT=\n",
+    "fig3-empty-scheme": "preset=fig3\nM=2\nscheme=\n",
+    "fig5-empty-rho_f": "preset=fig5\nM=8\nrho_f_db=\n",
+    "fig5-empty-weight": "preset=fig5\nM=8\nweight=\n",
+    "fig2-empty-rho_r": "preset=fig2\nM=2\nrho_r_db=\n",
+    "fig2-empty-rho_f": "preset=fig2\nM=2\nrho_f_db=\n",
 }
 
 
@@ -515,6 +515,16 @@ def _readme_spec():
     readme = (ROOT / "README.md").read_text()
     blocks = readme.split("```")[1::2]
     return next(block for block in blocks if block.lstrip().startswith("preset="))
+
+
+def test_readme_library_examples_run():
+    # README's python blocks run in order in one namespace; at 3,000 samples
+    # each statistic has two 2048-draw blocks, so the pool is used
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(block.split("```", 1)[0].replace("100_000", "3_000"), namespace)
 
 
 @pytest.mark.parametrize("spec_path", sorted((ROOT / "perfbench" / "specs").glob("*.txt"))

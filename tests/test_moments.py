@@ -1,10 +1,11 @@
 import math
+import os
 import warnings
 
 import numpy as np
 import pytest
 
-from tddmimo import (MomentCache, MomentKey, RngStream, chi_of, draw_channel,
+from tddmimo import (MomentCache, MomentKey, RngStream, chi_of, draw_channel, moments,
                      eta_moments, phi_f_moments, weighted_phi_stats)
 from tddmimo.moments import (CHUNK, GROUPS, _checksum, _chunk, eta_samples, f_fingerprint,
                              worker_pool)
@@ -126,6 +127,19 @@ def test_worker_count_independence():
     for a, b in zip(serial, pooled):
         for name, value in vars(a).items():
             np.testing.assert_array_equal(getattr(b, name), value)
+
+
+def test_pool_size_is_bounded_by_cpu_count(monkeypatch):
+    # a stand-in that records the size and starts no process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+
+    monkeypatch.setattr(moments, "ProcessPoolExecutor", RecordingPool)
+    worker_pool(10**6)
+    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
 
 
 def test_eta_batch_matches_each_k_alone():
