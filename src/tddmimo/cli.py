@@ -44,8 +44,8 @@ def main(argv=None) -> int:
 
     if args.command in ("run", "validate"):
         try:
-            text = Path(args.spec).read_text()
-        except OSError as exc:
+            text = Path(args.spec).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read spec: {exc}", file=sys.stderr)
             return 2
         violations = ["workers must be at least 1"] if args.workers < 1 else []

@@ -11,7 +11,3 @@ class SingularChannelError(ArithmeticError):
 
 class ExcessSingularDrawsError(RuntimeError):
     """More than 0.1% of Monte Carlo draws were singular; run aborted."""
-
-
-class InfeasibleError(ValueError):
-    """No feasible (K, tau_rp) cell exists for the given coherence interval."""

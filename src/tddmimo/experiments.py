@@ -156,7 +156,7 @@ def check_feasibility(spec: ExperimentSpec) -> list[str]:
         v.append(f"output must be a file name without a directory, got {spec.output!r}")
     elif spec.output in (MANIFEST_FILE, CACHE_FILE):
         v.append(f"output {spec.output!r} is a file the run writes itself")
-    if spec.weights is not None:
+    if spec.weights:
         if not np.all(np.isfinite(spec.weights)):
             v.append("weights must be finite")
         elif any(w < 0 for w in spec.weights):
@@ -227,9 +227,9 @@ def _custom_rules(spec: ExperimentSpec):
 
 def _fig5_rules(spec: ExperimentSpec):
     for k in spec.k_list:
-        if spec.weights is not None and len(spec.weights) != k:
+        if spec.weights and len(spec.weights) != k:
             yield f"fig5 needs one weight per user (K={k}, {len(spec.weights)} weights)"
-        if len(spec.rho_f_db) != k:
+        if spec.rho_f_db and len(spec.rho_f_db) != k:
             yield f"fig5 needs one forward SINR per user (K={k}, {len(spec.rho_f_db)} values)"
         for t in spec.t_list:
             if t < k + 2:
@@ -301,19 +301,13 @@ PRESETS: dict[str, Preset] = {
 
 
 def _sweep_rows(spec: ExperimentSpec, source: MomentSource):
-    """(header, rows) for the spec's sweep.  A cell whose evaluation raises
-    ValueError (InfeasibleError is one) gets blanks up to `status`, which
-    reads `infeasible: <reason>`."""
+    """(header, rows) for the spec's sweep.  `status` always reads ok: an
+    evaluator's ValueError fails the run, and a spec that passes validation
+    raises none."""
     preset = PRESETS[spec.preset]
     rows = []
     for cell in preset.cells(spec):
-        lead = list(cell.values())
-        try:
-            rest = preset.evaluate(spec, source, **cell) + ["ok"]
-        except ValueError as exc:
-            blanks = preset.header.count(",") - len(lead)  # columns before status
-            rest = [""] * blanks + [f"infeasible: {exc}"]
-        rows.append(lead + rest)
+        rows.append(list(cell.values()) + preset.evaluate(spec, source, **cell) + ["ok"])
     return preset.header, rows
 
 

@@ -8,14 +8,14 @@ and guards every draw against cond(G) > COND_LIMIT.  The guard is certified
 first: a draw with tr(G) tr(G^{-1}) <= COND_LIMIT passes without its
 eigenvalues, and only a stack with a draw that fails the certificate pays
 for `eigvalsh`.  The Monte Carlo kernel reads the factor through
-`chi_all_n`; the precoders raise SingularChannelError when a draw fails the
-guard, so callers can resample and count the event.
+`chi_all_n`.  The precoders return (A, chi) as arrays and raise
+SingularChannelError when a draw fails the guard, so callers can resample
+and count the event.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +23,6 @@ from .channel_model import RngStream, draw_channel
 from .errors import SingularChannelError
 
 COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class PrecodingMatrix:
-    """M x N pre-conditioning matrix (or a stack of them) with tr(A^H A) = 1."""
-
-    a: np.ndarray
 
 
 def gram(h: np.ndarray) -> np.ndarray:
@@ -88,8 +81,8 @@ def chi_of(h_hat_s: np.ndarray):
     return pinv_precoder(h_hat_s)[1]
 
 
-def pinv_precoder(h_hat_s: np.ndarray) -> tuple[PrecodingMatrix, float]:
-    """Normalized pseudo-inverse precoder and its gain statistic chi.
+def pinv_precoder(h_hat_s: np.ndarray) -> tuple[np.ndarray, float]:
+    """Normalized pseudo-inverse precoder A (M x N) and its gain statistic chi.
 
     A = H^H L^{-H} L^{-1} / sqrt(tr[(H H^H)^{-1}]), so that tr(A^H A) = 1 and
     H A = chi * I_N with chi real positive.  A stack gives stacked A and chi.
@@ -102,10 +95,10 @@ def pinv_precoder(h_hat_s: np.ndarray) -> tuple[PrecodingMatrix, float]:
     tr = tr_inv[:, -1].reshape(h.shape[:-2])
     g_inv = l_inv.conj().swapaxes(-1, -2) @ l_inv
     a = h.conj().swapaxes(-1, -2) @ g_inv / np.sqrt(tr)[..., None, None]
-    return PrecodingMatrix(a=a), tr ** -0.5
+    return a, tr ** -0.5
 
 
-def modified_precoder(h_hat: np.ndarray, p: np.ndarray) -> tuple[PrecodingMatrix, float]:
+def modified_precoder(h_hat: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
     """Heterogeneous precoder built from H_D = diag(p^{-1/2}) H_hat.
 
     Requires strictly positive powers, p.shape == h_hat.shape[:-1]; zero-power
@@ -121,14 +114,14 @@ def modified_precoder(h_hat: np.ndarray, p: np.ndarray) -> tuple[PrecodingMatrix
     return pinv_precoder((p ** -0.5)[..., None] * h)
 
 
-def simulate_forward(h_s: np.ndarray, a: PrecodingMatrix, q: np.ndarray,
+def simulate_forward(h_s: np.ndarray, a: np.ndarray, q: np.ndarray,
                      rho_f, rng: RngStream, *, _noise: np.ndarray | None = None) -> np.ndarray:
     """Received vector x_f = E_f H_S A q + w_f at the selected users (per
     channel of a stack).  `rho_f` is a scalar or per-user array of forward
     SINRs; `_noise` is a test hook overriding the CN(0,1) noise draw."""
     lead, (n, m) = h_s.shape[:-2], h_s.shape[-2:]
-    if a.a.shape != lead + (m, n):
-        raise ValueError(f"precoder has shape {a.a.shape}, expected {lead + (m, n)}")
+    if a.shape != lead + (m, n):
+        raise ValueError(f"precoder has shape {a.shape}, expected {lead + (m, n)}")
     q = np.asarray(q)
     if q.shape != lead + (n,):
         raise ValueError(f"q must have shape {lead + (n,)}")
@@ -137,4 +130,4 @@ def simulate_forward(h_s: np.ndarray, a: PrecodingMatrix, q: np.ndarray,
            else np.asarray(_noise))
     if w_f.shape != q.shape:
         raise ValueError("noise hook has wrong shape")
-    return np.sqrt(rho) * (h_s @ a.a @ q[..., None])[..., 0] + w_f
+    return np.sqrt(rho) * (h_s @ a @ q[..., None])[..., 0] + w_f

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel_model import SystemConfig
-from .errors import InfeasibleError
 from .moments import (MomentCache, MomentEstimate, MomentKey, eta_moments,
                       f_fingerprint, phi_f_moments, weighted_phi_stats)
 from .power_opt import alpha_beta, waterfill
@@ -185,7 +184,7 @@ def c_net(M: int, T: int, rho_f: float, rho_r: float, scheduled: bool,
     the smallest K.
     """
     if T < 3:
-        raise InfeasibleError(f"net rate needs T >= 3, got T={T}")
+        raise ValueError(f"net rate needs T >= 3, got T={T}")
     taus = np.arange(1, T - 1)
     return _sum_search(M, float(rho_f), float(rho_r), taus, range(1, min(M, T - 2) + 1),
                        (T - taus - 1) / T, scheduled, moment_source)
@@ -229,7 +228,7 @@ def c_wt_net(config: SystemConfig, scheduled: bool,
     maximized; otherwise all active users are served (N fixed).
     """
     if config.T < config.K + 2:
-        raise InfeasibleError(
+        raise ValueError(
             f"weighted net rate needs T >= K + 2, got T={config.T}, K={config.K}")
     points = []  # each tau's best N, with what its standard error needs
     for tau in range(config.K, config.T - 1):

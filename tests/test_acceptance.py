@@ -46,10 +46,10 @@ def test_criterion_1_exact_identities():
         failures.append("pilot columns not orthonormal")
 
     h = draw_channel(3, 8, RngStream(5))
-    pm, chi = pinv_precoder(h)
-    if abs(np.trace(pm.a.conj().T @ pm.a) - 1.0) > 1e-10:
+    a, chi = pinv_precoder(h)
+    if abs(np.trace(a.conj().T @ a) - 1.0) > 1e-10:
         failures.append("precoder power not normalized")
-    if np.abs(h @ pm.a - chi * np.eye(3)).max() > 1e-8:
+    if np.abs(h @ a - chi * np.eye(3)).max() > 1e-8:
         failures.append("precoder does not diagonalize the channel")
 
     # the per-user bound written in chi moments must equal the same bound

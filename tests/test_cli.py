@@ -86,8 +86,9 @@ def test_rerun_is_bit_exact(tmp_path):
     assert a == b
 
 
-def test_infeasible_cell_becomes_status_row(tmp_path):
-    # a valid spec has no infeasible cell, so each spec is changed after parsing
+def test_evaluator_error_fails_run(tmp_path):
+    # a valid spec makes no evaluator raise, so each spec is changed after
+    # parsing; the run stops at the library's ValueError and writes no CSV
     spec = parse_spec("preset=fig3\nT=3\nM=2\nsamples=500\n")
     spec.t_list = [2, 3]
     fig5 = parse_spec("preset=fig5\nM=8\nsamples=100\n")
@@ -95,18 +96,17 @@ def test_infeasible_cell_becomes_status_row(tmp_path):
     custom = parse_spec(CUSTOM_SPEC)
     custom.tau_rp = 2
     expected = [
-        (spec, "0,2,2,,,,,,infeasible: net rate needs T >= 3, got T=2"),
-        (fig5, "2,8,,,,,infeasible: weighted net rate needs T >= K + 2, got T=9, K=8"),
-        (custom, "0,4,3,2,,,,infeasible: orthonormal pilots require K <= tau_rp,"
-                 " got K=3, tau_rp=2"),
+        (spec, "net rate needs T >= 3, got T=2"),
+        (fig5, "weighted net rate needs T >= K + 2, got T=9, K=8"),
+        (custom, "orthonormal pilots require K <= tau_rp, got K=3, tau_rp=2"),
     ]
-    for case, row in expected:
-        run_experiment(case, tmp_path / case.preset)
-        rows = (tmp_path / case.preset / case.output).read_text().splitlines()[1:]
-        assert row in rows
-        assert all(r.endswith(",ok") or ",infeasible: " in r for r in rows)
-    rows = (tmp_path / "fig3" / spec.output).read_text().splitlines()[1:]
-    assert [r.split(",")[1] for r in rows if r.endswith(",ok")] == ["3", "3"]
+    for case, message in expected:
+        out = tmp_path / case.preset
+        with pytest.raises(ValueError) as exc:
+            run_experiment(case, out)
+        assert str(exc.value) == message
+        assert not (out / case.output).exists()
+        assert not (out / "run_manifest.txt").exists()
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -130,6 +130,16 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["validate", "--spec", str(bad)]) == 1
     assert main(["validate", "--spec", str(spec_file)]) == 0
     assert main(["run", "--spec", str(tmp_path / "missing.txt")]) == 2
+
+
+def test_spec_not_utf8_exits_2(tmp_path, capsys):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_bytes(b"preset=fig2\nM=4\n# \xff\n")
+    out = tmp_path / "out"
+    for argv in (["validate"], ["run", "--out", str(out)]):
+        assert main(argv + ["--spec", str(spec_file)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read spec: 'utf-8' codec")
+    assert not out.exists()
 
 
 def _custom_rows(tmp_path, samples):
@@ -485,6 +495,15 @@ def test_invalid_spec_exits_1(tmp_path, capsys, spec_text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["weight", "rho_f_db"])
+def test_empty_fig5_list_gives_one_message(key):
+    # the count rule's message only: no sign or per-user length check runs
+    # on an empty list
+    with pytest.raises(SpecValidationError) as exc:
+        parse_spec(f"preset=fig5\nM=8\n{key}=\n")
+    assert exc.value.violations == [f"fig5 needs at least one {key} value, got 0"]
+
+
 @pytest.mark.parametrize("spec_text,header,cells", [
     ("preset=fig2\nM=2\n", "scheme,M,K,N_star,rate,std_error,status",
      ["0,2,1", "0,2,2", "1,2,1", "1,2,2"]),
@@ -525,6 +544,13 @@ def test_readme_library_examples_run():
     namespace = {}
     for block in blocks:
         exec(block.split("```", 1)[0].replace("100_000", "3_000"), namespace)
+
+
+def test_public_names_resolve():
+    assert [name for name in tddmimo.__all__ if not hasattr(tddmimo, name)] == []
+    namespace = {}
+    exec("from tddmimo import *", namespace)
+    assert set(tddmimo.__all__) <= set(namespace)
 
 
 @pytest.mark.parametrize("spec_path", sorted((ROOT / "perfbench" / "specs").glob("*.txt"))

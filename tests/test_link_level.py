@@ -43,7 +43,7 @@ def _run_link(cfg, scores_of, precoder, seed):
         q = draw_channel(1, n, RngStream(seed, 2 * n), BLOCKS)[:, 0]
         q /= np.abs(q)  # unit-power symbols
         x = simulate_forward(h_s, a, q, cfg.rho_f[served], RngStream(seed, 2 * n + 1))
-        runs.append((served, np.einsum("bnm,bmn->bn", h_s, a.a).real, x, q))
+        runs.append((served, np.einsum("bnm,bmn->bn", h_s, a).real, x, q))
     return runs
 
 

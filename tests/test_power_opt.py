@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tddmimo import (RngStream, SystemConfig, alpha_beta, draw_channel,
-                     j_objective, select_weighted_order, waterfill)
+                     j_objective, waterfill)
+from tddmimo.scheduling import best_first
 
 
 def test_alpha_beta_values():
@@ -161,7 +162,6 @@ def test_selection_invariant_to_power_scale():
                        rho_r=np.array([0.05, 0.1, 0.2]))
     alpha, beta = alpha_beta(cfg)
     pa = waterfill(cfg.weights, alpha, beta)
-    h = draw_channel(3, 8, RngStream(77))
-    sel = select_weighted_order(h, pa.p_star, cfg, 2)
-    sel_scaled = select_weighted_order(h, 42.0 * pa.p_star, cfg, 2)
-    assert sel == sel_scaled
+    z_sq = np.sum(np.abs(draw_channel(3, 8, RngStream(77))) ** 2, axis=1)  # ||z_k||^2
+    np.testing.assert_array_equal(best_first(pa.p_star * z_sq),
+                                  best_first(42.0 * pa.p_star * z_sq))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tddmimo import (PrecodingMatrix, RngStream, SingularChannelError, SystemConfig,
+from tddmimo import (RngStream, SingularChannelError, SystemConfig,
                      build_pilots, chi_of, draw_channel, eta_moments,
                      lmmse_estimate, modified_precoder, pinv_precoder,
                      simulate_forward, simulate_reverse_pilots)
@@ -15,14 +15,14 @@ def test_identity_channel():
     h = np.hstack([np.eye(3), np.zeros((3, 2))]).astype(complex)
     a, chi = pinv_precoder(h)
     assert chi == pytest.approx(1 / np.sqrt(3), abs=1e-12)
-    assert np.allclose(a.a, np.vstack([np.eye(3), np.zeros((2, 3))]) / np.sqrt(3))
+    assert np.allclose(a, np.vstack([np.eye(3), np.zeros((2, 3))]) / np.sqrt(3))
 
 
 def test_diagonal_example():
     a, chi = pinv_precoder(np.diag([2.0, 1.0]).astype(complex))
     assert chi == pytest.approx(0.894427191, abs=1e-8)
-    assert np.allclose(a.a, np.diag([0.4472135955, 0.894427191]), atol=1e-8)
-    assert np.trace(a.a.conj().T @ a.a).real == pytest.approx(1.0, abs=1e-10)
+    assert np.allclose(a, np.diag([0.4472135955, 0.894427191]), atol=1e-8)
+    assert np.trace(a.conj().T @ a).real == pytest.approx(1.0, abs=1e-10)
 
 
 def test_single_row_is_matched_filter():
@@ -30,7 +30,7 @@ def test_single_row_is_matched_filter():
     a, chi = pinv_precoder(h)
     norm = np.linalg.norm(h)
     assert chi == pytest.approx(norm, rel=1e-12)
-    assert np.allclose(a.a[:, 0], h[0].conj() / norm, atol=1e-12)
+    assert np.allclose(a[:, 0], h[0].conj() / norm, atol=1e-12)
 
 
 def test_chi_examples():
@@ -50,8 +50,8 @@ def test_diagonalization_and_normalization(seed):
     h = random_full_rank(4, 7, 100 + seed)
     a, chi = pinv_precoder(h)
     assert chi > 0
-    assert np.abs(h @ a.a - chi * np.eye(4)).max() < 1e-8
-    assert abs(np.trace(a.a.conj().T @ a.a).real - 1.0) < 1e-10
+    assert np.abs(h @ a - chi * np.eye(4)).max() < 1e-8
+    assert abs(np.trace(a.conj().T @ a).real - 1.0) < 1e-10
 
 
 def test_singular_channel_raises():
@@ -66,7 +66,7 @@ def test_modified_equal_powers_matches_plain():
     h = random_full_rank(3, 6, 7)
     a_plain, chi = pinv_precoder(h)
     a_mod, phi = modified_precoder(h, np.full(3, 2.7))
-    assert np.abs(a_mod.a - a_plain.a).max() < 1e-10
+    assert np.abs(a_mod - a_plain).max() < 1e-10
     # D = c*I rescales the statistic but not the precoder
     assert phi == pytest.approx(chi / np.sqrt(2.7), rel=1e-10)
 
@@ -75,14 +75,14 @@ def test_modified_single_user():
     h = random_full_rank(1, 5, 8)
     a_plain, _ = pinv_precoder(h)
     a_mod, phi = modified_precoder(h, np.array([4.0]))
-    assert np.abs(a_mod.a - a_plain.a).max() < 1e-10
+    assert np.abs(a_mod - a_plain).max() < 1e-10
     assert phi == pytest.approx(np.linalg.norm(h) / 2, rel=1e-10)
 
 
 def test_modified_extreme_power_ratio_is_finite():
     h = random_full_rank(2, 6, 9)
     a, phi = modified_precoder(h, np.array([1.0, 1e-8]))
-    assert np.all(np.isfinite(a.a))
+    assert np.all(np.isfinite(a))
     # tr[(H_D H_D^H)^{-1}] >= 1/||row 1||^2 bounds phi by the unscaled row
     assert 0 < phi <= np.linalg.norm(h[0]) + 1e-9
 
@@ -98,9 +98,9 @@ def test_modified_diagonalizes_scaled_channel():
     p = np.array([0.5, 2.0, 1.25])
     a, phi = modified_precoder(h, p)
     h_d = (p ** -0.5)[:, None] * h
-    assert np.abs(h_d @ a.a - phi * np.eye(3)).max() < 1e-8
+    assert np.abs(h_d @ a - phi * np.eye(3)).max() < 1e-8
     # equivalently H A_D = phi * D^{-1} on the diagonal
-    assert np.allclose(np.diag(h @ a.a), phi * np.sqrt(p), atol=1e-8)
+    assert np.allclose(np.diag(h @ a), phi * np.sqrt(p), atol=1e-8)
 
 
 def test_forward_noise_free_diagonalization():
@@ -116,7 +116,7 @@ def test_forward_basis_vector_picks_column():
     a, _ = pinv_precoder(random_full_rank(2, 4, 17))
     q = np.array([0.0, 1.0], dtype=complex)
     x = simulate_forward(h, a, q, 1.5, RngStream(18), _noise=np.zeros(2, complex))
-    assert np.allclose(x, np.sqrt(1.5) * (h @ a.a)[:, 1], atol=1e-12)
+    assert np.allclose(x, np.sqrt(1.5) * (h @ a)[:, 1], atol=1e-12)
 
 
 def test_stack_matches_single_calls():
@@ -131,19 +131,19 @@ def test_stack_matches_single_calls():
     x = simulate_forward(hs, a, q, rho, RngStream(0), _noise=noise)
     for i in range(5):
         a_i, chi_i = pinv_precoder(hs[i])
-        np.testing.assert_allclose(a.a[i], a_i.a, rtol=1e-12)
+        np.testing.assert_allclose(a[i], a_i, rtol=1e-12)
         assert chi[i] == pytest.approx(chi_i, rel=1e-12)
         assert chis[i] == pytest.approx(chi_of(hs[i]), rel=1e-12)
         x_i = simulate_forward(hs[i], a_i, q[i], rho, RngStream(0), _noise=noise[i])
         np.testing.assert_allclose(x[i], x_i, rtol=1e-12)
         a_i, phi_i = modified_precoder(hs[i], p[i])
-        np.testing.assert_allclose(a_mod.a[i], a_i.a, rtol=1e-12)
+        np.testing.assert_allclose(a_mod[i], a_i, rtol=1e-12)
         assert phi[i] == pytest.approx(phi_i, rel=1e-12)
     # the stack draws its noise in one block; draw 0 is the single call's
     x = simulate_forward(hs, a, q, rho, RngStream(20))
     w = x - simulate_forward(hs, a, q, rho, RngStream(0), _noise=np.zeros((5, 3)))
     np.testing.assert_allclose(w, draw_channel(1, 3, RngStream(20), 5)[:, 0], rtol=1e-12)
-    x_0 = simulate_forward(hs[0], PrecodingMatrix(a.a[0]), q[0], rho, RngStream(20))
+    x_0 = simulate_forward(hs[0], a[0], q[0], rho, RngStream(20))
     np.testing.assert_allclose(x[0], x_0, rtol=1e-12)
 
 
@@ -178,7 +178,7 @@ def forward_runs():
     q = draw_channel(1, K, RngStream(777, 2), TRIALS)[:, 0]
     q /= np.abs(q)  # unit-power symbols
     x = simulate_forward(h, a, q, RHO_F, RngStream(777, 3))
-    gains = (np.sqrt(RHO_F) * h @ a.a)[:, 0, 0]  # g_nn for user 0
+    gains = (np.sqrt(RHO_F) * h @ a)[:, 0, 0]  # g_nn for user 0
     return gains, x[:, 0], q[:, 0]
 
 

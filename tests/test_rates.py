@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tddmimo import (InfeasibleError, MomentEstimate, PowerAllocation, SystemConfig,
+from tddmimo import (MomentEstimate, PowerAllocation, SystemConfig,
                      c_ind_lb, c_ind_lb_scheduled, c_net, c_sum_lb, c_wt_lb, c_wt_net,
                      eta_moments)
 from tddmimo.moments import GROUPS
@@ -106,7 +106,7 @@ def test_net_rate_prelog_bookkeeping():
 
 def test_net_rate_infeasible():
     src = MomentSource(1000, 26)
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(ValueError, match=r"^net rate needs T >= 3, got T=2$"):
         c_net(4, 2, 1.0, 0.1, scheduled=True, moment_source=src)
 
 
@@ -181,7 +181,8 @@ def test_wt_net_prelog_bound():
 def test_wt_net_infeasible():
     cfg = paper_hetero_config(T=9)
     src = MomentSource(1000, 30)
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(ValueError,
+                       match=r"^weighted net rate needs T >= K \+ 2, got T=9, K=8$"):
         c_wt_net(cfg, scheduled=True, moment_source=src)
 
 
