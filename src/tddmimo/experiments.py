@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .channel_model import SystemConfig, db_to_linear
-from .moments import MomentCache, worker_pool
+from .moments import CHUNK, MomentCache, worker_pool
 from .rates import MomentSource, c_net, c_sum_lb, c_wt_net
 
 DEFAULT_SAMPLES = 100_000
@@ -314,10 +314,11 @@ def _sweep_rows(spec: ExperimentSpec, source: MomentSource):
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
                    workers: int = 1) -> dict:
     """Run the sweep, write CSV + manifest + moment cache, return manifest.
-    Every statistic of the run is sampled on one pool of `workers`."""
+    Every statistic of the run is sampled on one pool of `workers`, built
+    only when a statistic has more than one block of CHUNK samples."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with worker_pool(workers) as pool:
+    with worker_pool(workers if spec.samples > CHUNK else 1) as pool:
         source = MomentSource(spec.samples, spec.seed, pool=pool,
                               cache_path=out / CACHE_FILE)
         started = time.time()

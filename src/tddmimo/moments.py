@@ -20,7 +20,9 @@ phi^2, draw i of a statistic being in group i % GROUPS, and the blocks are
 added in block order, so estimates are bit-identical with or without a
 worker pool, for any number of workers and whichever other K are sampled
 with them.  The caller owns the pool (`worker_pool`) and passes it to every
-statistic of a run.
+statistic of a run.  The process-pool stack (multiprocessing, socket,
+subprocess, logging) is imported when the first pool is built, so a process
+that builds none never loads it.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
 of the samples.  The guard is applied once, to the ordered K x K Gram
@@ -33,12 +35,10 @@ leave-one-out moments of the jackknife in `rates`; MomentCache holds them all.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import warnings
 import zlib
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import astuple, dataclass
 from functools import cached_property
@@ -107,20 +107,22 @@ def _moments(count, s1, s2, lead=0) -> tuple:
 
 @dataclass(frozen=True)
 class MomentKey:
-    """Cache key: statistic kind plus everything its law depends on."""
+    """Cache key: statistic kind plus everything its law depends on, exactly:
+    two keys are equal only if their F (and p_star) are the same bits."""
 
     kind: str  # "eta" | "phi_F" | "weighted"
     M: int
     K: int
-    fingerprint: str  # "-" for eta; hash of F (phi_F) or of F and p_star (weighted)
+    fingerprint: str  # "-" for eta; f_fingerprint of F (phi_F) or of F and p_star (weighted)
     samples: int
     seed: int
 
 
 def f_fingerprint(f_diag) -> str:
-    """Collision-free (to 1e-12 relative) fingerprint of an F diagonal."""
-    text = ",".join(f"{float(v):.12e}" for v in np.atleast_1d(f_diag))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    """Exact fingerprint of an F diagonal: the hex of its little-endian
+    float64 bytes, the encoding of the cache records' sums.  Diagonals that
+    differ in any bit get different keys, and a key holds no comma."""
+    return np.atleast_1d(np.asarray(f_diag, dtype="<f8")).tobytes().hex()
 
 
 def _chunk(args):
@@ -150,12 +152,26 @@ def _chunk(args):
     return out
 
 
+def __getattr__(name: str):
+    """`ProcessPoolExecutor`, imported at its first lookup (PEP 562), so that
+    only a process that builds a pool loads the process-pool stack.  A value
+    assigned to the name replaces it."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def worker_pool(workers: int):
     """A process pool for the statistics of one run, of `workers` processes
     but no more than the machine's CPUs, or a context that yields None
     (sample in-process) when workers <= 1.  The pool starts all its
-    processes at the first task, so a run that samples nothing starts none."""
-    return ProcessPoolExecutor(min(workers, os.cpu_count() or 1)) if workers > 1 else nullcontext()
+    processes at the first task, so a run that samples nothing starts none,
+    and only building it imports the process-pool stack."""
+    if workers <= 1:
+        return nullcontext()
+    executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+    return executor(min(workers, os.cpu_count() or 1))
 
 
 def _collect(kernel, params: tuple, samples: int, seed: int, pool) -> list:
@@ -294,22 +310,23 @@ class MomentCache:
 
         kind,M,K,fingerprint,samples,seed,singular_events,group_count,group_sum,group_sum_sq,crc
 
-    where the group fields are the estimate's per-group arrays, flattened
-    group first (GROUPS*K entries for eta and phi_F, GROUPS*K*K for weighted,
-    whatever the sample count): counts as space-separated ints, and the sums
-    as the hex of their little-endian float64 bytes, which is exact, so
-    reloaded estimates are bit-identical, and about a hundred times cheaper
-    to write than repr.  crc is the zlib.crc32 of the text before its comma,
-    in hex.  Each record is written as "\n" + record + "\n" in one write(),
-    so a torn record never runs into the next one; blank lines are ignored.
-    A line that does not parse, fails its checksum or is not
+    where fingerprint is the key's ("-" or `f_fingerprint`'s hex, so it has
+    no comma) and the group fields are the estimate's per-group arrays,
+    flattened group first (GROUPS*K entries for eta and phi_F, GROUPS*K*K for
+    weighted, whatever the sample count): counts as space-separated ints,
+    and the sums as the hex of their little-endian float64 bytes, which is
+    exact, so reloaded estimates are bit-identical, and about a hundred times
+    cheaper to write than repr.  crc is the zlib.crc32 of the text before
+    its comma, in hex.  Each record is written as "\n" + record + "\n" in
+    one write(), so a torn record never runs into the next one; blank lines
+    are ignored.  A line that does not parse, fails its checksum or is not
     newline-terminated (what a killed writer leaves) is skipped and counted
     in `skipped`.  A repeated header (what concurrent writers can leave) is
     ignored.  A file with another header is not read, and the first append
     replaces it afresh.
     """
 
-    VERSION = "tddmimo-moments-cache v7"
+    VERSION = "tddmimo-moments-cache v8"
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None

@@ -301,10 +301,11 @@ def test_invalid_overrides_exit_1(tmp_path, capsys, override, message):
 
 
 def test_stale_cache_version_recovers(tmp_path, capsys):
-    # v6 is the last format whose phi_F entries N < K kept the drawn row order
+    # v6 is the last format whose phi_F entries N < K kept the drawn row order,
+    # and v7 the last whose fingerprints were rounded hashes
     spec_file = tmp_path / "spec.txt"
     spec_file.write_text(CUSTOM_SPEC)
-    for version in ("v0", "v6"):
+    for version in ("v0", "v6", "v7"):
         out = tmp_path / version
         out.mkdir()
         cache_file = out / "moments_cache.txt"
@@ -396,7 +397,10 @@ def test_traced_benchmark_entry_point_runs(tmp_path, spec_text, evaluator, worke
     assert all(spans[span[3]][0] == "experiments.run_experiment" for span in pools)
 
 
-def test_one_pool_per_run(tmp_path, monkeypatch):
+@pytest.fixture
+def pool_calls(monkeypatch):
+    """(built, submitted): the process pools that runs build and the tasks
+    submitted to them."""
     built, submitted = [], []
 
     class CountingPool(moments.ProcessPoolExecutor):
@@ -409,6 +413,11 @@ def test_one_pool_per_run(tmp_path, monkeypatch):
             return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(moments, "ProcessPoolExecutor", CountingPool)
+    return built, submitted
+
+
+def test_one_pool_per_run(tmp_path, pool_calls):
+    built, submitted = pool_calls
     spec_file = tmp_path / "spec.txt"
     # three eta statistics (M=4, K=1, 2, 3) in two passes of three blocks each,
     # the last partial: K=2 asks for K=1, 2 and K=3 then for the missing K=3
@@ -425,6 +434,58 @@ def test_one_pool_per_run(tmp_path, monkeypatch):
     assert main(run + ["--out", str(tmp_path / "out"), "--workers", "2"]) == 0
     assert _manifest(tmp_path / "out")["cache_misses"] == "0"
     assert not submitted
+
+
+def test_no_pool_when_every_statistic_is_one_block(tmp_path, pool_calls):
+    # at samples <= CHUNK every statistic runs in-process, so a pool would
+    # only cost its import and its construction
+    built, _ = pool_calls
+    csv = "custom_sum_bound.csv"
+    for samples, pools in ((moments.CHUNK, 0), (moments.CHUNK + 1, 1)):
+        spec_file = tmp_path / f"spec{samples}.txt"
+        spec_file.write_text(CUSTOM_SPEC.replace("samples=300", f"samples={samples}"))
+        runs = {w: tmp_path / f"s{samples}-w{w}" for w in (1, 2)}
+        for w, out in runs.items():
+            assert main(["run", "--spec", str(spec_file), "--out", str(out),
+                         "--workers", str(w)]) == 0
+        assert len(built) == pools
+        assert _manifest(runs[2])["workers"] == "2"
+        assert (runs[2] / csv).read_bytes() == (runs[1] / csv).read_bytes()
+        built.clear()
+
+
+# imported by the process pool (multiprocessing and concurrent.futures.process)
+# or for OpenSSL (hashlib and _hashlib): a run that builds no pool and draws
+# nothing must load neither
+HEAVY_MODULES = ("concurrent.futures.process", "multiprocessing", "hashlib", "_hashlib")
+STARTUP_PROBE = """
+import json, sys
+import numpy
+baseline = set(sys.modules)
+import tddmimo.cli
+imported = set(sys.modules)
+rc = tddmimo.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "import": sorted(imported - baseline),
+                  "run": sorted(set(sys.modules) - baseline)}))
+"""
+
+
+@pytest.mark.parametrize("spec_text", [CUSTOM_SPEC, FIG5_SPEC], ids=["custom", "fig5"])
+def test_startup_loads_no_pool_or_openssl(tmp_path, spec_text):
+    # a fresh interpreter, measured against what `import numpy` alone loads
+    # in it (numpy 1.24 imports numpy.random and with it hashlib eagerly)
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(spec_text)
+    run = ["run", "--spec", str(spec_file), "--out", str(tmp_path / "out"), "--workers", "1"]
+    assert main(run) == 0
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *run], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["rc"] == 0 and _manifest(tmp_path / "out")["cache_misses"] == "0"
+    assert "tddmimo.cli" in loaded["import"]
+    for stage in ("import", "run"):
+        assert [m for m in HEAVY_MODULES if m in loaded[stage]] == [], stage
 
 
 # A scheme the preset does not evaluate, several values for a list key it

@@ -517,11 +517,14 @@ def test_repeated_header_is_ignored(tmp_path):
 
 
 def test_fingerprint_sensitivity():
+    # keys are exact: one ulp apart is another key, and the key is the bits
     f = np.array([0.5, 1.0])
     g = f.copy()
-    g[1] += 1e-9
+    g[1] = np.nextafter(g[1], 2.0)
     assert f_fingerprint(f) != f_fingerprint(g)
     assert f_fingerprint(f) == f_fingerprint(f.copy())
+    np.testing.assert_array_equal(np.frombuffer(bytes.fromhex(f_fingerprint(g)), "<f8"), g)
+    assert "," not in f_fingerprint(g)  # cache records are comma-delimited
 
 
 def test_moment_key_identity():
