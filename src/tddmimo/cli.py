@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiments import CACHE_FILE, SpecValidationError, parse_spec, run_experiment
+from .experiments import CACHE_DIR, SpecValidationError, parse_spec, run_experiment
 from .moments import MomentCache
 
 
@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     info = sub.add_parser("cache-info", help="summarize a moment cache")
     info.add_argument("--out", default="out",
-                      help=f"directory containing {CACHE_FILE}")
+                      help=f"output directory whose {CACHE_DIR}/ holds the records")
     return parser
 
 
@@ -70,16 +70,14 @@ def main(argv=None) -> int:
         return 0
 
     # cache-info
-    path = Path(args.out) / CACHE_FILE
-    if not path.exists():
-        print(f"no cache at {path}")
+    cache = MomentCache(Path(args.out) / CACHE_DIR)
+    if not cache.dir.is_dir():
+        print(f"no cache at {cache.dir}")
         return 0
-    cache = MomentCache(path)
-    print(f"cache: {path}")
+    print(f"cache: {cache.dir}")
     print(f"records: {len(cache)}")
     for kind, count in sorted(cache.kind_counts().items()):
         print(f"  {kind}: {count}")
-    print(f"skipped lines: {cache.skipped}")
     return 0
 
 

@@ -23,7 +23,7 @@ from .rates import MomentSource, c_net, c_sum_lb, c_wt_net
 
 DEFAULT_SAMPLES = 100_000
 MANIFEST_FILE = "run_manifest.txt"
-CACHE_FILE = "moments_cache.txt"
+CACHE_DIR = "moments_cache"
 
 
 class SpecValidationError(ValueError):
@@ -154,8 +154,8 @@ def check_feasibility(spec: ExperimentSpec) -> list[str]:
         v.append(f"seed must be below 2**64, got {spec.seed}")
     if spec.output in ("", ".", "..") or Path(spec.output).name != spec.output:
         v.append(f"output must be a file name without a directory, got {spec.output!r}")
-    elif spec.output in (MANIFEST_FILE, CACHE_FILE):
-        v.append(f"output {spec.output!r} is a file the run writes itself")
+    elif spec.output in (MANIFEST_FILE, CACHE_DIR):
+        v.append(f"output {spec.output!r} is a name the run writes itself")
     if spec.weights:
         if not np.all(np.isfinite(spec.weights)):
             v.append("weights must be finite")
@@ -320,7 +320,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     with worker_pool(workers if spec.samples > CHUNK else 1) as pool:
         source = MomentSource(spec.samples, spec.seed, pool=pool,
-                              cache_path=out / CACHE_FILE)
+                              cache_path=out / CACHE_DIR)
         started = time.time()
         header, rows = _sweep_rows(spec, source)
     cache = source.cache

@@ -30,7 +30,8 @@ matrix, so a statistic with N < K may discard a draw whose own block would
 pass.
 
 Each statistic is one MomentEstimate over all N, whose groups also give the
-leave-one-out moments of the jackknife in `rates`; MomentCache holds them all.
+leave-one-out moments of the jackknife in `rates`; MomentCache holds them all,
+one record file per statistic when it has a directory.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import warnings
 import zlib
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -120,8 +121,7 @@ class MomentKey:
 
 def f_fingerprint(f_diag) -> str:
     """Exact fingerprint of an F diagonal: the hex of its little-endian
-    float64 bytes, the encoding of the cache records' sums.  Diagonals that
-    differ in any bit get different keys, and a key holds no comma."""
+    float64 bytes, so diagonals that differ in any bit get different keys."""
     return np.atleast_1d(np.asarray(f_diag, dtype="<f8")).tobytes().hex()
 
 
@@ -296,93 +296,69 @@ def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
 # Persistent cache
 # ---------------------------------------------------------------------------
 
-def _checksum(body: str) -> str:
-    """The crc field of a cache record whose other fields are `body`."""
-    return format(zlib.crc32(body.encode()), "08x")
-
-
 class MomentCache:
-    """Every Monte Carlo statistic of a run: an in-memory store with optional
-    plain-text persistence.
+    """Every Monte Carlo statistic of a run: an in-memory store, backed by one
+    record file per statistic when given a directory `path`.
 
-    File format: a version header line followed by one comma-delimited
-    record per key, columns
+    The records of this format live in `path/v9/` (`dir`).  A record is named
+    `<kind>_<M>_<K>_<samples>_<seed>_<crc>`, crc being the zlib.crc32 of the
+    key's fingerprint in hex: a weighted fingerprint holds 32 hex digits per
+    user, too long for a file name.  It holds five consecutive `np.save`
+    arrays: the fingerprint's bytes, the singular draw count and the
+    estimate's group_count, group_sum and group_sum_sq, so a reloaded
+    estimate is bit-identical.  A record is written to a dot-named temporary
+    file and renamed into place, so a reader sees a whole record or none.
 
-        kind,M,K,fingerprint,samples,seed,singular_events,group_count,group_sum,group_sum_sq,crc
-
-    where fingerprint is the key's ("-" or `f_fingerprint`'s hex, so it has
-    no comma) and the group fields are the estimate's per-group arrays,
-    flattened group first (GROUPS*K entries for eta and phi_F, GROUPS*K*K for
-    weighted, whatever the sample count): counts as space-separated ints,
-    and the sums as the hex of their little-endian float64 bytes, which is
-    exact, so reloaded estimates are bit-identical, and about a hundred times
-    cheaper to write than repr.  crc is the zlib.crc32 of the text before
-    its comma, in hex.  Each record is written as "\n" + record + "\n" in
-    one write(), so a torn record never runs into the next one; blank lines
-    are ignored.  A line that does not parse, fails its checksum or is not
-    newline-terminated (what a killed writer leaves) is skipped and counted
-    in `skipped`.  A repeated header (what concurrent writers can leave) is
-    ignored.  A file with another header is not read, and the first append
-    replaces it afresh.
+    A key is looked up in memory and then, until found, in its file, so a
+    run sees every statistic that another run has finished.  A record whose
+    fingerprint differs (a shared crc) is a miss and is replaced; one that
+    does not parse, or whose arrays have the wrong shape or dtype, is warned
+    about, recomputed and replaced.  Dot files and other versions'
+    directories are never read, and constructing a cache touches no file.
     """
 
-    VERSION = "tddmimo-moments-cache v8"
+    VERSION = "tddmimo-moments-cache v9"
 
     def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
+        self.dir = Path(path) / self.VERSION.rpartition(" ")[2] if path is not None else None
         self._store: dict[MomentKey, MomentEstimate] = {}
         self._used: set[MomentKey] = set()
-        self.hits = self.misses = self.skipped = self.singular_events = 0
-        self._stale = False
-        if self.path is not None and self.path.exists():
-            self._load()
+        self.hits = self.misses = self.singular_events = 0
 
-    def _load(self):
-        try:
-            lines = self.path.read_text(errors="replace").splitlines(keepends=True)
-        except OSError as exc:
-            warnings.warn(f"moment cache unreadable, recomputing: {exc}")
-            return
-        if lines and lines[0].strip() != self.VERSION:
-            warnings.warn(f"unrecognized cache version in {self.path}; ignoring file")
-            self._stale = True
-            return
-        for line in lines[1:]:
-            if line.strip() in ("", self.VERSION):
-                continue
-            try:
-                body, _, crc = line.rstrip("\n").rpartition(",")
-                if not line.endswith("\n") or crc != _checksum(body):
-                    raise ValueError("torn or corrupted record")
-                kind, m, k, fp, samples, seed, sing, counts, s1, s2 = body.split(",")
-                shape = (GROUPS,) + (int(k),) * (2 if kind == "weighted" else 1)
-                key = MomentKey(kind, int(m), int(k), fp, int(samples), int(seed))
-                est = MomentEstimate(
-                    int(samples), int(sing),
-                    np.array([int(v) for v in counts.split()], dtype=np.int64).reshape(shape),
-                    *(np.frombuffer(bytes.fromhex(text), "<f8").reshape(shape)
-                      for text in (s1, s2)))
-            except ValueError:
-                self.skipped += 1
-                continue
-            self._store[key] = est
-        if self.skipped:
-            warnings.warn(f"skipped {self.skipped} malformed line(s) in {self.path}")
+    def _file(self, key: MomentKey) -> Path:
+        crc = zlib.crc32(key.fingerprint.encode())
+        return self.dir / f"{key.kind}_{key.M}_{key.K}_{key.samples}_{key.seed}_{crc:08x}"
 
-    def _append(self, key: MomentKey, est: MomentEstimate):
-        if self.path is None:
-            return
-        body = ",".join([*map(str, astuple(key)), str(est.singular_events),
-                         " ".join(map(str, est.group_count.ravel().tolist())),
-                         *(a.astype("<f8").tobytes().hex()
-                           for a in (est.group_sum, est.group_sum_sq))])
+    def _read(self, key: MomentKey) -> MomentEstimate | None:
+        path = self._file(key)
+        shape = (GROUPS,) + (key.K,) * (2 if key.kind == "weighted" else 1)
         try:
-            with open(self.path, "ab") as fh:
-                if self._stale:  # a file of another version is replaced, not extended
-                    fh.truncate(0)
-                    self._stale = False
-                header = self.VERSION + "\n" if fh.seek(0, 2) == 0 else ""
-                fh.write(f"{header}\n{body},{_checksum(body)}\n".encode())
+            with open(path, "rb") as fh:
+                fp, singular, *sums = (np.lib.format.read_array(fh, allow_pickle=False)
+                                       for _ in range(5))
+            if fp.tobytes() != key.fingerprint.encode():
+                return None
+            if [(a.dtype, a.shape) for a in (singular, *sums)] != [
+                    (np.int64, ()), (np.int64, shape), (np.float64, shape), (np.float64, shape)]:
+                raise ValueError("arrays of the wrong shape or dtype")
+        except (FileNotFoundError, NotADirectoryError):
+            return None
+        except (OSError, ValueError) as exc:
+            warnings.warn(f"moment cache record {path} unreadable, recomputing: {exc}")
+            return None
+        return MomentEstimate(key.samples, int(singular), *sums)
+
+    def _write(self, key: MomentKey, est: MomentEstimate):
+        path = self._file(key)
+        temp = path.with_name(f".{path.name}.{os.getpid()}")
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            with open(temp, "wb") as fh:
+                for a in (np.frombuffer(key.fingerprint.encode(), np.uint8),
+                          np.int64(est.singular_events),
+                          est.group_count, est.group_sum, est.group_sum_sq):
+                    np.save(fh, a, allow_pickle=False)
+            os.replace(temp, path)
         except OSError as exc:
             warnings.warn(f"moment cache not writable: {exc}")
 
@@ -392,24 +368,38 @@ class MomentCache:
         `singular_events` adds up the singular draws of every distinct
         statistic used through this cache, once each.
         """
-        est = self._store.get(key)
-        if est is None:
+        if key in self:
+            self.hits += 1
+            est = self._store[key]
+        else:
             self.misses += 1
             est = self._store[key] = compute()
-            self._append(key, est)
-        else:
-            self.hits += 1
+            if self.dir is not None:
+                self._write(key, est)
         if key not in self._used:
             self._used.add(key)
             self.singular_events += est.singular_events
         return est
 
     def __contains__(self, key: MomentKey) -> bool:
+        """Whether key is in memory or has a readable record, which is then
+        kept in memory."""
+        if key not in self._store and self.dir is not None:
+            est = self._read(key)
+            if est is not None:
+                self._store[key] = est
         return key in self._store
 
     def kind_counts(self) -> dict[str, int]:
-        """Number of stored records per statistic kind."""
-        return dict(Counter(key.kind for key in self._store))
+        """Number of stored records per statistic kind: the record files, or
+        the statistics in memory without a path."""
+        if self.dir is None:
+            return dict(Counter(key.kind for key in self._store))
+        try:
+            names = os.listdir(self.dir)
+        except (FileNotFoundError, NotADirectoryError):
+            names = []
+        return dict(Counter(name.rsplit("_", 5)[0] for name in names if name[0] != "."))
 
     def __len__(self):
-        return len(self._store)
+        return sum(self.kind_counts().values())

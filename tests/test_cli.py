@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +65,7 @@ def test_custom_single_cell_run(tmp_path):
     assert manifest["tddmimo_version"] == tddmimo.__version__
     assert manifest["numpy_version"] == np.__version__
     assert (tmp_path / "run_manifest.txt").exists()
-    assert (tmp_path / "moments_cache.txt").exists()
+    assert len(tddmimo.MomentCache(tmp_path / "moments_cache")) > 0
 
 
 def test_csv_number_format(tmp_path):
@@ -208,7 +210,8 @@ def test_runtime_error_exits_2(tmp_path, capsys):
 
 def test_cache_info_without_cache(tmp_path, capsys):
     assert main(["cache-info", "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == f"no cache at {tmp_path / 'moments_cache.txt'}\n"
+    assert capsys.readouterr().out == f"no cache at {tmp_path / 'moments_cache' / 'v9'}\n"
+    assert not (tmp_path / "moments_cache").exists()
 
 
 def test_fig5_at_extreme_reverse_sinr(tmp_path):
@@ -233,22 +236,24 @@ def test_truncated_cache_recovers(tmp_path, capsys):
     run = ["run", "--spec", str(spec_file), "--out", str(out)]
     assert main(run) == 0
     first = (out / "custom_sum_bound.csv").read_bytes()
-    cache_file = out / "moments_cache.txt"
-    cache_file.write_bytes(cache_file.read_bytes()[:-5])  # killed mid-record
+    cache = tddmimo.MomentCache(out / "moments_cache")
+    record = cache._file(tddmimo.MomentKey("eta", 4, 3, "-", 300, 3))
+    whole = record.read_bytes()
+    record.write_bytes(whole[:-5])  # cut short
     capsys.readouterr()
 
-    with pytest.warns(UserWarning, match="skipped 1"):
+    with pytest.warns(UserWarning, match="unreadable, recomputing"):
         assert main(run) == 0
     assert "cache_misses=1" in capsys.readouterr().out
-    with pytest.warns(UserWarning, match="skipped 1"):
+    assert record.read_bytes() == whole
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(run) == 0
     assert "cache_misses=0" in capsys.readouterr().out
     assert (out / "custom_sum_bound.csv").read_bytes() == first
 
-    with pytest.warns(UserWarning):
-        assert main(["cache-info", "--out", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "  eta: 3" in text and "skipped lines: 1" in text
+    assert main(["cache-info", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"cache: {cache.dir}\nrecords: 3\n  eta: 3\n"
 
 
 CUSTOM_SPEC = ("preset=custom\nscheme=0\nscheme=1\nM=4\nK=2\nK=3\n"
@@ -265,16 +270,6 @@ def _manifest_text(text):
 
 def _manifest(out):
     return _manifest_text((out / "run_manifest.txt").read_text())
-
-
-def _resealed(text):
-    """Cache text with each record's checksum recomputed from its fields."""
-    lines = text.split("\n")
-    for i, line in enumerate(lines):
-        if "," in line:
-            body = line.rpartition(",")[0]
-            lines[i] = f"{body},{moments._checksum(body)}"
-    return "\n".join(lines)
 
 
 def _subprocess_env():
@@ -301,26 +296,29 @@ def test_invalid_overrides_exit_1(tmp_path, capsys, override, message):
 
 
 def test_stale_cache_version_recovers(tmp_path, capsys):
-    # v6 is the last format whose phi_F entries N < K kept the drawn row order,
-    # and v7 the last whose fingerprints were rounded hashes
+    # a v8 cache file and another version's directory are left as they are
+    # and never read, so the run samples every statistic without a warning
     spec_file = tmp_path / "spec.txt"
     spec_file.write_text(CUSTOM_SPEC)
-    for version in ("v0", "v6", "v7"):
-        out = tmp_path / version
-        out.mkdir()
-        cache_file = out / "moments_cache.txt"
-        cache_file.write_text(f"tddmimo-moments-cache {version}\n"
-                              "eta,4,3,2,-,300,4,1.0,0.1,0.01,0\n")
-        run = ["run", "--spec", str(spec_file), "--out", str(out)]
-        with pytest.warns(UserWarning, match="unrecognized cache version"):
-            assert main(run) == 0
+    out = tmp_path / "out"
+    (out / "moments_cache" / "v8").mkdir(parents=True)
+    name = tddmimo.MomentCache(out / "moments_cache")._file(
+        tddmimo.MomentKey("eta", 4, 3, "-", 300, 4)).name
+    leftovers = {out / "moments_cache.txt": b"tddmimo-moments-cache v8\n\neta,4,3,-,300,4\n",
+                 out / "moments_cache" / "v8" / name: b"garbage"}
+    for leftover, data in leftovers.items():
+        leftover.write_bytes(data)
+    run = ["run", "--spec", str(spec_file), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(run) == 0
         assert "cache_misses=3" in capsys.readouterr().out
         first = (out / "custom_sum_bound.csv").read_bytes()
         assert main(run) == 0
-        assert "cache_misses=0" in capsys.readouterr().out
-        assert (out / "custom_sum_bound.csv").read_bytes() == first
-        lines = [line for line in cache_file.read_text().splitlines() if line]
-        assert lines[0] == tddmimo.MomentCache.VERSION and len(lines) == 4
+    assert "cache_misses=0" in capsys.readouterr().out
+    assert (out / "custom_sum_bound.csv").read_bytes() == first
+    assert all(leftover.read_bytes() == data for leftover, data in leftovers.items())
+    assert sorted(os.listdir(out / "moments_cache")) == ["v8", "v9"]
 
 
 def test_manifest_counts_singular_draws_once(tmp_path):
@@ -330,11 +328,11 @@ def test_manifest_counts_singular_draws_once(tmp_path):
     run = ["run", "--spec", str(spec_file), "--out", str(out)]
     assert main(run) == 0
     assert _manifest(out)["singular_events"] == "0"
-    cache_file = out / "moments_cache.txt"
-    # eta(M=4, K=2) serves scheme 0 at K=2 (N=2) and K=3 (N=2) and scheme 1 at K=2
-    text = cache_file.read_text().replace("eta,4,2,-,300,4,0,", "eta,4,2,-,300,4,1,")
-    assert text != cache_file.read_text()
-    cache_file.write_text(_resealed(text))
+    # eta(M=4, K=2) serves scheme 0 at K=2 (N=2) and K=3 (N=2) and scheme 1 at
+    # K=2; its record is rewritten with one singular draw
+    cache = tddmimo.MomentCache(out / "moments_cache")
+    key = tddmimo.MomentKey("eta", 4, 2, "-", 300, 4)
+    cache._write(key, dataclasses.replace(cache._read(key), singular_events=1))
     assert main(run) == 0
     manifest = _manifest(out)
     assert manifest["cache_misses"] == "0" and int(manifest["cache_hits"]) > 3
@@ -354,18 +352,19 @@ def test_concurrent_writers_share_one_cache(tmp_path):
     for proc in procs:
         out_text, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err.decode()
+        assert b"Warning" not in err, err.decode()
         misses += int(_manifest_text(out_text.decode())["cache_misses"])
     alone = tmp_path / "alone"
     assert main(["run", "--spec", str(spec_file), "--out", str(alone)]) == 0
-    expected = tddmimo.MomentCache(alone / "moments_cache.txt")
-    shared = tddmimo.MomentCache(out / "moments_cache.txt")
-    assert shared.skipped == 0
-    assert set(shared._store) == set(expected._store)
+    expected = tddmimo.MomentCache(alone / "moments_cache")
+    shared = tddmimo.MomentCache(out / "moments_cache")
     assert expected.kind_counts()["weighted"] == len(expected) > 1
-    records = [line for line in (out / "moments_cache.txt").read_text().splitlines()
-               if line.startswith("weighted,")]
-    assert len(records) == misses  # a writer that started late loads some records
-    assert main(["run", "--spec", str(spec_file), "--out", str(out)]) == 0
+    # one file per distinct statistic, and no temporary file left behind
+    assert sorted(os.listdir(shared.dir)) == sorted(os.listdir(expected.dir))
+    assert len(expected) <= misses <= 3 * len(expected)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--spec", str(spec_file), "--out", str(out)]) == 0
     assert _manifest(out)["cache_misses"] == "0"
     csv = "fig5_weighted_net_rate.csv"
     assert (out / csv).read_bytes() == (alone / csv).read_bytes()
@@ -514,7 +513,7 @@ INVALID_SPECS = {
     "fig3-rho_r-and-offset": "preset=fig3\nM=2\nT=20\nrho_r_db=-10\nrho_r_offset_db=-10\n",
     "fig5-M-below-K": "preset=fig5\nM=4\nM=8\nK=8\nT=20\n",
     "output-manifest": "preset=fig2\nM=2\noutput=run_manifest.txt\n",
-    "output-cache": "preset=fig2\nM=2\noutput=moments_cache.txt\n",
+    "output-cache": "preset=fig2\nM=2\noutput=moments_cache\n",
     "output-empty": "preset=fig2\nM=2\noutput=\n",
     "output-in-subdirectory": "preset=fig2\nM=2\noutput=sub/x.csv\n",
     "seed-2-to-the-64": f"preset=fig2\nM=2\nseed={2**64}\n",

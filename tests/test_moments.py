@@ -1,14 +1,15 @@
 import math
 import os
 import warnings
+import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tddmimo import (MomentCache, MomentKey, RngStream, chi_of, draw_channel, moments,
                      eta_moments, phi_f_moments, weighted_phi_stats)
-from tddmimo.moments import (CHUNK, GROUPS, _checksum, _chunk, eta_samples, f_fingerprint,
-                             worker_pool)
+from tddmimo.moments import CHUNK, GROUPS, _chunk, eta_samples, f_fingerprint, worker_pool
 from tddmimo.precoding import COND_LIMIT
 from tddmimo.rates import MomentSource
 
@@ -364,7 +365,7 @@ def _assert_same(a, b):
 
 
 def test_cache_miss_then_hit(tmp_path):
-    source = MomentSource(2000, 11, cache_path=tmp_path / "cache.txt")
+    source = MomentSource(2000, 11, cache_path=tmp_path / "cache")
     a = source.eta(5, 3)
     b = source.eta(5, 3)
     assert a is b
@@ -372,7 +373,7 @@ def test_cache_miss_then_hit(tmp_path):
 
 
 def test_cache_keys_include_seed(tmp_path):
-    path = tmp_path / "cache.txt"
+    path = tmp_path / "cache"
     a = MomentSource(2000, 12, cache_path=path).eta(5, 3)
     b = MomentSource(2000, 13, cache_path=path).eta(5, 3)
     assert not np.array_equal(a.mean, b.mean)
@@ -380,19 +381,27 @@ def test_cache_keys_include_seed(tmp_path):
 
 
 def test_cache_persistence_round_trip(tmp_path):
-    path = tmp_path / "cache.txt"
+    path = tmp_path / "cache"
     a = MomentSource(2000, 14, cache_path=path).eta(5, 3)
     reloaded = MomentSource(2000, 14, cache_path=path)
     _assert_same(a, reloaded.eta(5, 3))
     assert reloaded.cache.hits == 1 and reloaded.cache.misses == 0
-    assert path.read_text().splitlines()[0] == MomentCache.VERSION
+    crc = format(zlib.crc32(b"-"), "08x")
+    assert os.listdir(path) == ["v9"] and os.listdir(path / "v9") == [f"eta_5_3_2000_14_{crc}"]
+
+
+def test_cache_is_lazy(tmp_path):
+    # nothing is created or read before a statistic is requested
+    path = tmp_path / "cache"
+    cache = MomentCache(path)
+    assert len(cache) == 0 and cache.kind_counts() == {} and not path.exists()
 
 
 def test_cache_round_trips_every_kind(tmp_path):
     # weighted statistics persist with the others, NaN entries included: the
     # last user ranks first only if every other ||z_k||^2 is about 1e12 times
     # smaller than its own, so its N = 1 entry is never served
-    path = tmp_path / "cache.txt"
+    path = tmp_path / "cache"
     f = np.array([0.5, 1.5, 1.0, 2.0])
     p = np.array([1.0, 2.0, 0.5, 1e-12])
     requests = [lambda s: s.eta(6, 4), lambda s: s.phi(f, 6),
@@ -402,22 +411,21 @@ def test_cache_round_trips_every_kind(tmp_path):
     assert ests[2].count[0, 3] == 0 and np.isnan(ests[2].mean[0, 3])
     reloaded = MomentSource(300, 19, cache_path=path)
     assert reloaded.cache.kind_counts() == {"eta": 1, "phi_F": 1, "weighted": 2}
-    for request, est in zip(requests, ests):
-        _assert_same(est, request(reloaded))
-    assert reloaded.cache.misses == 0 and reloaded.cache.skipped == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for request, est in zip(requests, ests):
+            _assert_same(est, request(reloaded))
+    assert reloaded.cache.misses == 0
     assert ests[2].count.shape == (4, 4)
 
 
 def test_cache_counts_singular_draws_once_per_statistic(tmp_path):
-    path = tmp_path / "cache.txt"
+    path = tmp_path / "cache"
     source = MomentSource(500, 20, cache_path=path)
-    source.eta(5, 3)
+    est = source.eta(5, 3)
     source.eta(5, 2)
-    header, first, second = path.read_text().split("\n\n")
-    fields = first.split(",")[:-1]
-    fields[6] = "1"  # the eta(5, 3) record: one singular draw
-    body = ",".join(fields)
-    path.write_text(f"{header}\n\n{body},{_checksum(body)}\n\n{second}")
+    # the eta(5, 3) record, rewritten with one singular draw
+    source.cache._write(MomentKey("eta", 5, 3, "-", 500, 20), replace(est, singular_events=1))
     reloaded = MomentSource(500, 20, cache_path=path)
     for _ in range(4):
         assert reloaded.eta(5, 3).singular_events == 1
@@ -426,94 +434,94 @@ def test_cache_counts_singular_draws_once_per_statistic(tmp_path):
     assert reloaded.cache.singular_events == 1
 
 
-@pytest.mark.parametrize("cut", [1, 6])
-def test_cache_skips_truncated_last_line(tmp_path, cut):
-    # cutting only the newline leaves ten fields that would still parse
-    path = tmp_path / "cache.txt"
+@pytest.mark.parametrize("damage", ["truncated-data", "truncated-header", "empty", "garbage",
+                                    "wrong-shape", "wrong-dtype"])
+def test_unreadable_record_is_recomputed_and_replaced(tmp_path, damage):
+    path = tmp_path / "cache"
     source = MomentSource(500, 17, cache_path=path)
-    a = source.eta(5, 2)
-    b = source.eta(5, 3)
-    path.write_bytes(path.read_bytes()[:-cut])  # a killed writer's last record
-    with pytest.warns(UserWarning, match="skipped 1"):
-        reloaded = MomentSource(500, 17, cache_path=path)
-    assert reloaded.cache.skipped == 1 and len(reloaded.cache) == 1
-    _assert_same(reloaded.eta(5, 2), a)
-    _assert_same(reloaded.eta(5, 3), b)
+    a = source.eta(5, 3)
+    key = MomentKey("eta", 5, 3, "-", 500, 17)
+    record = source.cache._file(key)
+    good = record.read_bytes()
+    if damage == "wrong-shape":  # eta(5, 2)'s estimate in eta(5, 3)'s record
+        source.cache._write(key, eta_moments(5, 2, 500, 17))
+    elif damage == "wrong-dtype":
+        source.cache._write(key, replace(a, group_count=a.group_count.astype(float)))
+    else:  # what a disk or an editor, not a killed writer, can leave
+        record.write_bytes({"truncated-data": good[:-1], "truncated-header": good[:100],
+                            "empty": b"", "garbage": b"\xff\xfe garbage\n"}[damage])
+    assert record.read_bytes() != good
+    reloaded = MomentSource(500, 17, cache_path=path)
+    with pytest.warns(UserWarning, match="unreadable, recomputing"):
+        _assert_same(reloaded.eta(5, 3), a)
     assert reloaded.cache.misses == 1
-    # the recomputed record starts on a fresh line and survives the next load;
-    # a record that lost only its newline gets it from the next record's
-    # leading one, and is whole, so only the longer cut stays skipped
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        again = MomentCache(path)
-    assert len(again) == 2 and again.skipped == len(caught) == (cut > 1)
+    assert record.read_bytes() == good
 
 
-def test_cache_skips_record_with_bad_checksum(tmp_path):
-    # a whole, newline-terminated record whose fields still parse
-    path = tmp_path / "cache.txt"
-    a = MomentSource(500, 24, cache_path=path).eta(5, 3)
-    text = path.read_text()
-    sums = text.split("\n\n")[1].split(",")[8]  # group_sum, float64 bytes in hex
-    flipped = sums[:-1] + format(int(sums[-1], 16) ^ 1, "x")  # the top byte's low bit
-    assert np.frombuffer(bytes.fromhex(flipped), "<f8").size == GROUPS * 3
-    path.write_text(text.replace(sums, flipped))
-    with pytest.warns(UserWarning, match="skipped 1"):
-        reloaded = MomentSource(500, 24, cache_path=path)
-    assert reloaded.cache.skipped == 1 and len(reloaded.cache) == 0
-    _assert_same(reloaded.eta(5, 3), a)
-    assert reloaded.cache.misses == 1
-
-
-def test_cache_skips_garbage_line(tmp_path):
-    path = tmp_path / "cache.txt"
-    a = MomentSource(500, 18, cache_path=path).eta(5, 3)
-    short = "eta,5,3,-,500,18,0,500 500,1.0 1.0,0.1 0.1"  # two entries where K = 3 needs three
-    with open(path, "ab") as fh:
-        fh.write(f"\n{short},{_checksum(short)}\n".encode() + b"\xff\xfe garbage\n")
-    with pytest.warns(UserWarning, match="skipped 2"):
-        reloaded = MomentSource(500, 18, cache_path=path)
-    assert reloaded.cache.kind_counts() == {"eta": 1}
-    _assert_same(reloaded.eta(5, 3), a)
-    assert reloaded.cache.hits == 1
-
-
-def test_cache_replaces_file_of_another_version(tmp_path):
-    path = tmp_path / "cache.txt"
-    path.write_text("tddmimo-moments-cache v0\neta,5,3,2,-,500,21,1.0,0.1,0.01,0\n")
-    with pytest.warns(UserWarning, match="unrecognized cache version"):
-        stale = MomentSource(500, 21, cache_path=path)
-    a = stale.eta(5, 3)
-    stale.eta(5, 2)
-    assert stale.cache.misses == 2
-    lines = [line for line in path.read_text().splitlines() if line]
-    assert lines[0] == MomentCache.VERSION and len(lines) == 3
-    fresh = MomentSource(500, 21, cache_path=path)
-    _assert_same(fresh.eta(5, 3), a)
-    assert fresh.cache.misses == 0 and fresh.cache.skipped == 0
-
-
-def test_empty_cache_file_is_not_replaced(tmp_path):
-    # an empty file is what a concurrent writer leaves between creating the
-    # file and writing to it; the records it appends later must survive
-    path = tmp_path / "cache.txt"
-    path.touch()
+def test_other_versions_and_temporary_files_are_ignored(tmp_path):
+    # a v8 cache file beside the directory, another version's directory and a
+    # killed writer's temporary file are neither read, warned about nor counted
+    path = tmp_path / "moments_cache"
+    first = MomentSource(300, 21, cache_path=path)
+    a = first.eta(5, 3)
+    other = first.cache._file(MomentKey("eta", 5, 2, "-", 300, 21))
+    leftovers = {tmp_path / "moments_cache.txt": b"tddmimo-moments-cache v8\n\neta,5,2\n",
+                 path / "v8" / other.name: b"garbage",
+                 other.with_name(f".{other.name}.12345"): b"garbage"}
+    (path / "v8").mkdir()
+    for leftover, data in leftovers.items():
+        leftover.write_bytes(data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        late = MomentSource(500, 23, cache_path=path)
-    MomentSource(500, 23, cache_path=path).eta(5, 2)  # the other writer
-    late.eta(5, 3)
-    assert MomentCache(path).kind_counts() == {"eta": 2}
+        second = MomentSource(300, 21, cache_path=path)
+        assert len(second.cache) == 1
+        _assert_same(second.eta(5, 3), a)
+        b = second.eta(5, 2)
+    _assert_same(b, eta_moments(5, 2, 300, 21))
+    assert second.cache.misses == 1 and second.cache.kind_counts() == {"eta": 2}
+    assert all(leftover.read_bytes() == data for leftover, data in leftovers.items())
+    assert len(MomentCache(tmp_path / "moments_cache.txt")) == 0  # a path that is a file
 
 
-def test_repeated_header_is_ignored(tmp_path):
-    # two writers that both found the file empty each write the header
-    path = tmp_path / "cache.txt"
-    a = MomentSource(500, 22, cache_path=path).eta(5, 3)
-    text = path.read_text()
-    path.write_text(text + text)
-    reloaded = MomentCache(path)
-    assert reloaded.skipped == 0 and len(reloaded) == 1
+def test_fingerprint_mismatch_behind_a_shared_crc_is_a_miss(tmp_path):
+    # two F diagonals whose fingerprints share a crc32, and so a record name
+    f, g = ([float.fromhex(x)] for x in ("0x1.c2fc89d2486e5p+0", "0x1.44dcfd2065064p+0"))
+    assert f_fingerprint(f) != f_fingerprint(g)
+    assert zlib.crc32(f_fingerprint(f).encode()) == zlib.crc32(f_fingerprint(g).encode())
+    path = tmp_path / "cache"
+    a = MomentSource(300, 26, cache_path=path).phi(f, 3)
+    for diag, expected in ((g, phi_f_moments(g, 3, 300, 26)), (f, a)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            source = MomentSource(300, 26, cache_path=path)
+            _assert_same(source.phi(diag, 3), expected)
+        assert source.cache.misses == 1 and source.cache.hits == 0
+        assert len(source.cache) == 1  # the record of the other diagonal is replaced
+
+
+def test_second_source_sees_records_written_after_it_was_built(tmp_path):
+    # two runs on one directory: each lookup sees what the other has finished
+    path = tmp_path / "cache"
+    first = MomentSource(300, 28, cache_path=path)
+    second = MomentSource(300, 28, cache_path=path)
+    a = first.eta(5, 3)
+    _assert_same(second.eta(5, 3), a)
+    assert second.cache.hits == 1 and second.cache.misses == 0
+
+
+def test_record_name_fits_a_file_name_at_64_users(tmp_path):
+    # a weighted fingerprint of 64 users is 2 x 64 x 16 = 2048 hex digits, far
+    # over the 255 bytes a file name may hold
+    f = np.linspace(0.5, 2.0, 64)
+    p = np.linspace(2.0, 0.5, 64)
+    path = tmp_path / "cache"
+    source = MomentSource(20, 27, cache_path=path)
+    est = source.weighted(f, p, 64)
+    [name] = os.listdir(source.cache.dir)
+    assert len(name.encode()) < 255 < len(f_fingerprint(np.concatenate([f, p])))
+    reloaded = MomentSource(20, 27, cache_path=path)
+    _assert_same(reloaded.weighted(f, p, 64), est)
+    assert reloaded.cache.misses == 0
 
 
 def test_fingerprint_sensitivity():
@@ -524,7 +532,7 @@ def test_fingerprint_sensitivity():
     assert f_fingerprint(f) != f_fingerprint(g)
     assert f_fingerprint(f) == f_fingerprint(f.copy())
     np.testing.assert_array_equal(np.frombuffer(bytes.fromhex(f_fingerprint(g)), "<f8"), g)
-    assert "," not in f_fingerprint(g)  # cache records are comma-delimited
+    assert "," not in f_fingerprint(g)
 
 
 def test_moment_key_identity():
