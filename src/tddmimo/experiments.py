@@ -4,6 +4,8 @@ Spec files are plain-text key=value documents over the keys of `_KEYS`; a
 list key's values add up over lines.  SINRs are entered in dB and converted
 per cell.  CSV numbers are pinned to 9 significant digits so reruns with the
 same seed are byte-identical.  Each preset is one `Preset` record in `PRESETS`.
+A run samples every statistic its preset's plan names before the sweep
+(`run_experiment`), so the sweep itself samples nothing.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import numpy as np
 
 from . import __version__
 from .channel_model import SystemConfig, db_to_linear
-from .moments import CHUNK, MomentCache, worker_pool
-from .rates import MomentSource, c_net, c_sum_lb, c_wt_net
+from .moments import MomentCache, MomentKey, task_count, worker_pool
+from .rates import (MomentSource, c_net, c_net_keys, c_sum_lb, c_sum_lb_keys, c_wt_net,
+                    c_wt_net_keys)
 
 DEFAULT_SAMPLES = 100_000
 MANIFEST_FILE = "run_manifest.txt"
@@ -182,16 +185,26 @@ def _rho_r_db_for(spec: ExperimentSpec, rho_f_db):
 
 
 # Evaluators look c_sum_lb, c_net and c_wt_net up when called, so that
-# replacing those module names (as a tracer does) catches every call.
+# replacing those module names (as a tracer does) catches every call.  Each
+# has a twin that names the statistics it requests (Preset.needs).
 
-def _sum_bound(spec, source, scheme, M, K, tau_rp=None):
-    """Homogeneous sum bound of one (M, K) cell; tau_rp defaults to K."""
+def _sum_config(spec, M, K, tau_rp=None) -> SystemConfig:
+    """Homogeneous config of one (M, K) cell; tau_rp defaults to K."""
     tau = K if tau_rp is None else tau_rp
     rf_db = spec.rho_f_db[0]
-    cfg = SystemConfig.homogeneous(M=M, K=K, T=tau + 2, tau_rp=tau, rho_f=db_to_linear(rf_db),
-                                   rho_r=db_to_linear(_rho_r_db_for(spec, rf_db)))
-    rp = c_sum_lb(cfg, scheduled=(scheme == 1), moment_source=source)
+    return SystemConfig.homogeneous(M=M, K=K, T=tau + 2, tau_rp=tau, rho_f=db_to_linear(rf_db),
+                                    rho_r=db_to_linear(_rho_r_db_for(spec, rf_db)))
+
+
+def _sum_bound(spec, source, scheme, M, K, tau_rp=None):
+    """Homogeneous sum bound of one (M, K) cell."""
+    rp = c_sum_lb(_sum_config(spec, M, K, tau_rp), scheduled=(scheme == 1),
+                  moment_source=source)
     return [rp.n_selected, rp.rate, rp.std_error]
+
+
+def _sum_bound_keys(spec, source, scheme, M, K, tau_rp=None):
+    return c_sum_lb_keys(_sum_config(spec, M, K, tau_rp), scheme == 1, source)
 
 
 def _net_rate(spec, source, scheme, M, T=None, rho_f_db=None):
@@ -204,15 +217,27 @@ def _net_rate(spec, source, scheme, M, T=None, rho_f_db=None):
     return [rp.K, rp.tau_rp, rp.n_selected, rp.rate, rp.std_error]
 
 
+def _net_rate_keys(spec, source, scheme, M, T=None, rho_f_db=None):
+    return c_net_keys(M, spec.t_list[0] if T is None else T, scheme == 1, source)
+
+
+def _weighted_config(spec, M) -> SystemConfig:
+    """The spec's K heterogeneous users at M antennas."""
+    k = spec.k_list[0]
+    return SystemConfig(M=M, K=k, T=spec.t_list[0], tau_rp=k,
+                        rho_f=db_to_linear(spec.rho_f_db),
+                        rho_r=db_to_linear(_rho_r_db_for(spec, spec.rho_f_db)),
+                        weights=spec.weights)
+
+
 def _weighted_net_rate(spec, source, scheme, M):
     """Weighted net rate of the spec's K heterogeneous users at M antennas."""
-    k = spec.k_list[0]
-    cfg = SystemConfig(M=M, K=k, T=spec.t_list[0], tau_rp=k,
-                       rho_f=db_to_linear(spec.rho_f_db),
-                       rho_r=db_to_linear(_rho_r_db_for(spec, spec.rho_f_db)),
-                       weights=spec.weights)
-    rp = c_wt_net(cfg, scheduled=(scheme == 3), moment_source=source)
+    rp = c_wt_net(_weighted_config(spec, M), scheduled=(scheme == 3), moment_source=source)
     return [rp.tau_rp, rp.n_selected, rp.rate, rp.std_error]
+
+
+def _weighted_net_rate_keys(spec, source, scheme, M):
+    return c_wt_net_keys(_weighted_config(spec, M), source)
 
 
 def _custom_rules(spec: ExperimentSpec):
@@ -243,18 +268,27 @@ def _fig5_rules(spec: ExperimentSpec):
 class Preset:
     """One sweep.  `cells(spec)` yields each row's leading columns as a dict
     keyed by header name; `evaluate(spec, source, **cell)` returns the columns
-    up to `status`.  A spec may give the keys every preset reads and those in
-    `reads`.  Each list key it reads needs one value, or at least one if the
-    key is in `lists`, and `rules(spec)` yields further violations."""
+    up to `status`, and `needs(spec, source, **cell)` the MomentKeys of the
+    statistics it requests from source.  A spec may give the keys every
+    preset reads and those in `reads`.  Each list key it reads needs one
+    value, or at least one if the key is in `lists`, and `rules(spec)`
+    yields further violations."""
 
     defaults: dict
     header: str
     schemes: tuple[int, ...]
     cells: Callable
     evaluate: Callable
+    needs: Callable
     reads: tuple[str, ...]
     lists: tuple[str, ...]
     rules: Callable = lambda spec: ()
+
+    def plan(self, spec: ExperimentSpec, source: MomentSource) -> list[MomentKey]:
+        """The key of every statistic the sweep's cells request from source,
+        each once, in the order of the first request."""
+        return list(dict.fromkeys(key for cell in self.cells(spec)
+                                  for key in self.needs(spec, source, **cell)))
 
 
 PRESETS: dict[str, Preset] = {
@@ -264,14 +298,16 @@ PRESETS: dict[str, Preset] = {
         "scheme,M,K,N_star,rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, M=m, K=k) for s in spec.schemes
                       for m in spec.m_list for k in range(1, m + 1)),
-        _sum_bound, reads=("rho_r_db", "rho_r_offset_db"), lists=("scheme", "M")),
+        _sum_bound, _sum_bound_keys, reads=("rho_r_db", "rho_r_offset_db"),
+        lists=("scheme", "M")),
     "fig3": Preset(
         dict(m_list=[2, 4, 6, 8, 10, 12, 14, 16], t_list=[20, 30], rho_f_db=[0.0],
              rho_r_db=-10.0, schemes=[0, 1], output="fig3_net_rate.csv"),
         "scheme,T,M,K_star,tau_star,N_star,net_rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, T=t, M=m) for s in spec.schemes
                       for t in spec.t_list for m in spec.m_list),
-        _net_rate, reads=("T", "rho_r_db", "rho_r_offset_db"), lists=("scheme", "T", "M")),
+        _net_rate, _net_rate_keys, reads=("T", "rho_r_db", "rho_r_offset_db"),
+        lists=("scheme", "T", "M")),
     "fig4": Preset(
         dict(m_list=[32], t_list=[20],
              rho_f_db=[-10.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0],
@@ -279,7 +315,8 @@ PRESETS: dict[str, Preset] = {
         "scheme,rho_f_db,M,K_star,tau_star,N_star,net_rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, rho_f_db=f, M=m) for s in spec.schemes
                       for f in spec.rho_f_db for m in spec.m_list),
-        _net_rate, reads=("T", "rho_r_offset_db"), lists=("scheme", "rho_f_db", "M")),
+        _net_rate, _net_rate_keys, reads=("T", "rho_r_offset_db"),
+        lists=("scheme", "rho_f_db", "M")),
     "fig5": Preset(
         dict(m_list=[8, 12, 16, 24], k_list=[8], t_list=[20],
              rho_f_db=[-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0],
@@ -287,7 +324,7 @@ PRESETS: dict[str, Preset] = {
              schemes=[2, 3], output="fig5_weighted_net_rate.csv"),
         "scheme,M,tau_star,N_star,wt_net_rate,std_error,status", (2, 3),
         lambda spec: (dict(scheme=s, M=m) for s in spec.schemes for m in spec.m_list),
-        _weighted_net_rate, reads=("K", "T", "rho_r_offset_db", "weight"),
+        _weighted_net_rate, _weighted_net_rate_keys, reads=("K", "T", "rho_r_offset_db", "weight"),
         lists=("scheme", "M", "rho_f_db", "weight"), rules=_fig5_rules),
     "custom": Preset(
         dict(m_list=[], schemes=[0, 1], output="custom_sum_bound.csv"),
@@ -295,7 +332,7 @@ PRESETS: dict[str, Preset] = {
         lambda spec: (dict(scheme=s, M=m, K=k,
                            tau_rp=spec.tau_rp if spec.tau_rp is not None else k)
                       for s in spec.schemes for m in spec.m_list for k in spec.k_list),
-        _sum_bound, reads=("K", "tau_rp", "rho_r_db", "rho_r_offset_db"),
+        _sum_bound, _sum_bound_keys, reads=("K", "tau_rp", "rho_r_db", "rho_r_offset_db"),
         lists=("scheme", "M", "K"), rules=_custom_rules),
 }
 
@@ -314,15 +351,22 @@ def _sweep_rows(spec: ExperimentSpec, source: MomentSource):
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
                    workers: int = 1) -> dict:
     """Run the sweep, write CSV + manifest + moment cache, return manifest.
-    Every statistic of the run is sampled on one pool of `workers`, built
-    only when a statistic has more than one block of CHUNK samples."""
+
+    The preset's plan names every statistic the sweep requests.  Those the
+    cache lacks are sampled first, in one pass per (M, block) over all of
+    them, on a pool of `workers` that is built only when there is more than
+    one such task; the sweep then finds every statistic in the cache.  The
+    manifest's cache_misses counts the statistics sampled, and cache_hits
+    the sweep's requests, each a lookup that found its statistic.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with worker_pool(workers if spec.samples > CHUNK else 1) as pool:
-        source = MomentSource(spec.samples, spec.seed, pool=pool,
-                              cache_path=out / CACHE_DIR)
-        started = time.time()
-        header, rows = _sweep_rows(spec, source)
+    source = MomentSource(spec.samples, spec.seed, cache_path=out / CACHE_DIR)
+    started = time.time()
+    missing = source.missing(PRESETS[spec.preset].plan(spec, source))
+    with worker_pool(workers if task_count(missing) > 1 else 1) as pool:
+        source.sample(missing, pool)
+    header, rows = _sweep_rows(spec, source)
     cache = source.cache
     lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
     (out / spec.output).write_text("\n".join(lines) + "\n")

@@ -1,16 +1,19 @@
 """Monte Carlo estimation of the trace-inverse gain statistics.
 
 Every statistic is one kernel (`_chunk`) composed from the physical layer
-over a sample axis: draw max(K) rows of M per block, each row on its own
-sub-stream (`RngStream.row`), form the Gram matrix of the first K rows,
+over a sample axis: draw the rows of M antennas of a block, each row on its
+own sub-stream (`RngStream.row`), form the Gram matrix of the first K rows,
 scale it by f_i f_j, order the rows best first by scores_k * ||z_k||^2
 (`scheduling.best_first`) and read phi for every served count N from the
 precoders' guarded Cholesky factor (`precoding.chi_all_n`).  The statistics
-differ only in their parameters: eta has unit scores and unit F, phi_F has
-unit scores and its F, and the weighted statistics have F and order by
-p_star.  The first K rows do not depend on how many rows are drawn, so the
-Ks of one M requested together share one draw, and every statistic of one
-(seed, M) reads the same rows (common random numbers).
+differ only in their parameters, a view (per_user, scores, F) of the rows:
+eta has unit scores and unit F, phi_F has unit scores and its F, and the
+weighted statistics have F, order by p_star and count per user.  A MomentKey
+names its view exactly (`_view`).  The first K rows do not depend on how
+many rows are drawn, so every statistic of one (seed, M) reads the same rows
+(common random numbers), and statistics sampled together share one draw of
+max(K) rows per block: `sample` runs one task per (M, block) over all the
+statistics of that M, and the views of one K share its Gram matrix.
 
 Samples are drawn in blocks of CHUNK: row r of block b is one draw call on
 the Philox stream keyed by (seed, b) with its counter at row r.  Draw i of a
@@ -18,11 +21,12 @@ block does not depend on the block's size, so fewer samples read a prefix
 of the draws of more.  Each block is reduced to per-group sums of phi and
 phi^2, draw i of a statistic being in group i % GROUPS, and the blocks are
 added in block order, so estimates are bit-identical with or without a
-worker pool, for any number of workers and whichever other K are sampled
-with them.  The caller owns the pool (`worker_pool`) and passes it to every
-statistic of a run.  The process-pool stack (multiprocessing, socket,
-subprocess, logging) is imported when the first pool is built, so a process
-that builds none never loads it.
+worker pool, for any number of workers and whichever other statistics are
+sampled with them.  The caller owns the pool (`worker_pool`) and passes it
+to what it samples; all the tasks of one call go through one `pool.map`.
+The process-pool stack (multiprocessing, socket, subprocess, logging) is
+imported when the first pool is built, so a process that builds none never
+loads it.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
 of the samples.  The guard is applied once, to the ordered K x K Gram
@@ -43,6 +47,7 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -126,29 +131,36 @@ def f_fingerprint(f_diag) -> str:
 
 
 def _chunk(args):
-    """phi_N for every N over one block, one (phi, order) per K in `ks`:
-    phi[i, N-1] is the statistic of the N leading of the first K rows of
-    draw i once ordered (a NaN row marks a singular draw), and order[i]
-    lists those rows best first by scores_k * ||z_k||^2.
+    """phi_N for every N over one block, one (phi, order) per view in
+    `views`: phi[i, N-1] is the statistic of the N leading of the view's K
+    rows of draw i once ordered (a NaN row marks a singular draw), and
+    order[i] lists those rows best first by scores_k * ||z_k||^2.
 
-    Row r is drawn from RngStream(seed, block, r) and the rows are stacked
-    outermost, so the first K rows, their norms and their Gram matrix are
-    the same bits however many rows the block draws.  The Gram matrix of
-    the first K rows is formed in row order, scaled by f_i f_j and then
-    permuted best first; `scores` and `f_diag` hold max(ks) entries.
+    A view is (per_user, scores, f_diag), scores and f_diag holding K
+    entries.  Row r is drawn from RngStream(seed, block, r) and the rows are
+    stacked outermost, so the first K rows, their norms and their Gram matrix
+    are the same bits however many rows the block draws and whichever views
+    read them.  The Gram matrix of the first K rows is formed once per run of
+    consecutive views with that K, in row order, then scaled by f_i f_j and
+    permuted best first per view.
     """
-    M, ks, scores, f_diag, seed, block, count = args
-    rows = np.empty((max(ks), count, M), complex)  # [row, draw, antenna]
+    M, views, seed, block, count = args
+    rows = np.empty((max(len(f) for _, _, f in views), count, M), complex)  # [row, draw, antenna]
     for r in range(len(rows)):
         rows[r] = draw_channel(1, M, RngStream(seed, block, r), count)[:, 0]
     norms = np.sum(rows.real ** 2 + rows.imag ** 2, axis=2).T  # ||z_k||^2
-    scores, f = np.asarray(scores), np.asarray(f_diag)
     draw = np.arange(count)[:, None, None]
     out = []
-    for K in ks:
-        g = gram(rows[:K].swapaxes(0, 1)) * (f[:K, None] * f[:K])
-        order = best_first(scores[:K] * norms[:, :K])
-        out.append((chi_all_n(g[draw, order[:, :, None], order[:, None, :]]), order))
+    for K, run in groupby(views, key=lambda view: len(view[2])):
+        run = list(run)
+        g_k = gram(rows[:K].swapaxes(0, 1))
+        for i, (_, scores, f_diag) in enumerate(run):
+            f = np.asarray(f_diag)
+            # the run's last view scales the Gram matrix in place, so a lone K
+            # holds one K x K stack at a time
+            g = np.multiply(g_k, f[:, None] * f, out=g_k if i == len(run) - 1 else None)
+            order = best_first(np.asarray(scores) * norms[:, :K])
+            out.append((chi_all_n(g[draw, order[:, :, None], order[:, None, :]]), order))
     return out
 
 
@@ -166,23 +178,29 @@ def worker_pool(workers: int):
     """A process pool for the statistics of one run, of `workers` processes
     but no more than the machine's CPUs, or a context that yields None
     (sample in-process) when workers <= 1.  The pool starts all its
-    processes at the first task, so a run that samples nothing starts none,
-    and only building it imports the process-pool stack."""
+    processes at the first task, and only building it imports the
+    process-pool stack, so a run builds one only for more than one task
+    (`task_count`)."""
     if workers <= 1:
         return nullcontext()
     executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
     return executor(min(workers, os.cpu_count() or 1))
 
 
-def _collect(kernel, params: tuple, samples: int, seed: int, pool) -> list:
-    """kernel's results for the consecutive CHUNK-sized blocks, in order."""
-    if samples < 1:
+def _collect(kernel, passes: list, pool) -> list:
+    """kernel's results per pass (M, views, samples, seed), one list over the
+    pass's consecutive CHUNK-sized blocks in block order.  The tasks of every
+    pass go through one `pool.map`; they run in-process without a pool or
+    when there is only one."""
+    if any(samples < 1 for *_, samples, _ in passes):
         raise IndexError("samples must be positive")
-    tasks = [params + (seed, block, min(CHUNK, samples - start))
-             for block, start in enumerate(range(0, samples, CHUNK))]
-    if pool is None or len(tasks) == 1:
-        return [kernel(t) for t in tasks]
-    return list(pool.map(kernel, tasks))
+    tasks = [[(M, views, seed, block, min(CHUNK, samples - start))
+              for block, start in enumerate(range(0, samples, CHUNK))]
+             for M, views, samples, seed in passes]
+    flat = [task for blocks in tasks for task in blocks]
+    results = iter(map(kernel, flat) if pool is None or len(flat) == 1
+                   else pool.map(kernel, flat))
+    return [[next(results) for _ in blocks] for blocks in tasks]
 
 
 def _check_dims(K: int, M: int):
@@ -207,12 +225,11 @@ def _block_sums(phi: np.ndarray, served: np.ndarray) -> tuple:
 
 
 def _chunk_sums(args):
-    """`_chunk`'s block as one `_block_sums` per K.  With `per_user`
+    """`_chunk`'s block as one `_block_sums` per view.  With `per_user`
     (weighted) user k counts toward [N-1, k] when it is among the N best;
     otherwise every regular draw counts toward every N."""
-    per_user, *params = args
     out = []
-    for phi, order in _chunk(params):
+    for (per_user, _, _), (phi, order) in zip(args[1], _chunk(args)):
         served = np.isfinite(phi)
         if per_user:
             n = np.arange(1, order.shape[1] + 1)[:, None]
@@ -221,17 +238,64 @@ def _chunk_sums(args):
     return out
 
 
-def _estimates(params: tuple, samples: int, seed: int, pool) -> list:
-    """One MomentEstimate per K of `_chunk_sums`' params, from the block sums
+def _estimates(passes: list, pool) -> list:
+    """One list per pass of one MomentEstimate per view, from the block sums
     added in block order, so that they do not depend on the pool."""
-    ests = []
-    for blocks in zip(*_collect(_chunk_sums, params, samples, seed, pool)):
-        singular, *sums = zip(*blocks)
-        if sum(singular) > SINGULAR_FRACTION_LIMIT * samples:
-            raise ExcessSingularDrawsError(
-                f"{sum(singular)}/{samples} singular draws exceeds the 0.1% budget")
-        ests.append(MomentEstimate(samples, sum(singular), *(sum(terms) for terms in sums)))
-    return ests
+    out = []
+    for (_, _, samples, _), blocks in zip(passes, _collect(_chunk_sums, passes, pool)):
+        ests = []
+        for view_blocks in zip(*blocks):
+            singular, *sums = zip(*view_blocks)
+            if sum(singular) > SINGULAR_FRACTION_LIMIT * samples:
+                raise ExcessSingularDrawsError(
+                    f"{sum(singular)}/{samples} singular draws exceeds the 0.1% budget")
+            ests.append(MomentEstimate(samples, sum(singular), *(sum(t) for t in sums)))
+        out.append(ests)
+    return out
+
+
+def _eta_view(K: int) -> tuple:
+    return False, (1.0,) * K, (1.0,) * K
+
+
+def _view(key: MomentKey) -> tuple:
+    """(per_user, scores, f_diag) of key's statistic, as `_chunk` reads it:
+    unit scores and F for eta, unit scores and the fingerprint's F for
+    phi_F, and the fingerprint's F and p_star (the scores) for weighted."""
+    if key.kind == "eta":
+        return _eta_view(key.K)
+    bits = tuple(np.frombuffer(bytes.fromhex(key.fingerprint), "<f8").tolist())
+    if key.kind == "phi_F":
+        return False, (1.0,) * key.K, bits
+    return True, bits[key.K:], bits[:key.K]
+
+
+def _passes(keys) -> dict:
+    """The distinct keys by pass (M, samples, seed), each pass's in order of
+    K so that its views of one K share their Gram matrix, the largest M
+    first so that the longest tasks start first."""
+    passes: dict[tuple, list] = {}
+    for key in sorted(dict.fromkeys(keys), key=lambda k: (-k.M, k.K)):
+        passes.setdefault((key.M, key.samples, key.seed), []).append(key)
+    return passes
+
+
+def task_count(keys) -> int:
+    """Number of (M, block) tasks that `sample(keys)` runs."""
+    return sum(-(-samples // CHUNK) for _, samples, _ in _passes(keys))
+
+
+def sample(keys, pool=None) -> dict:
+    """MomentKey -> MomentEstimate for every statistic of `keys`, sampled in
+    one pass per (M, block) over all of them: each block draws the rows of
+    its M once, and every statistic of that M is a view of them.  All the
+    tasks go through one `pool.map`.  Each estimate is the same, bit for
+    bit, as when its statistic is sampled alone."""
+    passes = _passes(keys)
+    ests = _estimates([(M, tuple(map(_view, group)), samples, seed)
+                       for (M, samples, seed), group in passes.items()], pool)
+    return {key: est for group, row in zip(passes.values(), ests)
+            for key, est in zip(group, row)}
 
 
 def eta_samples(M: int, K: int, samples: int, seed: int,
@@ -239,7 +303,7 @@ def eta_samples(M: int, K: int, samples: int, seed: int,
     """Raw eta draws indexed [sample, N-1] (a NaN row marks a discarded
     singular draw); test oracle hook."""
     _check_dims(K, M)
-    blocks = _collect(_chunk, (M, (K,), (1.0,) * K, (1.0,) * K), samples, seed, pool)
+    [blocks] = _collect(_chunk, [(M, (_eta_view(K),), samples, seed)], pool)
     return np.concatenate([phi for [(phi, _)] in blocks])
 
 
@@ -255,8 +319,7 @@ def eta_moments(M: int, K, samples: int, seed: int, *, pool=None):
     ks = [K] if np.ndim(K) == 0 else list(K)
     for k in ks:
         _check_dims(k, M)
-    ones = (1.0,) * max(ks)
-    ests = _estimates((False, M, tuple(ks), ones, ones), samples, seed, pool)
+    [ests] = _estimates([(M, tuple(map(_eta_view, ks)), samples, seed)], pool)
     return ests[0] if np.ndim(K) == 0 else ests
 
 
@@ -269,8 +332,8 @@ def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
     _check_dims(f_diag.size, M)
     if np.any(f_diag <= 0):
         raise ValueError("F must be positive diagonal")
-    return _estimates((False, M, (f_diag.size,), (1.0,) * f_diag.size, tuple(f_diag)),
-                      samples, seed, pool)[0]
+    view = (False, (1.0,) * f_diag.size, tuple(f_diag))
+    return _estimates([(M, (view,), samples, seed)], pool)[0][0]
 
 
 def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
@@ -289,7 +352,8 @@ def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
     if p_star.shape != (Ka,):
         raise ValueError("p_star and f_diag must have equal length")
     _check_dims(Ka, M)
-    return _estimates((True, M, (Ka,), tuple(p_star), tuple(f_diag)), samples, seed, pool)[0]
+    view = (True, tuple(p_star), tuple(f_diag))
+    return _estimates([(M, (view,), samples, seed)], pool)[0][0]
 
 
 # ---------------------------------------------------------------------------

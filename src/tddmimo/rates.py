@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel_model import SystemConfig
 from .moments import (MomentCache, MomentEstimate, MomentKey, eta_moments,
-                      f_fingerprint, phi_f_moments, weighted_phi_stats)
+                      f_fingerprint, phi_f_moments, sample, weighted_phi_stats)
 from .power_opt import alpha_beta, waterfill
 
 _TIE_TOL = 1e-12
@@ -94,7 +94,11 @@ class MomentSource:
     """Sampling protocol (samples, seed) and the MomentCache, in memory only
     without `cache_path`, behind every statistic it serves.  Statistics are
     sampled on `pool` (see moments.worker_pool), or in-process without one.
-    Keys are built here only: each statistic is sampled once per source."""
+    Keys are built here only: each statistic is sampled once per source.
+
+    A run samples its plan first (`missing`, then `sample`), so that the
+    searches find every statistic in the cache; a request for a statistic
+    the cache lacks is still sampled, alone or with the other K it names."""
 
     def __init__(self, samples: int, seed: int, *, pool=None, cache_path=None):
         self.samples = samples
@@ -108,13 +112,29 @@ class MomentSource:
     def _cached(self, kind: str, M: int, K: int, fingerprint: str, compute):
         return self.cache.cached(self._key(kind, M, K, fingerprint), compute)
 
+    def eta_keys(self, M: int, ks) -> list[MomentKey]:
+        return [self._key("eta", M, k, "-") for k in ks]
+
+    def weighted_key(self, f_diag, p_star, M: int) -> MomentKey:
+        return self._key("weighted", M, np.size(f_diag),
+                         f_fingerprint(np.concatenate([f_diag, p_star])))
+
+    def missing(self, keys) -> list[MomentKey]:
+        """The distinct keys that the cache (memory or record files) lacks."""
+        return [key for key in dict.fromkeys(keys) if key not in self.cache]
+
+    def sample(self, keys, pool=None):
+        """Sample the statistics of `keys` in one pass per (M, block) on
+        `pool` (moments.sample) and store each, counting it as a miss."""
+        for key, est in sample(keys, pool).items():
+            self.cache.cached(key, lambda est=est: est)
+
     def eta(self, M: int, K):
         """eta moments for every served count N <= K (entry N-1).  K may be a
         sequence of user counts, which gives a dict K -> estimate; the ones
         not in the cache are sampled together in one pass over the blocks."""
         ks = [K] if np.ndim(K) == 0 else list(K)
-        missing = list(dict.fromkeys(k for k in ks
-                                     if self._key("eta", M, k, "-") not in self.cache))
+        missing = [key.K for key in self.missing(self.eta_keys(M, ks))]
         sampled = dict(zip(missing, eta_moments(M, missing, self.samples, self.seed,
                                                 pool=self.pool))) if missing else {}
         ests = {k: self._cached("eta", M, k, "-", lambda k=k: sampled[k]) for k in ks}
@@ -126,10 +146,23 @@ class MomentSource:
                                                   pool=self.pool))
 
     def weighted(self, f_diag, p_star, M: int) -> MomentEstimate:
-        fingerprint = f_fingerprint(np.concatenate([f_diag, p_star]))
-        return self._cached("weighted", M, np.size(f_diag), fingerprint,
-                            lambda: weighted_phi_stats(f_diag, p_star, M, self.samples,
-                                                       self.seed, pool=self.pool))
+        return self.cache.cached(self.weighted_key(f_diag, p_star, M),
+                                 lambda: weighted_phi_stats(f_diag, p_star, M, self.samples,
+                                                            self.seed, pool=self.pool))
+
+
+def _sum_ks(ks, scheduled: bool) -> list[int]:
+    """The user counts whose eta a sum search over K in `ks` reads: each K
+    when scheduled (the N best of K rows), every N <= max(K) otherwise (N
+    channel-independent users)."""
+    return list(ks) if scheduled else list(range(1, max(ks) + 1))
+
+
+def _net_ks(M: int, T: int) -> range:
+    """The user counts c_net searches: K <= min(M, T-2)."""
+    if T < 3:
+        raise ValueError(f"net rate needs T >= 3, got T={T}")
+    return range(1, min(M, T - 2) + 1)
 
 
 def _sum_search(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, scheduled: bool,
@@ -138,7 +171,7 @@ def _sum_search(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, scheduled
     K <= tau and N <= K, prelog included.  The moments of (K, N) are entry
     N-1 of eta(M, K) when scheduled (the N best of K rows) and of eta(M, N)
     otherwise (N channel-independent users)."""
-    stats = moment_source.eta(M, ks if scheduled else range(1, max(ks) + 1))
+    stats = moment_source.eta(M, _sum_ks(ks, scheduled))
     est = lambda k, n: stats[k if scheduled else n]
 
     def table(attr):  # [K, N], NaN where N > K
@@ -159,6 +192,13 @@ def _sum_search(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, scheduled
                      std_error=prelog * _jackknife_se(held_out), auxiliary={"prelog": prelog})
 
 
+def _check_sum_config(config: SystemConfig):
+    if not config.is_homogeneous:
+        raise ValueError("sum-rate bound requires a homogeneous config")
+    if config.K > min(config.M, config.tau_rp):
+        raise ValueError("homogeneous runs require K <= min(M, tau_rp)")
+
+
 def c_sum_lb(config: SystemConfig, scheduled: bool,
              moment_source: MomentSource) -> RatePoint:
     """Sum-capacity bound: max over N <= K of N times the per-user bound.
@@ -167,10 +207,7 @@ def c_sum_lb(config: SystemConfig, scheduled: bool,
     the unscheduled baseline serves N channel-independent users, i.e. the
     eta moments of an N x M matrix.
     """
-    if not config.is_homogeneous:
-        raise ValueError("sum-rate bound requires a homogeneous config")
-    if config.K > min(config.M, config.tau_rp):
-        raise ValueError("homogeneous runs require K <= min(M, tau_rp)")
+    _check_sum_config(config)
     return _sum_search(config.M, float(config.rho_f[0]), float(config.rho_r[0]),
                        [config.tau_rp], [config.K], np.ones(1), scheduled, moment_source)
 
@@ -183,11 +220,10 @@ def c_net(M: int, T: int, rho_f: float, rho_r: float, scheduled: bool,
     K <= min(M, tau); ties within 1e-12 resolve to the smallest tau, then
     the smallest K.
     """
-    if T < 3:
-        raise ValueError(f"net rate needs T >= 3, got T={T}")
+    ks = _net_ks(M, T)
     taus = np.arange(1, T - 1)
-    return _sum_search(M, float(rho_f), float(rho_r), taus, range(1, min(M, T - 2) + 1),
-                       (T - taus - 1) / T, scheduled, moment_source)
+    return _sum_search(M, float(rho_f), float(rho_r), taus, ks, (T - taus - 1) / T,
+                       scheduled, moment_source)
 
 
 def c_wt_lb(config: SystemConfig, p, phi_mean: float, phi_var: float) -> float:
@@ -217,34 +253,61 @@ def _weighted_rates(config: SystemConfig, active: np.ndarray, p_star: np.ndarray
     return rates
 
 
+def _tau_points(config: SystemConfig):
+    """(config at tau, active users, p_star, F of the active users) for
+    every training length tau = K..T-2 that c_wt_net searches: the powers
+    are waterfilled on the M-large coefficients (`waterfill`, closed form),
+    and waterfilling powers at least one user."""
+    if config.T < config.K + 2:
+        raise ValueError(
+            f"weighted net rate needs T >= K + 2, got T={config.T}, K={config.K}")
+    for tau in range(config.K, config.T - 1):
+        cfg = replace(config, tau_rp=tau)
+        pa = waterfill(cfg.weights, *alpha_beta(cfg))
+        active = np.flatnonzero(pa.active)
+        rt = cfg.rho_r[active] * tau
+        yield cfg, active, pa.p_star, pa.p_star[active] ** -0.5 * np.sqrt(rt / (1.0 + rt))
+
+
 def c_wt_net(config: SystemConfig, scheduled: bool,
              moment_source: MomentSource) -> RatePoint:
     """Net weighted-sum rate, maximized over the training length.
 
-    For each feasible tau the powers are re-optimized by waterfilling on the
-    M-large coefficients (`waterfill`, closed form), users with zero power
-    are dropped, and the weighted selection statistics are sampled once per
-    coherence block.  With `scheduled` the served count N is also
-    maximized; otherwise all active users are served (N fixed).
+    For each feasible tau the powers are re-optimized by waterfilling
+    (`_tau_points`), users with zero power are dropped, and the weighted
+    selection statistics are sampled once per coherence block.  With
+    `scheduled` the served count N is also maximized; otherwise all active
+    users are served (N fixed).
     """
-    if config.T < config.K + 2:
-        raise ValueError(
-            f"weighted net rate needs T >= K + 2, got T={config.T}, K={config.K}")
     points = []  # each tau's best N, with what its standard error needs
-    for tau in range(config.K, config.T - 1):
-        cfg = replace(config, tau_rp=tau)
-        pa = waterfill(cfg.weights, *alpha_beta(cfg))
-        active = np.flatnonzero(pa.active)  # waterfilling powers at least one user
-        rt = cfg.rho_r[active] * tau
-        f_diag = pa.p_star[active] ** -0.5 * np.sqrt(rt / (1.0 + rt))
-        stats = moment_source.weighted(f_diag, pa.p_star[active], config.M)
-        rates = _weighted_rates(cfg, active, pa.p_star, *stats.moments)
+    for cfg, active, p_star, f_diag in _tau_points(config):
+        stats = moment_source.weighted(f_diag, p_star[active], config.M)
+        rates = _weighted_rates(cfg, active, p_star, *stats.moments)
         n_idx = int(_first_best(rates)) if scheduled else active.size - 1
-        prelog = (config.T - tau - 1) / config.T
-        points.append((RatePoint(rate=prelog * rates[n_idx], n_selected=n_idx + 1, tau_rp=tau,
-                                 K=config.K, auxiliary={"prelog": prelog}),
-                       cfg, active, pa.p_star, stats))
+        prelog = (config.T - cfg.tau_rp - 1) / config.T
+        points.append((RatePoint(rate=prelog * rates[n_idx], n_selected=n_idx + 1,
+                                 tau_rp=cfg.tau_rp, K=config.K, auxiliary={"prelog": prelog}),
+                       cfg, active, p_star, stats))
     best, cfg, active, p_star, stats = points[int(_first_best([pt[0].rate for pt in points]))]
     held_out = _weighted_rates(cfg, active, p_star, *stats.leave_one_out())
     return replace(best, std_error=best.auxiliary["prelog"]
                    * _jackknife_se(held_out[:, best.n_selected - 1]))
+
+
+# The statistics each search reads, as the keys its moment_source looks up:
+# a run samples them all before it searches (experiments.Preset.plan).
+
+def c_sum_lb_keys(config: SystemConfig, scheduled: bool,
+                  moment_source: MomentSource) -> list[MomentKey]:
+    _check_sum_config(config)
+    return moment_source.eta_keys(config.M, _sum_ks([config.K], scheduled))
+
+
+def c_net_keys(M: int, T: int, scheduled: bool,
+               moment_source: MomentSource) -> list[MomentKey]:
+    return moment_source.eta_keys(M, _sum_ks(_net_ks(M, T), scheduled))
+
+
+def c_wt_net_keys(config: SystemConfig, moment_source: MomentSource) -> list[MomentKey]:
+    return [moment_source.weighted_key(f_diag, p_star[active], config.M)
+            for _, active, p_star, f_diag in _tau_points(config)]

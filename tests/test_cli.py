@@ -12,8 +12,9 @@ import pytest
 import tddmimo
 from tddmimo import moments
 from tddmimo.cli import main
-from tddmimo.experiments import (ExperimentSpec, SpecValidationError,
+from tddmimo.experiments import (PRESETS, ExperimentSpec, SpecValidationError, _sweep_rows,
                                  check_feasibility, parse_spec, run_experiment)
+from tddmimo.rates import MomentSource
 
 
 def test_parse_preset_defaults():
@@ -418,15 +419,15 @@ def pool_calls(monkeypatch):
 def test_one_pool_per_run(tmp_path, pool_calls):
     built, submitted = pool_calls
     spec_file = tmp_path / "spec.txt"
-    # three eta statistics (M=4, K=1, 2, 3) in two passes of three blocks each,
-    # the last partial: K=2 asks for K=1, 2 and K=3 then for the missing K=3
+    # three eta statistics (M=4, K=1, 2, 3), planned before the sweep and
+    # sampled in one pass of three blocks, the last partial
     spec_file.write_text(CUSTOM_SPEC.replace("samples=300", f"samples={2 * moments.CHUNK + 17}"))
     run = ["run", "--spec", str(spec_file)]
     assert main(run + ["--out", str(tmp_path / "serial")]) == 0
     assert not built
     assert main(run + ["--out", str(tmp_path / "out"), "--workers", "2"]) == 0
     assert _manifest(tmp_path / "out")["cache_misses"] == "3"
-    assert len(built) == 1 and len(submitted) == 6
+    assert len(built) == 1 and len(submitted) == 3
     csv = "custom_sum_bound.csv"
     assert (tmp_path / "out" / csv).read_bytes() == (tmp_path / "serial" / csv).read_bytes()
     submitted.clear()
@@ -436,21 +437,83 @@ def test_one_pool_per_run(tmp_path, pool_calls):
 
 
 def test_no_pool_when_every_statistic_is_one_block(tmp_path, pool_calls):
-    # at samples <= CHUNK every statistic runs in-process, so a pool would
-    # only cost its import and its construction
-    built, _ = pool_calls
+    # a pool is built only when the plan's misses are more than one (M, block)
+    # task: a one-task plan or a warm rerun would pay only for its import
+    built, submitted = pool_calls
     csv = "custom_sum_bound.csv"
-    for samples, pools in ((moments.CHUNK, 0), (moments.CHUNK + 1, 1)):
-        spec_file = tmp_path / f"spec{samples}.txt"
-        spec_file.write_text(CUSTOM_SPEC.replace("samples=300", f"samples={samples}"))
-        runs = {w: tmp_path / f"s{samples}-w{w}" for w in (1, 2)}
+    cases = [(moments.CHUNK, "M=4", 0), (moments.CHUNK + 1, "M=4", 1),
+             (moments.CHUNK, "M=3\nM=4", 1)]
+    for samples, m_lines, pools in cases:
+        spec_file = tmp_path / "spec.txt"
+        spec_file.write_text(CUSTOM_SPEC.replace("samples=300", f"samples={samples}")
+                             .replace("M=4", m_lines))
+        runs = {w: tmp_path / f"s{samples}-{m_lines[-1]}{len(m_lines)}-w{w}" for w in (1, 2)}
         for w, out in runs.items():
             assert main(["run", "--spec", str(spec_file), "--out", str(out),
                          "--workers", str(w)]) == 0
         assert len(built) == pools
         assert _manifest(runs[2])["workers"] == "2"
         assert (runs[2] / csv).read_bytes() == (runs[1] / csv).read_bytes()
+        # a warm rerun samples nothing and builds no pool
+        assert main(["run", "--spec", str(spec_file), "--out", str(runs[2]),
+                     "--workers", "2"]) == 0
+        assert _manifest(runs[2])["cache_misses"] == "0" and len(built) == pools
+        # two blocks of one M, or one block of each of two M
+        assert len(submitted) == 2 * pools
         built.clear()
+        submitted.clear()
+
+
+# Specs whose plans cover every preset; fig5's waterfilling leaves 6 of its
+# 8 users active at every tau, and with these weights 3 or 4, so one pass
+# holds views of several K.
+PLAN_SPECS = {
+    "fig2": "preset=fig2\nM=2\nM=3\n",
+    "fig3": "preset=fig3\nT=5\nT=20\nM=2\nM=4\n",
+    "fig4": "preset=fig4\nM=4\nrho_f_db=-10,0\n",
+    "fig5": "preset=fig5\nM=8\nT=13\n",
+    "fig5-weights": "preset=fig5\nM=8\nM=9\nT=13\nweight=8,2,2,2,1,1,1,0.1\n",
+    "custom": CUSTOM_SPEC.replace("seed=4\nsamples=300\n", ""),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec_text", PLAN_SPECS.values(), ids=PLAN_SPECS.keys())
+def test_plan_is_exact(tmp_path, spec_text, workers):
+    # once the plan is sampled the sweep samples nothing: every request it
+    # makes finds its statistic in the cache
+    spec = parse_spec(spec_text + f"seed=5\nsamples={moments.CHUNK + 1}\n")
+    source = MomentSource(spec.samples, spec.seed)
+    plan = PRESETS[spec.preset].plan(spec, source)
+    assert len(plan) == len(set(plan)) > 0
+    with moments.worker_pool(workers) as pool:
+        source.sample(source.missing(plan), pool)
+    assert source.cache.misses == len(plan)
+    _sweep_rows(spec, source)
+    assert source.cache.misses == len(plan) and source.cache.hits >= len(plan)
+    # a run samples the same plan, at either worker count
+    manifest = run_experiment(spec, tmp_path, workers=workers)
+    assert manifest["cache_misses"] == len(plan)
+    records = tddmimo.MomentCache(tmp_path / "moments_cache")
+    assert set(os.listdir(records.dir)) == {records._file(key).name for key in plan}
+
+
+def test_request_outside_the_plan_is_sampled():
+    # the plan of fig3 at T=5 names eta(4, K) for K <= 3; K = 4 and a
+    # weighted statistic are sampled at their request, as without a plan
+    spec = parse_spec("preset=fig3\nT=5\nM=4\nseed=5\nsamples=300\n")
+    source = MomentSource(spec.samples, spec.seed)
+    plan = PRESETS[spec.preset].plan(spec, source)
+    assert sorted(key.K for key in plan) == [1, 2, 3]
+    source.sample(source.missing(plan))
+    eta = source.eta(4, 4)
+    f, p = np.array([0.5, 1.5]), np.array([1.0, 2.0])
+    weighted = source.weighted(f, p, 4)
+    assert source.cache.misses == len(plan) + 2
+    for a, b in ((eta, tddmimo.eta_moments(4, 4, 300, 5)),
+                 (weighted, tddmimo.weighted_phi_stats(f, p, 4, 300, 5))):
+        for name, value in vars(b).items():
+            np.testing.assert_array_equal(getattr(a, name), value)
 
 
 # imported by the process pool (multiprocessing and concurrent.futures.process)
@@ -469,13 +532,18 @@ print(json.dumps({"rc": rc, "import": sorted(imported - baseline),
 """
 
 
-@pytest.mark.parametrize("spec_text", [CUSTOM_SPEC, FIG5_SPEC], ids=["custom", "fig5"])
-def test_startup_loads_no_pool_or_openssl(tmp_path, spec_text):
+@pytest.mark.parametrize("spec_text,workers", [
+    (CUSTOM_SPEC, 1), (FIG5_SPEC, 1),
+    (CUSTOM_SPEC.replace("samples=300", f"samples={2 * moments.CHUNK + 17}"), 2),
+], ids=["custom", "fig5", "custom-workers-2-above-chunk"])
+def test_startup_loads_no_pool_or_openssl(tmp_path, spec_text, workers):
     # a fresh interpreter, measured against what `import numpy` alone loads
-    # in it (numpy 1.24 imports numpy.random and with it hashlib eagerly)
+    # in it (numpy 1.24 imports numpy.random and with it hashlib eagerly).
+    # The run is warm: with nothing to sample, --workers 2 builds no pool
     spec_file = tmp_path / "spec.txt"
     spec_file.write_text(spec_text)
-    run = ["run", "--spec", str(spec_file), "--out", str(tmp_path / "out"), "--workers", "1"]
+    run = ["run", "--spec", str(spec_file), "--out", str(tmp_path / "out"),
+           "--workers", str(workers)]
     assert main(run) == 0
     proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, *run], env=_subprocess_env(),
                           capture_output=True, text=True, timeout=120)

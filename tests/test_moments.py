@@ -160,6 +160,35 @@ def test_eta_batch_matches_each_k_alone():
             _assert_same(est, other)
 
 
+def test_shared_pass_matches_each_statistic_alone():
+    # one pass per (M, block) over every statistic of two M: the eta of every
+    # K, a phi_F, and weighted statistics of several K, two of one K sharing
+    # their Gram matrix.  At F = (1, 1e-4) and M = K = 2 this seed has 3
+    # singular draws of 4113.  Each estimate is the same bits, group sums and
+    # singular count included, as alone, in-process or on a pool.  A weighted
+    # fingerprint holds F, then p_star
+    samples, seed = 2 * CHUNK + 17, 33
+    weighted = [(2, [1.0, 1e-4], [1.0, 1.0]), (2, [0.5, 2.0], [2.0, 1.0]),
+                (3, [1.0, 1e-4, 1.0], [1.0, 1.0, 1.0]), (3, [0.5, 1.5], [1.0, 2.0]),
+                (3, [0.7, 1.1], [3.0, 0.5])]
+    keys = [MomentKey("eta", M, k, "-", samples, seed) for M in (3, 2) for k in range(1, M + 1)]
+    keys += [MomentKey("weighted", M, len(f), f_fingerprint(f + p), samples, seed)
+             for M, f, p in weighted]
+    keys.append(MomentKey("phi_F", 3, 2, f_fingerprint([0.5, 1.5]), samples, seed))
+    alone = [eta_moments(key.M, key.K, samples, seed) for key in keys[:5]]
+    alone += [weighted_phi_stats(f, p, M, samples, seed) for M, f, p in weighted]
+    alone.append(phi_f_moments([0.5, 1.5], 3, samples, seed))
+    assert [est.singular_events for est in alone[5:]] == [3, 0, 1, 0, 0, 0]
+    assert moments.task_count(keys) == 6
+    serial = moments.sample(keys)
+    with worker_pool(2) as pool:
+        pooled = moments.sample(keys, pool)
+    assert list(serial) == list(pooled) and set(serial) == set(keys)
+    for key, est in zip(keys, alone):
+        _assert_same(est, serial[key])
+        _assert_same(est, pooled[key])
+
+
 def test_eta_kernel_reads_the_first_k_rows_of_the_row_draws():
     # eta(M, K) orders the first K rows of each draw by norm, best first,
     # row r of block b being drawn from RngStream(seed, b, r)
@@ -282,7 +311,7 @@ def test_all_n_kernel_matches_per_n_inverse(M):
     K, seed, count = 4, 15, 400
     scores = np.array([1.0, 2.0, 0.5, 1.0])
     f = np.array([0.5, 1.5, 1.0, 2.0])
-    [(phi, order)] = _chunk((M, (K,), tuple(scores), tuple(f), seed, 0, count))
+    [(phi, order)] = _chunk((M, ((False, tuple(scores), tuple(f)),), seed, 0, count))
     worst = 0.0
     for i, z in enumerate(_row_draws(K, M, count, seed)):
         expected = np.argsort(-scores * np.sum(np.abs(z) ** 2, axis=1), kind="stable")

@@ -218,9 +218,9 @@ def test_kernel_runs_once_per_statistic(monkeypatch):
     runs = []
     collect = moments._collect
 
-    def counting(kernel, params, *args):
-        runs.append(params)
-        return collect(kernel, params, *args)
+    def counting(kernel, passes, pool):
+        runs.extend(passes)
+        return collect(kernel, passes, pool)
 
     monkeypatch.setattr(moments, "_collect", counting)
     src = MomentSource(200, 31)
