@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .channel_model import SystemConfig, db_to_linear
-from .moments import MomentCache, MomentKey, task_count, worker_pool
+from .moments import MomentCache, MomentKey
 from .rates import (MomentSource, c_net, c_net_keys, c_sum_lb, c_sum_lb_keys, c_wt_net,
                     c_wt_net_keys)
 
@@ -354,18 +354,16 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
 
     The preset's plan names every statistic the sweep requests.  Those the
     cache lacks are sampled first, in one pass per (M, block) over all of
-    them, on a pool of `workers` that is built only when there is more than
-    one such task; the sweep then finds every statistic in the cache.  The
-    manifest's cache_misses counts the statistics sampled, and cache_hits
-    the sweep's requests, each a lookup that found its statistic.
+    them, on up to `workers` processes (moments.sample); the sweep then
+    finds every statistic in the cache.  The manifest's cache_misses counts
+    the statistics sampled, and cache_hits the sweep's requests, each a
+    lookup that found its statistic.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    source = MomentSource(spec.samples, spec.seed, cache_path=out / CACHE_DIR)
+    source = MomentSource(spec.samples, spec.seed, workers=workers, cache_path=out / CACHE_DIR)
     started = time.time()
-    missing = source.missing(PRESETS[spec.preset].plan(spec, source))
-    with worker_pool(workers if task_count(missing) > 1 else 1) as pool:
-        source.sample(missing, pool)
+    source.fetch(source.missing(PRESETS[spec.preset].plan(spec, source)))
     header, rows = _sweep_rows(spec, source)
     cache = source.cache
     lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]

@@ -22,11 +22,12 @@ of the draws of more.  Each block is reduced to per-group sums of phi and
 phi^2, draw i of a statistic being in group i % GROUPS, and the blocks are
 added in block order, so estimates are bit-identical with or without a
 worker pool, for any number of workers and whichever other statistics are
-sampled with them.  The caller owns the pool (`worker_pool`) and passes it
-to what it samples; all the tasks of one call go through one `pool.map`.
-The process-pool stack (multiprocessing, socket, subprocess, logging) is
-imported when the first pool is built, so a process that builds none never
-loads it.
+sampled with them.  `sample` is the one path from keys to estimates: each
+call runs its tasks through one `pool.map` on a pool of min(workers, tasks,
+CPUs) processes that lives for that call only, or in-process when that is
+fewer than 2.  The process-pool stack (multiprocessing, socket, subprocess,
+logging) is imported when the first pool is built, so a process that builds
+none never loads it.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
 of the samples.  The guard is applied once, to the ordered K x K Gram
@@ -44,7 +45,6 @@ import os
 import warnings
 import zlib
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -174,38 +174,26 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def worker_pool(workers: int):
-    """A process pool for the statistics of one run, of `workers` processes
-    but no more than the machine's CPUs, or a context that yields None
-    (sample in-process) when workers <= 1.  The pool starts all its
-    processes at the first task, and only building it imports the
-    process-pool stack, so a run builds one only for more than one task
-    (`task_count`)."""
-    if workers <= 1:
-        return nullcontext()
-    executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-    return executor(min(workers, os.cpu_count() or 1))
-
-
-def _collect(kernel, passes: list, pool) -> list:
+def _collect(kernel, passes: list, workers: int) -> list:
     """kernel's results per pass (M, views, samples, seed), one list over the
     pass's consecutive CHUNK-sized blocks in block order.  The tasks of every
-    pass go through one `pool.map`; they run in-process without a pool or
-    when there is only one."""
+    pass go through one `pool.map` on a pool built for this call, of
+    `workers` processes but no more than the tasks or the machine's CPUs;
+    they run in-process when that leaves fewer than 2."""
     if any(samples < 1 for *_, samples, _ in passes):
         raise IndexError("samples must be positive")
     tasks = [[(M, views, seed, block, min(CHUNK, samples - start))
               for block, start in enumerate(range(0, samples, CHUNK))]
              for M, views, samples, seed in passes]
     flat = [task for blocks in tasks for task in blocks]
-    results = iter(map(kernel, flat) if pool is None or len(flat) == 1
-                   else pool.map(kernel, flat))
+    size = min(workers, len(flat), os.cpu_count() or 1)
+    if size < 2:
+        results = map(kernel, flat)
+    else:
+        executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with executor(size) as pool:
+            results = iter(list(pool.map(kernel, flat)))
     return [[next(results) for _ in blocks] for blocks in tasks]
-
-
-def _check_dims(K: int, M: int):
-    if not (1 <= K <= M):
-        raise IndexError(f"need 1 <= K <= M, got K={K}, M={M}")
 
 
 def _block_sums(phi: np.ndarray, served: np.ndarray) -> tuple:
@@ -238,35 +226,33 @@ def _chunk_sums(args):
     return out
 
 
-def _estimates(passes: list, pool) -> list:
-    """One list per pass of one MomentEstimate per view, from the block sums
-    added in block order, so that they do not depend on the pool."""
-    out = []
-    for (_, _, samples, _), blocks in zip(passes, _collect(_chunk_sums, passes, pool)):
-        ests = []
-        for view_blocks in zip(*blocks):
-            singular, *sums = zip(*view_blocks)
-            if sum(singular) > SINGULAR_FRACTION_LIMIT * samples:
-                raise ExcessSingularDrawsError(
-                    f"{sum(singular)}/{samples} singular draws exceeds the 0.1% budget")
-            ests.append(MomentEstimate(samples, sum(singular), *(sum(t) for t in sums)))
-        out.append(ests)
-    return out
-
-
-def _eta_view(K: int) -> tuple:
-    return False, (1.0,) * K, (1.0,) * K
+def key_of(kind: str, M: int, K: int, samples: int, seed: int, *diags) -> MomentKey:
+    """The MomentKey of a statistic of K users: eta's has no diagonal, phi_F's
+    fingerprints its F and a weighted one's its F, then its p_star."""
+    return MomentKey(kind, M, K, f_fingerprint(np.hstack(diags)) if diags else "-",
+                     samples, seed)
 
 
 def _view(key: MomentKey) -> tuple:
     """(per_user, scores, f_diag) of key's statistic, as `_chunk` reads it:
     unit scores and F for eta, unit scores and the fingerprint's F for
-    phi_F, and the fingerprint's F and p_star (the scores) for weighted."""
+    phi_F, and the fingerprint's F and p_star (the scores) for weighted.
+    Every entry point samples through here, so this is the one input check:
+    1 <= K <= M, and a fingerprint of K values (phi_F) or 2K (weighted),
+    each finite and positive."""
+    if not 1 <= key.K <= key.M:
+        raise IndexError(f"need 1 <= K <= M, got K={key.K}, M={key.M}")
+    ones = (1.0,) * key.K
     if key.kind == "eta":
-        return _eta_view(key.K)
+        return False, ones, ones
     bits = tuple(np.frombuffer(bytes.fromhex(key.fingerprint), "<f8").tolist())
+    if len(bits) != key.K * (1 if key.kind == "phi_F" else 2):
+        raise ValueError(f"{key.kind} of K={key.K} users needs {key.K} values per"
+                         f" diagonal, got {len(bits)} in all")
+    if not all(0.0 < b < np.inf for b in bits):
+        raise ValueError("F and p_star must be finite and positive")
     if key.kind == "phi_F":
-        return False, (1.0,) * key.K, bits
+        return False, ones, bits
     return True, bits[key.K:], bits[:key.K]
 
 
@@ -280,34 +266,37 @@ def _passes(keys) -> dict:
     return passes
 
 
-def task_count(keys) -> int:
-    """Number of (M, block) tasks that `sample(keys)` runs."""
-    return sum(-(-samples // CHUNK) for _, samples, _ in _passes(keys))
-
-
-def sample(keys, pool=None) -> dict:
+def sample(keys, workers: int = 1) -> dict:
     """MomentKey -> MomentEstimate for every statistic of `keys`, sampled in
     one pass per (M, block) over all of them: each block draws the rows of
     its M once, and every statistic of that M is a view of them.  All the
-    tasks go through one `pool.map`.  Each estimate is the same, bit for
-    bit, as when its statistic is sampled alone."""
+    tasks go through one `_collect`, on up to `workers` processes.  The
+    block sums are added in block order, so each estimate is the same, bit
+    for bit, as when its statistic is sampled alone and on any number of
+    workers."""
     passes = _passes(keys)
-    ests = _estimates([(M, tuple(map(_view, group)), samples, seed)
-                       for (M, samples, seed), group in passes.items()], pool)
-    return {key: est for group, row in zip(passes.values(), ests)
-            for key, est in zip(group, row)}
+    views = [(M, tuple(map(_view, group)), samples, seed)
+             for (M, samples, seed), group in passes.items()]
+    out = {}
+    for group, blocks in zip(passes.values(), _collect(_chunk_sums, views, workers)):
+        for key, view_blocks in zip(group, zip(*blocks)):
+            singular, *sums = zip(*view_blocks)
+            if sum(singular) > SINGULAR_FRACTION_LIMIT * key.samples:
+                raise ExcessSingularDrawsError(
+                    f"{sum(singular)}/{key.samples} singular draws exceeds the 0.1% budget")
+            out[key] = MomentEstimate(key.samples, sum(singular), *(sum(t) for t in sums))
+    return out
 
 
-def eta_samples(M: int, K: int, samples: int, seed: int,
-                pool=None) -> np.ndarray:
+def eta_samples(M: int, K: int, samples: int, seed: int, *, workers: int = 1) -> np.ndarray:
     """Raw eta draws indexed [sample, N-1] (a NaN row marks a discarded
     singular draw); test oracle hook."""
-    _check_dims(K, M)
-    [blocks] = _collect(_chunk, [(M, (_eta_view(K),), samples, seed)], pool)
+    view = _view(key_of("eta", M, K, samples, seed))
+    [blocks] = _collect(_chunk, [(M, (view,), samples, seed)], workers)
     return np.concatenate([phi for [(phi, _)] in blocks])
 
 
-def eta_moments(M: int, K, samples: int, seed: int, *, pool=None):
+def eta_moments(M: int, K, samples: int, seed: int, *, workers: int = 1):
     """Moments of eta_N, the trace-inverse statistic of the N largest-norm
     rows of a K x M i.i.d. CN(0,1) matrix, for every N <= K.
 
@@ -316,28 +305,23 @@ def eta_moments(M: int, K, samples: int, seed: int, *, pool=None):
     of estimates in the order of K.  Each estimate is the same, bit for bit,
     as when its K is sampled alone.
     """
-    ks = [K] if np.ndim(K) == 0 else list(K)
-    for k in ks:
-        _check_dims(k, M)
-    [ests] = _estimates([(M, tuple(map(_eta_view, ks)), samples, seed)], pool)
-    return ests[0] if np.ndim(K) == 0 else ests
+    keys = [key_of("eta", M, k, samples, seed) for k in np.atleast_1d(K).tolist()]
+    ests = sample(keys, workers)
+    return ests[keys[0]] if np.ndim(K) == 0 else [ests[key] for key in keys]
 
 
 def phi_f_moments(f_diag, M: int, samples: int, seed: int, *,
-                  pool=None) -> MomentEstimate:
+                  workers: int = 1) -> MomentEstimate:
     """Moments of phi_F = (tr[(F Z Z^H F)^{-1}])^{-1/2}, Z of size K x M, at
     entry K-1.  Entry N-1 < K-1 is phi of F_S Z_S for the N largest-norm
     rows S of Z, the order eta uses, so at F = I every entry is eta's."""
-    f_diag = np.asarray(f_diag, dtype=float)
-    _check_dims(f_diag.size, M)
-    if np.any(f_diag <= 0):
-        raise ValueError("F must be positive diagonal")
-    view = (False, (1.0,) * f_diag.size, tuple(f_diag))
-    return _estimates([(M, (view,), samples, seed)], pool)[0][0]
+    [est] = sample([key_of("phi_F", M, np.size(f_diag), samples, seed, f_diag)],
+                   workers).values()
+    return est
 
 
-def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
-                       pool=None) -> MomentEstimate:
+def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int, *,
+                       workers: int = 1) -> MomentEstimate:
     """Monte Carlo over coherence blocks of the weighted selection rule.
 
     In each block users are ordered by p_star_k * ||z_k||^2 and, for every
@@ -346,14 +330,9 @@ def weighted_phi_stats(f_diag, p_star, M: int, samples: int, seed: int,
     of phi given that user k is among the N served, and `frac` the
     fraction of blocks in which it is.
     """
-    f_diag = np.asarray(f_diag, dtype=float)
-    p_star = np.asarray(p_star, dtype=float)
-    Ka = f_diag.size
-    if p_star.shape != (Ka,):
-        raise ValueError("p_star and f_diag must have equal length")
-    _check_dims(Ka, M)
-    view = (True, tuple(p_star), tuple(f_diag))
-    return _estimates([(M, (view,), samples, seed)], pool)[0][0]
+    [est] = sample([key_of("weighted", M, np.size(f_diag), samples, seed, f_diag, p_star)],
+                   workers).values()
+    return est
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel_model import SystemConfig
-from .moments import (MomentCache, MomentEstimate, MomentKey, eta_moments,
-                      f_fingerprint, phi_f_moments, sample, weighted_phi_stats)
+from .moments import MomentCache, MomentEstimate, MomentKey, key_of, sample
+# unused here, but kept under these names: perfbench/traced.py wraps them
+from .moments import eta_moments, weighted_phi_stats  # noqa: F401
 from .power_opt import alpha_beta, waterfill
 
 _TIE_TOL = 1e-12
@@ -92,63 +93,54 @@ def _jackknife_se(held_out) -> float:
 
 class MomentSource:
     """Sampling protocol (samples, seed) and the MomentCache, in memory only
-    without `cache_path`, behind every statistic it serves.  Statistics are
-    sampled on `pool` (see moments.worker_pool), or in-process without one.
-    Keys are built here only: each statistic is sampled once per source.
+    without `cache_path`, behind every statistic it serves.  Keys are built
+    here only, and every statistic goes through `fetch`: each is sampled
+    once per source, on up to `workers` processes (moments.sample).
 
-    A run samples its plan first (`missing`, then `sample`), so that the
-    searches find every statistic in the cache; a request for a statistic
-    the cache lacks is still sampled, alone or with the other K it names."""
+    A run fetches its plan's missing keys first (`missing`, then `fetch`),
+    in one pass per (M, block), so that the searches find every statistic
+    in the cache; a request for a statistic the cache lacks is still
+    sampled, alone or with the other K it names."""
 
-    def __init__(self, samples: int, seed: int, *, pool=None, cache_path=None):
+    def __init__(self, samples: int, seed: int, *, workers: int = 1, cache_path=None):
         self.samples = samples
         self.seed = seed
-        self.pool = pool
+        self.workers = workers
         self.cache = MomentCache(cache_path)
 
-    def _key(self, kind: str, M: int, K: int, fingerprint: str) -> MomentKey:
-        return MomentKey(kind, M, K, fingerprint, self.samples, self.seed)
-
-    def _cached(self, kind: str, M: int, K: int, fingerprint: str, compute):
-        return self.cache.cached(self._key(kind, M, K, fingerprint), compute)
+    def _key(self, kind: str, M: int, K: int, *diags) -> MomentKey:
+        return key_of(kind, M, K, self.samples, self.seed, *diags)
 
     def eta_keys(self, M: int, ks) -> list[MomentKey]:
-        return [self._key("eta", M, k, "-") for k in ks]
+        return [self._key("eta", M, k) for k in ks]
 
     def weighted_key(self, f_diag, p_star, M: int) -> MomentKey:
-        return self._key("weighted", M, np.size(f_diag),
-                         f_fingerprint(np.concatenate([f_diag, p_star])))
+        return self._key("weighted", M, np.size(f_diag), f_diag, p_star)
 
     def missing(self, keys) -> list[MomentKey]:
         """The distinct keys that the cache (memory or record files) lacks."""
         return [key for key in dict.fromkeys(keys) if key not in self.cache]
 
-    def sample(self, keys, pool=None):
-        """Sample the statistics of `keys` in one pass per (M, block) on
-        `pool` (moments.sample) and store each, counting it as a miss."""
-        for key, est in sample(keys, pool).items():
-            self.cache.cached(key, lambda est=est: est)
+    def fetch(self, keys) -> list[MomentEstimate]:
+        """The estimate of each key, in order: the ones the cache lacks are
+        sampled together (moments.sample), and every key is looked up
+        through the cache, a sampled one counting as a miss."""
+        keys = list(keys)
+        sampled = sample(self.missing(keys), self.workers)
+        return [self.cache.cached(key, lambda key=key: sampled[key]) for key in keys]
 
     def eta(self, M: int, K):
         """eta moments for every served count N <= K (entry N-1).  K may be a
-        sequence of user counts, which gives a dict K -> estimate; the ones
-        not in the cache are sampled together in one pass over the blocks."""
+        sequence of user counts, which gives a dict K -> estimate."""
         ks = [K] if np.ndim(K) == 0 else list(K)
-        missing = [key.K for key in self.missing(self.eta_keys(M, ks))]
-        sampled = dict(zip(missing, eta_moments(M, missing, self.samples, self.seed,
-                                                pool=self.pool))) if missing else {}
-        ests = {k: self._cached("eta", M, k, "-", lambda k=k: sampled[k]) for k in ks}
+        ests = dict(zip(ks, self.fetch(self.eta_keys(M, ks))))
         return ests[K] if np.ndim(K) == 0 else ests
 
     def phi(self, f_diag, M: int) -> MomentEstimate:
-        return self._cached("phi_F", M, np.size(f_diag), f_fingerprint(f_diag),
-                            lambda: phi_f_moments(f_diag, M, self.samples, self.seed,
-                                                  pool=self.pool))
+        return self.fetch([self._key("phi_F", M, np.size(f_diag), f_diag)])[0]
 
     def weighted(self, f_diag, p_star, M: int) -> MomentEstimate:
-        return self.cache.cached(self.weighted_key(f_diag, p_star, M),
-                                 lambda: weighted_phi_stats(f_diag, p_star, M, self.samples,
-                                                            self.seed, pool=self.pool))
+        return self.fetch([self.weighted_key(f_diag, p_star, M)])[0]
 
 
 def _sum_ks(ks, scheduled: bool) -> list[int]:

@@ -483,11 +483,10 @@ def test_plan_is_exact(tmp_path, spec_text, workers):
     # once the plan is sampled the sweep samples nothing: every request it
     # makes finds its statistic in the cache
     spec = parse_spec(spec_text + f"seed=5\nsamples={moments.CHUNK + 1}\n")
-    source = MomentSource(spec.samples, spec.seed)
+    source = MomentSource(spec.samples, spec.seed, workers=workers)
     plan = PRESETS[spec.preset].plan(spec, source)
     assert len(plan) == len(set(plan)) > 0
-    with moments.worker_pool(workers) as pool:
-        source.sample(source.missing(plan), pool)
+    source.fetch(source.missing(plan))
     assert source.cache.misses == len(plan)
     _sweep_rows(spec, source)
     assert source.cache.misses == len(plan) and source.cache.hits >= len(plan)
@@ -505,7 +504,7 @@ def test_request_outside_the_plan_is_sampled():
     source = MomentSource(spec.samples, spec.seed)
     plan = PRESETS[spec.preset].plan(spec, source)
     assert sorted(key.K for key in plan) == [1, 2, 3]
-    source.sample(source.missing(plan))
+    source.fetch(source.missing(plan))
     eta = source.eta(4, 4)
     f, p = np.array([0.5, 1.5]), np.array([1.0, 2.0])
     weighted = source.weighted(f, p, 4)

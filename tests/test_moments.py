@@ -9,7 +9,8 @@ import pytest
 
 from tddmimo import (MomentCache, MomentKey, RngStream, chi_of, draw_channel, moments,
                      eta_moments, phi_f_moments, weighted_phi_stats)
-from tddmimo.moments import CHUNK, GROUPS, _chunk, eta_samples, f_fingerprint, worker_pool
+from tddmimo.experiments import parse_spec, run_experiment
+from tddmimo.moments import CHUNK, GROUPS, _chunk, eta_samples, f_fingerprint
 from tddmimo.precoding import COND_LIMIT
 from tddmimo.rates import MomentSource
 
@@ -111,36 +112,95 @@ def test_dimension_errors():
         phi_f_moments(np.ones(5), 4, 100, seed=0)
 
 
+def _sample_key(kind, M, f, p):
+    fingerprint = {"eta": "-", "phi_F": f_fingerprint(f), "weighted": f_fingerprint(f + p)}
+    return moments.sample([MomentKey(kind, M, len(f), fingerprint[kind], 100, 0)])
+
+
+# entry point -> (statistic kind, call at M antennas, F and p_star); K = len(F)
+_ENTRY_POINTS = {
+    "eta_moments": ("eta", lambda M, f, p: eta_moments(M, len(f), 100, 0)),
+    "MomentSource.eta": ("eta", lambda M, f, p: MomentSource(100, 0).eta(M, len(f))),
+    "phi_f_moments": ("phi_F", lambda M, f, p: phi_f_moments(f, M, 100, 0)),
+    "MomentSource.phi": ("phi_F", lambda M, f, p: MomentSource(100, 0).phi(f, M)),
+    "weighted_phi_stats": ("weighted", lambda M, f, p: weighted_phi_stats(f, p, M, 100, 0)),
+    "MomentSource.weighted": ("weighted",
+                              lambda M, f, p: MomentSource(100, 0).weighted(f, p, M)),
+    **{f"sample-{kind}": (kind, lambda M, f, p, kind=kind: _sample_key(kind, M, f, p))
+       for kind in ("eta", "phi_F", "weighted")},
+}
+# bad input -> (M, F, p_star, error, the kinds that read it)
+_BAD_INPUTS = {
+    "K>M": (1, [1.0, 1.0], [1.0, 1.0], IndexError, ("eta", "phi_F", "weighted")),
+    "K=0": (2, [], [], IndexError, ("eta", "phi_F", "weighted")),
+    "F<0": (2, [-1.0, 1.0], [1.0, 1.0], ValueError, ("phi_F", "weighted")),
+    "F-nan": (2, [np.nan, 1.0], [1.0, 1.0], ValueError, ("phi_F", "weighted")),
+    "F-inf": (2, [np.inf, 1.0], [1.0, 1.0], ValueError, ("phi_F", "weighted")),
+    "p_star<0-nan": (2, [1.0, 1.0], [-1.0, np.nan], ValueError, ("weighted",)),
+    "p_star-length": (2, [1.0, 1.0], [1.0], ValueError, ("weighted",)),
+}
+
+
+@pytest.mark.parametrize("entry,bad", [
+    (entry, bad) for entry, (kind, _) in _ENTRY_POINTS.items()
+    for bad, (*_, kinds) in _BAD_INPUTS.items() if kind in kinds],
+    ids=lambda name: name)
+def test_every_entry_point_checks_its_inputs(entry, bad):
+    # one check on the key path: 1 <= K <= M, and F and p_star finite and
+    # positive, K values each
+    M, f, p, error, _ = _BAD_INPUTS[bad]
+    with pytest.raises(error):
+        _ENTRY_POINTS[entry][1](M, f, p)
+
+
 def test_worker_count_independence():
-    # every statistic runs on one shared pool, as in a run; the last block of
-    # each sample count is partial
+    # every statistic on two workers, as in a run; the last block of each
+    # sample count is partial
     f = np.array([0.5, 1.5, 1.0, 2.0])
     p = np.array([1.0, 2.0, 0.5, 1.0])
     runs = [
-        lambda pool: eta_moments(6, 4, 6000, seed=10, pool=pool),
-        lambda pool: eta_moments(5, 3, 2 * CHUNK + 17, seed=10, pool=pool),
-        lambda pool: phi_f_moments(f, 6, 5000, seed=10, pool=pool),
-        lambda pool: weighted_phi_stats(f, p, 6, 2500, seed=10, pool=pool),
+        lambda workers: eta_moments(6, 4, 6000, seed=10, workers=workers),
+        lambda workers: eta_moments(5, 3, 2 * CHUNK + 17, seed=10, workers=workers),
+        lambda workers: phi_f_moments(f, 6, 5000, seed=10, workers=workers),
+        lambda workers: weighted_phi_stats(f, p, 6, 2500, seed=10, workers=workers),
     ]
-    serial = [run(None) for run in runs]
-    with worker_pool(2) as pool:
-        pooled = [run(pool) for run in runs]
-    for a, b in zip(serial, pooled):
+    for a, b in zip([run(1) for run in runs], [run(2) for run in runs]):
         for name, value in vars(a).items():
             np.testing.assert_array_equal(getattr(b, name), value)
 
 
-def test_pool_size_is_bounded_by_cpu_count(monkeypatch):
-    # a stand-in that records the size and starts no process
+def test_pool_size_is_bounded_by_cpu_count(monkeypatch, tmp_path):
+    # a sampling call builds a pool of min(workers, tasks, CPUs) processes,
+    # and only when that is at least 2; the stand-in records the size and
+    # runs the tasks in-process
     sizes = []
 
     class RecordingPool:
         def __init__(self, max_workers=None):
             sizes.append(max_workers)
 
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
     monkeypatch.setattr(moments, "ProcessPoolExecutor", RecordingPool)
-    worker_pool(10**6)
-    assert len(sizes) == 1 and 1 <= sizes[0] <= (os.cpu_count() or 1)
+    keys = [MomentKey("eta", M, 2, "-", CHUNK, 3) for M in (2, 3, 4)]  # one task each
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    moments.sample([replace(key, samples=2 * CHUNK) for key in keys], 10**6)  # 6 tasks
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    moments.sample(keys, 8)
+    assert sizes == [4, 3]
+    # one CPU: a run of several blocks at --workers 2 samples in-process
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    spec = parse_spec("preset=custom\nscheme=1\nM=4\nK=2\nrho_f_db=0\nrho_r_db=-10\n"
+                      f"seed=4\nsamples={2 * CHUNK + 17}\n")
+    assert run_experiment(spec, tmp_path, workers=2)["cache_misses"] == 1
+    assert sizes == [4, 3]
 
 
 def test_eta_batch_matches_each_k_alone():
@@ -149,11 +209,10 @@ def test_eta_batch_matches_each_k_alone():
     samples, M = 2 * CHUNK + 17, 5
     alone = [eta_moments(M, k, samples, seed=26) for k in range(1, M + 1)]
     shuffled = eta_moments(M, [4, 1, 5, 2, 3], samples, seed=26)
-    with worker_pool(2) as pool:
-        pooled = eta_moments(M, range(1, M + 1), samples, seed=26, pool=pool)
-        source = MomentSource(samples, 26, pool=pool)
-        source.eta(M, 2)
-        from_source = source.eta(M, range(1, M + 1))
+    pooled = eta_moments(M, range(1, M + 1), samples, seed=26, workers=2)
+    source = MomentSource(samples, 26, workers=2)
+    source.eta(M, 2)
+    from_source = source.eta(M, range(1, M + 1))
     assert source.cache.misses == M and source.cache.hits == 1
     for k, est in enumerate(alone, start=1):
         for other in (shuffled[[4, 1, 5, 2, 3].index(k)], pooled[k - 1], from_source[k]):
@@ -179,10 +238,9 @@ def test_shared_pass_matches_each_statistic_alone():
     alone += [weighted_phi_stats(f, p, M, samples, seed) for M, f, p in weighted]
     alone.append(phi_f_moments([0.5, 1.5], 3, samples, seed))
     assert [est.singular_events for est in alone[5:]] == [3, 0, 1, 0, 0, 0]
-    assert moments.task_count(keys) == 6
+    assert list(moments._passes(keys)) == [(3, samples, seed), (2, samples, seed)]
     serial = moments.sample(keys)
-    with worker_pool(2) as pool:
-        pooled = moments.sample(keys, pool)
+    pooled = moments.sample(keys, 2)
     assert list(serial) == list(pooled) and set(serial) == set(keys)
     for key, est in zip(keys, alone):
         _assert_same(est, serial[key])
