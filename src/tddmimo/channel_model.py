@@ -113,16 +113,20 @@ class SystemConfig:
         return np.diag(np.sqrt(self.rho_r))
 
 
-def draw_channel(K: int, M: int, rng: RngStream, count: int | None = None) -> np.ndarray:
+def draw_channel(K: int, M: int, rng: RngStream | np.random.Generator,
+                 count: int | None = None) -> np.ndarray:
     """Draw a K x M channel with i.i.d. CN(0,1) entries, or `count` of them
     stacked as (count, K, M) by one call on the stream.
 
     Deterministic given the stream: the same (seed, stream_id) always
     yields the same matrices.  Draws are sample-major, so draw 0 of a block
     equals the single draw and a shorter block is a prefix of a longer one.
+    A stream is drawn from its start; a generator (`RngStream.generator`)
+    is continued, so consecutive calls on it draw what one call of their
+    total count draws from its stream.
     """
     if K < 1 or M < 1:
         raise ValueError("dimensions must be positive")
-    g = rng.generator()
+    g = rng if isinstance(rng, np.random.Generator) else rng.generator()
     parts = g.standard_normal((2, K, M) if count is None else (count, 2, K, M))
     return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / np.sqrt(2.0)

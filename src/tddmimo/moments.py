@@ -15,19 +15,22 @@ many rows are drawn, so every statistic of one (seed, M) reads the same rows
 max(K) rows per block: `sample` runs one task per (M, block) over all the
 statistics of that M, and the views of one K share its Gram matrix.
 
-Samples are drawn in blocks of CHUNK: row r of block b is one draw call on
-the Philox stream keyed by (seed, b) with its counter at row r.  Draw i of a
-block does not depend on the block's size, so fewer samples read a prefix
-of the draws of more.  Each block is reduced to per-group sums of phi and
-phi^2, draw i of a statistic being in group i % GROUPS, and the blocks are
-added in block order, so estimates are bit-identical with or without a
-worker pool, for any number of workers and whichever other statistics are
-sampled with them.  `sample` is the one path from keys to estimates: each
-call runs its tasks through one `pool.map` on a pool of min(workers, tasks,
-CPUs) processes that lives for that call only, or in-process when that is
-fewer than 2.  The process-pool stack (multiprocessing, socket, subprocess,
-logging) is imported when the first pool is built, so a process that builds
-none never loads it.
+Samples are drawn in blocks of CHUNK: row r of block b is the Philox stream
+keyed by (seed, b) with its counter at row r.  A block runs in slices of
+SLICE draws, each slice drawing the next SLICE draws of every row from one
+generator per row and forming, ordering and factoring them, so a task holds
+a slice's rows and Gram matrices, not a block's; the slices are the same
+bits as one stack.  Draw i of a block does not depend on the block's size,
+so fewer samples read a prefix of the draws of more.  Each block is reduced
+to per-group sums of phi and phi^2, draw i of a statistic being in group
+i % GROUPS, and the blocks are added in block order, so estimates are
+bit-identical with or without a worker pool, for any number of workers and
+whichever other statistics are sampled with them.  `sample` is the one path
+from keys to estimates: each call runs its tasks through one `pool.map` on a
+pool of min(workers, tasks, CPUs) processes that lives for that call only,
+or in-process when that is fewer than 2.  The process-pool stack
+(multiprocessing, socket, subprocess, logging) is imported when the first
+pool is built, so a process that builds none never loads it.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
 of the samples.  The guard is applied once, to the ordered K x K Gram
@@ -59,6 +62,7 @@ from .scheduling import best_first
 
 CHUNK = 2048  # samples per task and per RNG block; independent of the worker count
 GROUPS = 16  # draw i is in group i % GROUPS; a divisor of CHUNK, so blocks hold whole rounds
+SLICE = CHUNK // 8  # draws per slice of a block in `_chunk`; a multiple of GROUPS
 SINGULAR_FRACTION_LIMIT = 1e-3
 
 
@@ -140,27 +144,31 @@ def _chunk(args):
     entries.  Row r is drawn from RngStream(seed, block, r) and the rows are
     stacked outermost, so the first K rows, their norms and their Gram matrix
     are the same bits however many rows the block draws and whichever views
-    read them.  The Gram matrix of the first K rows is formed once per run of
-    consecutive views with that K, in row order, then scaled by f_i f_j and
-    permuted best first per view.
+    read them.  The block runs in slices of SLICE draws that continue each
+    row's generator, so only phi and order are held whole.  Per slice, the
+    Gram matrix of the first K rows is formed once per run of consecutive
+    views with that K, in row order, then scaled by f_i f_j and permuted
+    best first per view; each draw is factored on its own, so the slicing
+    changes no bit.
     """
     M, views, seed, block, count = args
-    rows = np.empty((max(len(f) for _, _, f in views), count, M), complex)  # [row, draw, antenna]
-    for r in range(len(rows)):
-        rows[r] = draw_channel(1, M, RngStream(seed, block, r), count)[:, 0]
-    norms = np.sum(rows.real ** 2 + rows.imag ** 2, axis=2).T  # ||z_k||^2
-    draw = np.arange(count)[:, None, None]
-    out = []
-    for K, run in groupby(views, key=lambda view: len(view[2])):
-        run = list(run)
-        g_k = gram(rows[:K].swapaxes(0, 1))
-        for i, (_, scores, f_diag) in enumerate(run):
-            f = np.asarray(f_diag)
-            # the run's last view scales the Gram matrix in place, so a lone K
-            # holds one K x K stack at a time
-            g = np.multiply(g_k, f[:, None] * f, out=g_k if i == len(run) - 1 else None)
-            order = best_first(np.asarray(scores) * norms[:, :K])
-            out.append((chi_all_n(g[draw, order[:, :, None], order[:, None, :]]), order))
+    streams = [RngStream(seed, block, r).generator()
+               for r in range(max(len(f) for *_, f in views))]
+    out = [(np.empty((count, len(f))), np.empty((count, len(f)), np.intp)) for *_, f in views]
+    for s in range(0, count, SLICE):
+        n = min(SLICE, count - s)
+        rows = np.empty((len(streams), n, M), complex)  # [row, draw, antenna]
+        for row, stream in zip(rows, streams):
+            row[:] = draw_channel(1, M, stream, n)[:, 0]
+        norms = np.sum(rows.real ** 2 + rows.imag ** 2, axis=2).T  # ||z_k||^2
+        draw = np.arange(n)[:, None, None]
+        for K, run in groupby(zip(views, out), key=lambda pair: len(pair[0][2])):
+            g_k = gram(rows[:K].swapaxes(0, 1))
+            for (_, scores, f_diag), (phi, order) in run:
+                f = np.asarray(f_diag)
+                o = best_first(np.asarray(scores) * norms[:, :K])
+                g = (g_k * (f[:, None] * f))[draw, o[:, :, None], o[:, None, :]]
+                phi[s:s + n], order[s:s + n] = chi_all_n(g), o
     return out
 
 

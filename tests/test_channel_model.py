@@ -43,6 +43,16 @@ def test_row_streams():
     assert not np.allclose(rows[1], draw_channel(1, 6, RngStream(9, 4), 50))
 
 
+@pytest.mark.parametrize("M", [1, 6, 16])
+def test_continued_generator_draws_the_stream_in_slices(M):
+    # the kernel draws a block's row in slices from one generator; the slices
+    # must be the same bits as one call for the whole block
+    stream, sizes = RngStream(9, 3, 2), (256, 16, 28)
+    g = stream.generator()
+    slices = [draw_channel(1, M, g, n) for n in sizes]
+    np.testing.assert_array_equal(np.concatenate(slices), draw_channel(1, M, stream, sum(sizes)))
+
+
 @pytest.fixture(scope="module")
 def big_draw():
     return draw_channel(100, 1000, RngStream(2024, 0))  # 1e5 entries

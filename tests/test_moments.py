@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 import warnings
 import zlib
 from dataclasses import replace
@@ -10,7 +11,7 @@ import pytest
 from tddmimo import (MomentCache, MomentKey, RngStream, chi_of, draw_channel, moments,
                      eta_moments, phi_f_moments, weighted_phi_stats)
 from tddmimo.experiments import parse_spec, run_experiment
-from tddmimo.moments import CHUNK, GROUPS, _chunk, eta_samples, f_fingerprint
+from tddmimo.moments import CHUNK, GROUPS, SLICE, _chunk, eta_samples, f_fingerprint
 from tddmimo.precoding import COND_LIMIT
 from tddmimo.rates import MomentSource
 
@@ -264,17 +265,21 @@ def test_eta_kernel_reads_the_first_k_rows_of_the_row_draws():
 
 
 def test_eta_draws_only_the_rows_it_reads(monkeypatch):
-    # a block draws max(K) rows of M, so a small K at a large M stays cheap
+    # a block draws max(K) rows of M, so a small K at a large M stays cheap;
+    # each slice of a block draws every row once, continuing its generator
     import tddmimo.moments as moments
     calls = []
     draw = moments.draw_channel
-    monkeypatch.setattr(moments, "draw_channel",
-                        lambda *args: calls.append(args[:2]) or draw(*args))
+    monkeypatch.setattr(moments, "draw_channel", lambda K, M, rng, count:
+                        calls.append((K, M, count)) or draw(K, M, rng, count))
     eta_moments(64, 2, 100, seed=30)
-    assert calls == [(1, 64)] * 2
+    assert calls == [(1, 64, 100)] * 2
     calls.clear()
     eta_moments(64, [3, 1, 5], 100, seed=30)
-    assert calls == [(1, 64)] * 5
+    assert calls == [(1, 64, 100)] * 5
+    calls.clear()
+    eta_moments(64, 2, CHUNK + 300, seed=30)  # whole slices, then a slice and 44 draws
+    assert calls == [(1, 64, SLICE)] * 2 * (CHUNK // SLICE + 1) + [(1, 64, 44)] * 2
 
 
 def _eigvalsh_guard(g):
@@ -321,21 +326,36 @@ def test_certified_guard_matches_eigenvalue_guard(monkeypatch):
     assert np.flatnonzero(np.isnan(chi[:, 0])).tolist() == [3, 7]
 
 
-def test_certificate_fallback_gives_the_eigenvalue_guards_statistics(monkeypatch):
-    # the kernel's certificate fails on these blocks; the eigenvalue guard
-    # alone must give the same singular draws and the same phi
-    import tddmimo.moments as moments
-    import tddmimo.precoding as precoding
-    draw = moments.draw_channel
+def _hard_draws(monkeypatch):
+    """Start block 0 of every pass with the 12 draws of `_hard_block`, row r
+    of the block taking row r of them: one block, within the singular-draw
+    budget.  The kernel continues one generator per row of a block, so each
+    generator is tagged with its stream when it is made, and the hook counts
+    the draws taken from it."""
+    draw, generator, made = moments.draw_channel, RngStream.generator, {}
+
+    def tagged(stream):
+        g = generator(stream)
+        made[g] = stream, [0]
+        return g
 
     def hard(K, M, rng, count):
         z = draw(K, M, rng, count)
-        if rng.stream_id == 0:  # one block, within the singular-draw budget
-            # one row per call: row r of the same four-row block
-            z[:12] = _hard_block(4, M, 12, rng.seed)[:, rng.row:rng.row + 1]
+        stream, taken = made[rng]
+        if stream.stream_id == 0 and taken[0] == 0:  # the first slice of block 0
+            z[:12] = _hard_block(4, M, 12, stream.seed)[:, stream.row:stream.row + 1]
+        taken[0] += count
         return z
 
+    monkeypatch.setattr(RngStream, "generator", tagged)
     monkeypatch.setattr(moments, "draw_channel", hard)
+
+
+def test_certificate_fallback_gives_the_eigenvalue_guards_statistics(monkeypatch):
+    # the kernel's certificate fails on these blocks; the eigenvalue guard
+    # alone must give the same singular draws and the same phi
+    import tddmimo.precoding as precoding
+    _hard_draws(monkeypatch)
     f = np.array([0.5, 1.5, 1.0, 2.0])
     p = np.array([1.0, 2.0, 0.5, 1.0])
     runs = [lambda: eta_moments(4, [2, 3, 4], 4000, seed=29),
@@ -347,6 +367,64 @@ def test_certificate_fallback_gives_the_eigenvalue_guards_statistics(monkeypatch
         for est, ref in zip(ests, run()):
             assert est.singular_events == ref.singular_events > 0
             _assert_same(est, ref)
+
+
+@pytest.mark.parametrize("hard", [False, True], ids=["regular", "hard-first-slice"])
+def test_slices_give_the_bits_of_one_stack(monkeypatch, hard):
+    # a block runs in slices of SLICE draws; run as one stack (SLICE = CHUNK)
+    # it gives the same phi, order and block sums for a multi-K eta pass, a
+    # phi_F and a weighted view.  The second block of CHUNK + 300 samples is
+    # one full slice plus 44 draws.  With hard draws in block 0's first slice,
+    # that slice alone takes the eigenvalue fallback, once per view
+    M, seed, samples = 6, 29, CHUNK + 300
+    f, p = [0.5, 1.5, 1.0, 2.0], [1.0, 2.0, 0.5, 1.0]
+    keys = [moments.key_of("eta", M, k, samples, seed) for k in (2, 3, 4)]
+    keys += [moments.key_of("phi_F", M, 4, samples, seed, f),
+             moments.key_of("weighted", M, 4, samples, seed, f, p)]
+    [views] = [tuple(map(moments._view, group)) for group in moments._passes(keys).values()]
+    tasks = [(M, views, seed, 0, CHUNK), (M, views, seed, 1, samples - CHUNK)]
+    if hard:
+        _hard_draws(monkeypatch)
+    eigvalsh, fallbacks = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: fallbacks.append(len(a)) or eigvalsh(a))
+
+    def run():
+        fallbacks.clear()
+        return [(_chunk(task), moments._chunk_sums(task)) for task in tasks], fallbacks[:]
+
+    sliced, sliced_fallbacks = run()
+    assert samples - CHUNK == SLICE + 44 and SLICE < CHUNK
+    monkeypatch.setattr(moments, "SLICE", CHUNK)
+    whole, whole_fallbacks = run()
+    # _chunk and _chunk_sums each run block 0 once
+    assert sliced_fallbacks == ([SLICE] * 2 * len(views) if hard else [])
+    assert whole_fallbacks == ([CHUNK] * 2 * len(views) if hard else [])
+    for (chunks, sums), (ref_chunks, ref_sums) in zip(sliced, whole):
+        for got, want in zip(chunks + sums, ref_chunks + ref_sums):
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+    if hard:  # draws 3 and 7 of block 0 are singular at K = 4
+        assert np.flatnonzero(np.isnan(sliced[0][0][2][0][:, 0])).tolist() == [3, 7]
+
+
+def test_a_block_holds_one_slice_of_its_gram_work(monkeypatch):
+    # one block of the largest eta pass of fig2 and fig3 (M = 16, K = 1..16)
+    # holds only phi and order whole, so its allocation peak is at most a
+    # third of the same block's peak as one stack: a bound relative to the
+    # same test's own measurement
+    views = tuple(moments._view(moments.key_of("eta", 16, k, CHUNK, 1)) for k in range(1, 17))
+
+    def peak():
+        tracemalloc.start()
+        try:
+            moments._chunk_sums((16, views, 1, 0, CHUNK))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    sliced = peak()
+    monkeypatch.setattr(moments, "SLICE", CHUNK)
+    assert 3 * sliced <= peak()
 
 
 def _row_draws(K: int, M: int, samples: int, seed: int) -> np.ndarray:
