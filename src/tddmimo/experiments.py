@@ -3,9 +3,10 @@
 Spec files are plain-text key=value documents over the keys of `_KEYS`; a
 list key's values add up over lines.  SINRs are entered in dB and converted
 per cell.  CSV numbers are pinned to 9 significant digits so reruns with the
-same seed are byte-identical.  Each preset is one `Preset` record in `PRESETS`.
-A run samples every statistic its preset's plan names before the sweep
-(`run_experiment`), so the sweep itself samples nothing.
+same seed are byte-identical.  Each preset is one `Preset` record in `PRESETS`,
+whose `request` gives each cell's statistics and the finish that turns their
+estimates into the row.  A run samples the statistics of every cell in one
+call before it finishes any (`run_experiment`), so no finish samples.
 """
 
 from __future__ import annotations
@@ -14,15 +15,17 @@ import copy
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .channel_model import SystemConfig, db_to_linear
-from .moments import MomentCache, MomentKey
-from .rates import (MomentSource, c_net, c_net_keys, c_sum_lb, c_sum_lb_keys, c_wt_net,
-                    c_wt_net_keys)
+from .moments import MomentCache
+from .rates import MomentSource, c_net_request, c_sum_lb_request, c_wt_net_request
+# unused here, but kept under these names: perfbench/traced.py wraps them
+from .rates import c_net, c_sum_lb, c_wt_net  # noqa: F401
 
 DEFAULT_SAMPLES = 100_000
 MANIFEST_FILE = "run_manifest.txt"
@@ -184,9 +187,12 @@ def _rho_r_db_for(spec: ExperimentSpec, rho_f_db):
     return np.asarray(spec.rho_r_db, dtype=float)
 
 
-# Evaluators look c_sum_lb, c_net and c_wt_net up when called, so that
-# replacing those module names (as a tracer does) catches every call.  Each
-# has a twin that names the statistics it requests (Preset.needs).
+def _columns(request, *names):
+    """A search's request (keys, finish) from `rates`, with a finish that
+    returns the attributes `names` of its RatePoint: the columns up to status."""
+    keys, finish = request
+    return keys, lambda estimates: list(attrgetter(*names)(finish(estimates)))
+
 
 def _sum_config(spec, M, K, tau_rp=None) -> SystemConfig:
     """Homogeneous config of one (M, K) cell; tau_rp defaults to K."""
@@ -198,13 +204,8 @@ def _sum_config(spec, M, K, tau_rp=None) -> SystemConfig:
 
 def _sum_bound(spec, source, scheme, M, K, tau_rp=None):
     """Homogeneous sum bound of one (M, K) cell."""
-    rp = c_sum_lb(_sum_config(spec, M, K, tau_rp), scheduled=(scheme == 1),
-                  moment_source=source)
-    return [rp.n_selected, rp.rate, rp.std_error]
-
-
-def _sum_bound_keys(spec, source, scheme, M, K, tau_rp=None):
-    return c_sum_lb_keys(_sum_config(spec, M, K, tau_rp), scheme == 1, source)
+    return _columns(c_sum_lb_request(_sum_config(spec, M, K, tau_rp), scheme == 1, source),
+                    "n_selected", "rate", "std_error")
 
 
 def _net_rate(spec, source, scheme, M, T=None, rho_f_db=None):
@@ -212,13 +213,9 @@ def _net_rate(spec, source, scheme, M, T=None, rho_f_db=None):
     to the spec's one value."""
     t = spec.t_list[0] if T is None else T
     rf_db = spec.rho_f_db[0] if rho_f_db is None else rho_f_db
-    rp = c_net(M, t, db_to_linear(rf_db), db_to_linear(_rho_r_db_for(spec, rf_db)),
-               scheduled=(scheme == 1), moment_source=source)
-    return [rp.K, rp.tau_rp, rp.n_selected, rp.rate, rp.std_error]
-
-
-def _net_rate_keys(spec, source, scheme, M, T=None, rho_f_db=None):
-    return c_net_keys(M, spec.t_list[0] if T is None else T, scheme == 1, source)
+    return _columns(c_net_request(M, t, db_to_linear(rf_db),
+                                  db_to_linear(_rho_r_db_for(spec, rf_db)), scheme == 1, source),
+                    "K", "tau_rp", "n_selected", "rate", "std_error")
 
 
 def _weighted_config(spec, M) -> SystemConfig:
@@ -232,12 +229,8 @@ def _weighted_config(spec, M) -> SystemConfig:
 
 def _weighted_net_rate(spec, source, scheme, M):
     """Weighted net rate of the spec's K heterogeneous users at M antennas."""
-    rp = c_wt_net(_weighted_config(spec, M), scheduled=(scheme == 3), moment_source=source)
-    return [rp.tau_rp, rp.n_selected, rp.rate, rp.std_error]
-
-
-def _weighted_net_rate_keys(spec, source, scheme, M):
-    return c_wt_net_keys(_weighted_config(spec, M), source)
+    return _columns(c_wt_net_request(_weighted_config(spec, M), scheme == 3, source),
+                    "tau_rp", "n_selected", "rate", "std_error")
 
 
 def _custom_rules(spec: ExperimentSpec):
@@ -267,9 +260,10 @@ def _fig5_rules(spec: ExperimentSpec):
 @dataclass(frozen=True)
 class Preset:
     """One sweep.  `cells(spec)` yields each row's leading columns as a dict
-    keyed by header name; `evaluate(spec, source, **cell)` returns the columns
-    up to `status`, and `needs(spec, source, **cell)` the MomentKeys of the
-    statistics it requests from source.  A spec may give the keys every
+    keyed by header name, and `request(spec, source, **cell)` returns
+    (keys, finish): the MomentKeys of the statistics the cell reads, built
+    by source, and `finish(estimates)`, which takes one estimate per key
+    and returns the columns up to `status`.  A spec may give the keys every
     preset reads and those in `reads`.  Each list key it reads needs one
     value, or at least one if the key is in `lists`, and `rules(spec)`
     yields further violations."""
@@ -278,17 +272,10 @@ class Preset:
     header: str
     schemes: tuple[int, ...]
     cells: Callable
-    evaluate: Callable
-    needs: Callable
+    request: Callable
     reads: tuple[str, ...]
     lists: tuple[str, ...]
     rules: Callable = lambda spec: ()
-
-    def plan(self, spec: ExperimentSpec, source: MomentSource) -> list[MomentKey]:
-        """The key of every statistic the sweep's cells request from source,
-        each once, in the order of the first request."""
-        return list(dict.fromkeys(key for cell in self.cells(spec)
-                                  for key in self.needs(spec, source, **cell)))
 
 
 PRESETS: dict[str, Preset] = {
@@ -298,7 +285,7 @@ PRESETS: dict[str, Preset] = {
         "scheme,M,K,N_star,rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, M=m, K=k) for s in spec.schemes
                       for m in spec.m_list for k in range(1, m + 1)),
-        _sum_bound, _sum_bound_keys, reads=("rho_r_db", "rho_r_offset_db"),
+        _sum_bound, reads=("rho_r_db", "rho_r_offset_db"),
         lists=("scheme", "M")),
     "fig3": Preset(
         dict(m_list=[2, 4, 6, 8, 10, 12, 14, 16], t_list=[20, 30], rho_f_db=[0.0],
@@ -306,7 +293,7 @@ PRESETS: dict[str, Preset] = {
         "scheme,T,M,K_star,tau_star,N_star,net_rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, T=t, M=m) for s in spec.schemes
                       for t in spec.t_list for m in spec.m_list),
-        _net_rate, _net_rate_keys, reads=("T", "rho_r_db", "rho_r_offset_db"),
+        _net_rate, reads=("T", "rho_r_db", "rho_r_offset_db"),
         lists=("scheme", "T", "M")),
     "fig4": Preset(
         dict(m_list=[32], t_list=[20],
@@ -315,7 +302,7 @@ PRESETS: dict[str, Preset] = {
         "scheme,rho_f_db,M,K_star,tau_star,N_star,net_rate,std_error,status", (0, 1),
         lambda spec: (dict(scheme=s, rho_f_db=f, M=m) for s in spec.schemes
                       for f in spec.rho_f_db for m in spec.m_list),
-        _net_rate, _net_rate_keys, reads=("T", "rho_r_offset_db"),
+        _net_rate, reads=("T", "rho_r_offset_db"),
         lists=("scheme", "rho_f_db", "M")),
     "fig5": Preset(
         dict(m_list=[8, 12, 16, 24], k_list=[8], t_list=[20],
@@ -324,7 +311,7 @@ PRESETS: dict[str, Preset] = {
              schemes=[2, 3], output="fig5_weighted_net_rate.csv"),
         "scheme,M,tau_star,N_star,wt_net_rate,std_error,status", (2, 3),
         lambda spec: (dict(scheme=s, M=m) for s in spec.schemes for m in spec.m_list),
-        _weighted_net_rate, _weighted_net_rate_keys, reads=("K", "T", "rho_r_offset_db", "weight"),
+        _weighted_net_rate, reads=("K", "T", "rho_r_offset_db", "weight"),
         lists=("scheme", "M", "rho_f_db", "weight"), rules=_fig5_rules),
     "custom": Preset(
         dict(m_list=[], schemes=[0, 1], output="custom_sum_bound.csv"),
@@ -332,41 +319,36 @@ PRESETS: dict[str, Preset] = {
         lambda spec: (dict(scheme=s, M=m, K=k,
                            tau_rp=spec.tau_rp if spec.tau_rp is not None else k)
                       for s in spec.schemes for m in spec.m_list for k in spec.k_list),
-        _sum_bound, _sum_bound_keys, reads=("K", "tau_rp", "rho_r_db", "rho_r_offset_db"),
+        _sum_bound, reads=("K", "tau_rp", "rho_r_db", "rho_r_offset_db"),
         lists=("scheme", "M", "K"), rules=_custom_rules),
 }
-
-
-def _sweep_rows(spec: ExperimentSpec, source: MomentSource):
-    """(header, rows) for the spec's sweep.  `status` always reads ok: an
-    evaluator's ValueError fails the run, and a spec that passes validation
-    raises none."""
-    preset = PRESETS[spec.preset]
-    rows = []
-    for cell in preset.cells(spec):
-        rows.append(list(cell.values()) + preset.evaluate(spec, source, **cell) + ["ok"])
-    return preset.header, rows
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
                    workers: int = 1) -> dict:
     """Run the sweep, write CSV + manifest + moment cache, return manifest.
 
-    The preset's plan names every statistic the sweep requests.  Those the
-    cache lacks are sampled first, in one pass per (M, block) over all of
-    them, on up to `workers` processes (moments.sample); the sweep then
-    finds every statistic in the cache.  The manifest's cache_misses counts
-    the statistics sampled, and cache_hits the sweep's requests, each a
-    lookup that found its statistic.
+    Each cell's request is built once and names the statistics it reads.
+    Those the cache lacks, over all the cells, are sampled first, in one
+    pass per (M, block) over all of them, on up to `workers` processes
+    (moments.sample); each cell then finishes from its keys' estimates,
+    which the cache holds.  The manifest's cache_misses counts the
+    statistics sampled, and cache_hits the cells' keys, each a lookup that
+    found its statistic.  `status` always reads ok: a request's ValueError
+    fails the run, and a spec that passes validation raises none.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     source = MomentSource(spec.samples, spec.seed, workers=workers, cache_path=out / CACHE_DIR)
-    started = time.time()
-    source.fetch(source.missing(PRESETS[spec.preset].plan(spec, source)))
-    header, rows = _sweep_rows(spec, source)
+    started = time.perf_counter()
+    preset = PRESETS[spec.preset]
+    cells = list(preset.cells(spec))
+    requests = [preset.request(spec, source, **cell) for cell in cells]
+    source.fetch(source.missing(key for keys, _ in requests for key in keys))
+    rows = [list(cell.values()) + finish(source.fetch(keys)) + ["ok"]
+            for cell, (keys, finish) in zip(cells, requests)]
     cache = source.cache
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    lines = [preset.header] + [",".join(_fmt(v) for v in row) for row in rows]
     (out / spec.output).write_text("\n".join(lines) + "\n")
 
     manifest = {
@@ -379,7 +361,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
         "cache_hits": cache.hits,
         "cache_misses": cache.misses,
         "singular_events": cache.singular_events,
-        "wall_time_s": round(time.time() - started, 3),
+        "wall_time_s": round(time.perf_counter() - started, 3),
         "tddmimo_version": __version__,
         "numpy_version": np.__version__,
         "moments_version": MomentCache.VERSION,

@@ -1,10 +1,15 @@
 """Capacity lower bounds and net-rate searches.
 
-All rates are bits per symbol.  The searches evaluate their bounds as arrays
-and pick the optimum by one tie rule (`_first_best`).  A result's standard
-error is the delete-a-group jackknife (`_jackknife_se`) of the array that
-gives its rate, evaluated at the chosen optimum only on the moments with
-one group of draws left out (`MomentEstimate.leave_one_out`).
+All rates are bits per symbol.  Each search has one request builder
+(`c_sum_lb_request`, `c_net_request`, `c_wt_net_request`) that checks its
+inputs and returns (keys, finish): the MomentKeys of the statistics it
+reads, and the search itself, `finish(estimates)` on one estimate per key.
+`c_sum_lb`, `c_net` and `c_wt_net` are `finish(moment_source.fetch(keys))`.
+The searches evaluate their bounds as arrays and pick the optimum by one
+tie rule (`_first_best`).  A result's standard error is the delete-a-group
+jackknife (`_jackknife_se`) of the array that gives its rate, evaluated at
+the chosen optimum only on the moments with one group of draws left out
+(`MomentEstimate.leave_one_out`).
 """
 
 from __future__ import annotations
@@ -94,13 +99,10 @@ def _jackknife_se(held_out) -> float:
 class MomentSource:
     """Sampling protocol (samples, seed) and the MomentCache, in memory only
     without `cache_path`, behind every statistic it serves.  Keys are built
-    here only, and every statistic goes through `fetch`: each is sampled
-    once per source, on up to `workers` processes (moments.sample).
-
-    A run fetches its plan's missing keys first (`missing`, then `fetch`),
-    in one pass per (M, block), so that the searches find every statistic
-    in the cache; a request for a statistic the cache lacks is still
-    sampled, alone or with the other K it names."""
+    here only (`eta_keys`, `weighted_key`), and every statistic goes through
+    `fetch`, which samples the keys the cache lacks in one call of
+    moments.sample, on up to `workers` processes.  `eta`, `phi` and
+    `weighted` are shorthands that fetch their statistics' keys."""
 
     def __init__(self, samples: int, seed: int, *, workers: int = 1, cache_path=None):
         self.samples = samples
@@ -157,31 +159,36 @@ def _net_ks(M: int, T: int) -> range:
     return range(1, min(M, T - 2) + 1)
 
 
-def _sum_search(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, scheduled: bool,
-                moment_source: MomentSource):
-    """Optimum of prelogs[tau] * N * bound over tau in `taus`, K in `ks` with
-    K <= tau and N <= K, prelog included.  The moments of (K, N) are entry
-    N-1 of eta(M, K) when scheduled (the N best of K rows) and of eta(M, N)
-    otherwise (N channel-independent users)."""
-    stats = moment_source.eta(M, _sum_ks(ks, scheduled))
-    est = lambda k, n: stats[k if scheduled else n]
+def _sum_request(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, scheduled: bool,
+                 moment_source: MomentSource):
+    """Request of the optimum of prelogs[tau] * N * bound over tau in
+    `taus`, K in `ks` with K <= tau and N <= K, prelog included.  The
+    moments of (K, N) are entry N-1 of eta(M, K) when scheduled (the N best
+    of K rows) and of eta(M, N) otherwise (N channel-independent users)."""
+    eta_ks = _sum_ks(ks, scheduled)
 
-    def table(attr):  # [K, N], NaN where N > K
-        return np.array([[getattr(est(k, n), attr)[n - 1] if n <= k else np.nan
-                          for n in range(1, max(ks) + 1)] for k in ks])
-    mean, var = table("mean"), table("variance")
-    col = np.asarray(taus)[:, None]
-    sums = np.arange(1, max(ks) + 1) * _bound(rho_f, rho_r, col[..., None], mean, var)
-    sums[np.asarray(ks) > col] = np.nan  # [tau, K, N]
-    n_best = _first_best(sums)  # [tau, K]
-    net = prelogs[:, None] * np.take_along_axis(sums, n_best[..., None], axis=2)[..., 0]
-    t, row = divmod(int(_first_best(net.ravel())), len(ks))
-    tau, k, n = int(taus[t]), ks[row], int(n_best[t, row]) + 1
-    _, mean, var, _ = est(k, n).leave_one_out()
-    held_out = n * _bound(rho_f, rho_r, tau, mean[:, n - 1], var[:, n - 1])
-    prelog = float(prelogs[t])
-    return RatePoint(rate=prelog * float(sums[t, row, n - 1]), n_selected=n, tau_rp=tau, K=k,
-                     std_error=prelog * _jackknife_se(held_out), auxiliary={"prelog": prelog})
+    def finish(estimates) -> RatePoint:
+        stats = dict(zip(eta_ks, estimates))
+        est = lambda k, n: stats[k if scheduled else n]
+
+        def table(attr):  # [K, N], NaN where N > K
+            return np.array([[getattr(est(k, n), attr)[n - 1] if n <= k else np.nan
+                              for n in range(1, max(ks) + 1)] for k in ks])
+        mean, var = table("mean"), table("variance")
+        col = np.asarray(taus)[:, None]
+        sums = np.arange(1, max(ks) + 1) * _bound(rho_f, rho_r, col[..., None], mean, var)
+        sums[np.asarray(ks) > col] = np.nan  # [tau, K, N]
+        n_best = _first_best(sums)  # [tau, K]
+        net = prelogs[:, None] * np.take_along_axis(sums, n_best[..., None], axis=2)[..., 0]
+        t, row = divmod(int(_first_best(net.ravel())), len(ks))
+        tau, k, n = int(taus[t]), ks[row], int(n_best[t, row]) + 1
+        _, mean, var, _ = est(k, n).leave_one_out()
+        held_out = n * _bound(rho_f, rho_r, tau, mean[:, n - 1], var[:, n - 1])
+        prelog = float(prelogs[t])
+        return RatePoint(rate=prelog * float(sums[t, row, n - 1]), n_selected=n, tau_rp=tau,
+                         K=k, std_error=prelog * _jackknife_se(held_out),
+                         auxiliary={"prelog": prelog})
+    return moment_source.eta_keys(M, eta_ks), finish
 
 
 def _check_sum_config(config: SystemConfig):
@@ -189,6 +196,13 @@ def _check_sum_config(config: SystemConfig):
         raise ValueError("sum-rate bound requires a homogeneous config")
     if config.K > min(config.M, config.tau_rp):
         raise ValueError("homogeneous runs require K <= min(M, tau_rp)")
+
+
+def c_sum_lb_request(config: SystemConfig, scheduled: bool, moment_source: MomentSource):
+    """(keys, finish) of `c_sum_lb`."""
+    _check_sum_config(config)
+    return _sum_request(config.M, float(config.rho_f[0]), float(config.rho_r[0]),
+                        [config.tau_rp], [config.K], np.ones(1), scheduled, moment_source)
 
 
 def c_sum_lb(config: SystemConfig, scheduled: bool,
@@ -199,9 +213,17 @@ def c_sum_lb(config: SystemConfig, scheduled: bool,
     the unscheduled baseline serves N channel-independent users, i.e. the
     eta moments of an N x M matrix.
     """
-    _check_sum_config(config)
-    return _sum_search(config.M, float(config.rho_f[0]), float(config.rho_r[0]),
-                       [config.tau_rp], [config.K], np.ones(1), scheduled, moment_source)
+    keys, finish = c_sum_lb_request(config, scheduled, moment_source)
+    return finish(moment_source.fetch(keys))
+
+
+def c_net_request(M: int, T: int, rho_f: float, rho_r: float, scheduled: bool,
+                  moment_source: MomentSource):
+    """(keys, finish) of `c_net`: the eta of every K it searches."""
+    ks = _net_ks(M, T)
+    taus = np.arange(1, T - 1)
+    return _sum_request(M, float(rho_f), float(rho_r), taus, ks, (T - taus - 1) / T,
+                        scheduled, moment_source)
 
 
 def c_net(M: int, T: int, rho_f: float, rho_r: float, scheduled: bool,
@@ -212,10 +234,8 @@ def c_net(M: int, T: int, rho_f: float, rho_r: float, scheduled: bool,
     K <= min(M, tau); ties within 1e-12 resolve to the smallest tau, then
     the smallest K.
     """
-    ks = _net_ks(M, T)
-    taus = np.arange(1, T - 1)
-    return _sum_search(M, float(rho_f), float(rho_r), taus, ks, (T - taus - 1) / T,
-                       scheduled, moment_source)
+    keys, finish = c_net_request(M, T, rho_f, rho_r, scheduled, moment_source)
+    return finish(moment_source.fetch(keys))
 
 
 def c_wt_lb(config: SystemConfig, p, phi_mean: float, phi_var: float) -> float:
@@ -261,6 +281,28 @@ def _tau_points(config: SystemConfig):
         yield cfg, active, pa.p_star, pa.p_star[active] ** -0.5 * np.sqrt(rt / (1.0 + rt))
 
 
+def c_wt_net_request(config: SystemConfig, scheduled: bool, moment_source: MomentSource):
+    """(keys, finish) of `c_wt_net`: the weighted statistic of every tau,
+    its powers waterfilled once, here."""
+    taus = list(_tau_points(config))
+
+    def finish(estimates) -> RatePoint:
+        points = []  # each tau's best N, with what its standard error needs
+        for (cfg, active, p_star, _), stats in zip(taus, estimates):
+            rates = _weighted_rates(cfg, active, p_star, *stats.moments)
+            n_idx = int(_first_best(rates)) if scheduled else active.size - 1
+            prelog = (config.T - cfg.tau_rp - 1) / config.T
+            points.append((RatePoint(rate=prelog * rates[n_idx], n_selected=n_idx + 1,
+                                     tau_rp=cfg.tau_rp, K=config.K, auxiliary={"prelog": prelog}),
+                           cfg, active, p_star, stats))
+        best, cfg, active, p_star, stats = points[int(_first_best([pt[0].rate for pt in points]))]
+        held_out = _weighted_rates(cfg, active, p_star, *stats.leave_one_out())
+        return replace(best, std_error=best.auxiliary["prelog"]
+                       * _jackknife_se(held_out[:, best.n_selected - 1]))
+    return [moment_source.weighted_key(f_diag, p_star[active], config.M)
+            for _, active, p_star, f_diag in taus], finish
+
+
 def c_wt_net(config: SystemConfig, scheduled: bool,
              moment_source: MomentSource) -> RatePoint:
     """Net weighted-sum rate, maximized over the training length.
@@ -271,35 +313,6 @@ def c_wt_net(config: SystemConfig, scheduled: bool,
     `scheduled` the served count N is also maximized; otherwise all active
     users are served (N fixed).
     """
-    points = []  # each tau's best N, with what its standard error needs
-    for cfg, active, p_star, f_diag in _tau_points(config):
-        stats = moment_source.weighted(f_diag, p_star[active], config.M)
-        rates = _weighted_rates(cfg, active, p_star, *stats.moments)
-        n_idx = int(_first_best(rates)) if scheduled else active.size - 1
-        prelog = (config.T - cfg.tau_rp - 1) / config.T
-        points.append((RatePoint(rate=prelog * rates[n_idx], n_selected=n_idx + 1,
-                                 tau_rp=cfg.tau_rp, K=config.K, auxiliary={"prelog": prelog}),
-                       cfg, active, p_star, stats))
-    best, cfg, active, p_star, stats = points[int(_first_best([pt[0].rate for pt in points]))]
-    held_out = _weighted_rates(cfg, active, p_star, *stats.leave_one_out())
-    return replace(best, std_error=best.auxiliary["prelog"]
-                   * _jackknife_se(held_out[:, best.n_selected - 1]))
+    keys, finish = c_wt_net_request(config, scheduled, moment_source)
+    return finish(moment_source.fetch(keys))
 
-
-# The statistics each search reads, as the keys its moment_source looks up:
-# a run samples them all before it searches (experiments.Preset.plan).
-
-def c_sum_lb_keys(config: SystemConfig, scheduled: bool,
-                  moment_source: MomentSource) -> list[MomentKey]:
-    _check_sum_config(config)
-    return moment_source.eta_keys(config.M, _sum_ks([config.K], scheduled))
-
-
-def c_net_keys(M: int, T: int, scheduled: bool,
-               moment_source: MomentSource) -> list[MomentKey]:
-    return moment_source.eta_keys(M, _sum_ks(_net_ks(M, T), scheduled))
-
-
-def c_wt_net_keys(config: SystemConfig, moment_source: MomentSource) -> list[MomentKey]:
-    return [moment_source.weighted_key(f_diag, p_star[active], config.M)
-            for _, active, p_star, f_diag in _tau_points(config)]

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import tddmimo
-from tddmimo import moments
+from tddmimo import moments, rates
 from tddmimo.cli import main
-from tddmimo.experiments import (PRESETS, ExperimentSpec, SpecValidationError, _sweep_rows,
+from tddmimo.experiments import (PRESETS, ExperimentSpec, SpecValidationError,
                                  check_feasibility, parse_spec, run_experiment)
 from tddmimo.rates import MomentSource
 
@@ -90,7 +90,7 @@ def test_rerun_is_bit_exact(tmp_path):
 
 
 def test_evaluator_error_fails_run(tmp_path):
-    # a valid spec makes no evaluator raise, so each spec is changed after
+    # a valid spec makes no request raise, so each spec is changed after
     # parsing; the run stops at the library's ValueError and writes no CSV
     spec = parse_spec("preset=fig3\nT=3\nM=2\nsamples=500\n")
     spec.t_list = [2, 3]
@@ -371,13 +371,13 @@ def test_concurrent_writers_share_one_cache(tmp_path):
     assert (out / csv).read_bytes() == (alone / csv).read_bytes()
 
 
-@pytest.mark.parametrize("spec_text,evaluator,workers", [
-    (CUSTOM_SPEC, "rates.c_sum_lb", 1),
-    (FIG5_SPEC, "rates.c_wt_net", 1),
-    ("preset=fig3\nT=5\nM=2\nseed=4\nsamples=200\n", "rates.c_net", 1),
-    (f"preset=fig3\nT=5\nM=2\nseed=4\nsamples={moments.CHUNK + 52}\n", "rates.c_net", 2),
+@pytest.mark.parametrize("spec_text,waterfills,workers", [
+    (CUSTOM_SPEC, 0, 1),
+    (FIG5_SPEC, 8, 1),
+    ("preset=fig3\nT=5\nM=2\nseed=4\nsamples=200\n", 0, 1),
+    (f"preset=fig3\nT=5\nM=2\nseed=4\nsamples={moments.CHUNK + 52}\n", 0, 2),
 ], ids=["custom", "fig5", "fig3", "fig3-workers-2"])
-def test_traced_benchmark_entry_point_runs(tmp_path, spec_text, evaluator, workers):
+def test_traced_benchmark_entry_point_runs(tmp_path, spec_text, waterfills, workers):
     # perfbench/traced.py wraps module-level names of the library; a rename
     # there breaks the benchmark's per-layer metrics
     spec_file = tmp_path / "spec.txt"
@@ -390,7 +390,12 @@ def test_traced_benchmark_entry_point_runs(tmp_path, spec_text, evaluator, worke
     assert proc.returncode == 0, proc.stderr.decode()
     spans = json.loads(trace.read_text())["spans"]
     names = {span[0] for span in spans}
-    assert {"moments.cache", "moments.compute", "rates.moment_request", evaluator} <= names
+    assert {"moments.cache", "moments.compute"} <= names
+    # every statistic is looked up by the run itself, not inside a search
+    assert all(spans[span[3]][0] == "experiments.run_experiment"
+               for span in spans if span[0] == "moments.cache")
+    # fig5 waterfills once per (cell, tau): 2 cells x 4 tau
+    assert sum(span[0] == "power_opt.waterfill" for span in spans) == waterfills
     # one pool for the whole run, opened and closed inside run_experiment
     pools = [span for span in spans if span[0] == "moments.pool"]
     assert len(pools) == (workers > 1)
@@ -419,7 +424,7 @@ def pool_calls(monkeypatch):
 def test_one_pool_per_run(tmp_path, pool_calls):
     built, submitted = pool_calls
     spec_file = tmp_path / "spec.txt"
-    # three eta statistics (M=4, K=1, 2, 3), planned before the sweep and
+    # three eta statistics (M=4, K=1, 2, 3), named by the cells' requests and
     # sampled in one pass of three blocks, the last partial
     spec_file.write_text(CUSTOM_SPEC.replace("samples=300", f"samples={2 * moments.CHUNK + 17}"))
     run = ["run", "--spec", str(spec_file)]
@@ -437,8 +442,8 @@ def test_one_pool_per_run(tmp_path, pool_calls):
 
 
 def test_no_pool_when_every_statistic_is_one_block(tmp_path, pool_calls):
-    # a pool is built only when the plan's misses are more than one (M, block)
-    # task: a one-task plan or a warm rerun would pay only for its import
+    # a pool is built only when a run's misses are more than one (M, block)
+    # task: one task or a warm rerun would pay only for its import
     built, submitted = pool_calls
     csv = "custom_sum_bound.csv"
     cases = [(moments.CHUNK, "M=4", 0), (moments.CHUNK + 1, "M=4", 1),
@@ -464,7 +469,7 @@ def test_no_pool_when_every_statistic_is_one_block(tmp_path, pool_calls):
         submitted.clear()
 
 
-# Specs whose plans cover every preset; fig5's waterfilling leaves 6 of its
+# Specs whose requests cover every preset; fig5's waterfilling leaves 6 of its
 # 8 users active at every tau, and with these weights 3 or 4, so one pass
 # holds views of several K.
 PLAN_SPECS = {
@@ -477,32 +482,62 @@ PLAN_SPECS = {
 }
 
 
+def _requests(spec, source):
+    """Each cell's (keys, finish), and the union of their keys in order."""
+    preset = PRESETS[spec.preset]
+    requests = [preset.request(spec, source, **cell) for cell in preset.cells(spec)]
+    return requests, list(dict.fromkeys(key for keys, _ in requests for key in keys))
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("spec_text", PLAN_SPECS.values(), ids=PLAN_SPECS.keys())
-def test_plan_is_exact(tmp_path, spec_text, workers):
-    # once the plan is sampled the sweep samples nothing: every request it
-    # makes finds its statistic in the cache
+def test_plan_is_exact(tmp_path, monkeypatch, spec_text, workers):
+    # once the cells' keys are sampled their finishes sample nothing: every
+    # key a cell names finds its statistic in the cache
     spec = parse_spec(spec_text + f"seed=5\nsamples={moments.CHUNK + 1}\n")
     source = MomentSource(spec.samples, spec.seed, workers=workers)
-    plan = PRESETS[spec.preset].plan(spec, source)
+    requests, plan = _requests(spec, source)
     assert len(plan) == len(set(plan)) > 0
     source.fetch(source.missing(plan))
     assert source.cache.misses == len(plan)
-    _sweep_rows(spec, source)
+    for keys, finish in requests:
+        finish(source.fetch(keys))
     assert source.cache.misses == len(plan) and source.cache.hits >= len(plan)
-    # a run samples the same plan, at either worker count
+    # a run samples the same keys, at either worker count, in one call, and
+    # runs each cell's search once (one jackknife per reported rate)
+    sampled, searches = [], []
+    sample, jackknife = rates.sample, rates._jackknife_se
+    monkeypatch.setattr(rates, "sample", lambda keys, *a: sampled.append(keys) or sample(keys, *a))
+    monkeypatch.setattr(rates, "_jackknife_se", lambda x: searches.append(x) or jackknife(x))
     manifest = run_experiment(spec, tmp_path, workers=workers)
     assert manifest["cache_misses"] == len(plan)
+    assert [len(keys) for keys in sampled if keys] == [len(plan)]
+    assert len(searches) == manifest["rows"] == len(requests)
     records = tddmimo.MomentCache(tmp_path / "moments_cache")
     assert set(os.listdir(records.dir)) == {records._file(key).name for key in plan}
+    sampled.clear()
+    run_experiment(spec, tmp_path, workers=workers)
+    assert not any(sampled)
+
+
+def test_hetero_spec_waterfills_once_per_cell_and_tau(tmp_path, monkeypatch):
+    # 4 cells (schemes 2 and 3 at M = 8 and 16) x 11 tau (K = 8, T = 20):
+    # each cell's request waterfills its taus, and nothing else does
+    calls = []
+    waterfill = rates.waterfill
+    monkeypatch.setattr(rates, "waterfill", lambda *a: calls.append(a) or waterfill(*a))
+    spec = parse_spec((ROOT / "perfbench" / "specs" / "hetero.txt").read_text(), seed=1)
+    manifest = run_experiment(spec, tmp_path, workers=1)
+    assert len(calls) == 44
+    assert (manifest["cache_hits"], manifest["cache_misses"]) == (44, 22)
 
 
 def test_request_outside_the_plan_is_sampled():
-    # the plan of fig3 at T=5 names eta(4, K) for K <= 3; K = 4 and a
-    # weighted statistic are sampled at their request, as without a plan
+    # the cells of fig3 at T=5 name eta(4, K) for K <= 3; K = 4 and a
+    # weighted statistic are sampled at their request, as without a run
     spec = parse_spec("preset=fig3\nT=5\nM=4\nseed=5\nsamples=300\n")
     source = MomentSource(spec.samples, spec.seed)
-    plan = PRESETS[spec.preset].plan(spec, source)
+    _, plan = _requests(spec, source)
     assert sorted(key.K for key in plan) == [1, 2, 3]
     source.fetch(source.missing(plan))
     eta = source.eta(4, 4)

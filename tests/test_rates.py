@@ -213,7 +213,8 @@ def test_homogeneous_se_matches_seed_spread():
 
 def test_kernel_runs_once_per_statistic(monkeypatch):
     # a source without a cache path keeps every statistic in memory, so the
-    # tau, K and N loops of both searches sample each (kind, M, K, F) once
+    # tau, K and N loops of both searches sample each (kind, M, K, F) once,
+    # and each search samples what it lacks in one pass
     import tddmimo.moments as moments
     runs = []
     collect = moments._collect
@@ -233,28 +234,31 @@ def test_kernel_runs_once_per_statistic(monkeypatch):
     cfg = paper_hetero_config(M=8, T=14)
     for scheduled in (True, False):
         c_wt_net(cfg, scheduled=scheduled, moment_source=src)
-    assert 0 < len(runs) == len(set(runs)) == src.cache.misses - 4
-    assert src.cache.kind_counts() == {"eta": 4, "weighted": len(runs)}
+    # one pass (M = 8) that holds the weighted statistic of every tau
+    views = [view for _, pass_views, *_ in runs for view in pass_views]
+    assert len(runs) == 1 and 0 < len(views) == len(set(views)) == src.cache.misses - 4
+    assert src.cache.kind_counts() == {"eta": 4, "weighted": len(views)}
 
 
 @pytest.mark.parametrize("T", [3, 12, 200])
 def test_net_rate_requests_each_statistic_once(monkeypatch, T):
     # the search reads one eta table per (M, T) call, however many tau it
-    # scans, with one request that names every K it needs
+    # scans, with one fetch that names every K it needs
     requests = []
-    eta = MomentSource.eta
+    fetch = MomentSource.fetch
 
-    def counting(self, M, K):
-        requests.append(list(K))
-        return eta(self, M, K)
+    def counting(self, keys):
+        requests.append(list(keys))
+        return fetch(self, keys)
 
-    monkeypatch.setattr(MomentSource, "eta", counting)
+    monkeypatch.setattr(MomentSource, "fetch", counting)
     src = MomentSource(200, 32)
     for scheduled in (True, False):
         requests.clear()
         c_net(4, T, 1.0, 0.1, scheduled=scheduled, moment_source=src)
         assert len(requests) == 1
-        ks = requests[0]
+        assert requests[0] == src.eta_keys(4, [key.K for key in requests[0]])
+        ks = [key.K for key in requests[0]]
         assert ks == sorted(set(ks)) == list(range(1, min(4, T - 2) + 1))
 
 
@@ -273,7 +277,7 @@ def _ref_bound(rho_f, rho_r, tau, e, v):
 def _ref_sum(M, K, tau, rho_f, rho_r, scheduled, src):
     best = None
     for n in range(1, K + 1):
-        eta = src.eta(M, K if scheduled else n)
+        eta, = src.fetch(src.eta_keys(M, [K if scheduled else n]))
         rate = n * _ref_bound(rho_f, rho_r, tau, float(eta.mean[n - 1]),
                               float(eta.variance[n - 1]))
         if best is None or rate > best[0] + 1e-12:
@@ -299,7 +303,8 @@ def _ref_wt_net(cfg, scheduled, src, power_source):
         p = power_source(c.weights).p_star
         active = np.flatnonzero(p > 0)
         rt = c.rho_r[active] * tau
-        stats = src.weighted(p[active] ** -0.5 * np.sqrt(rt / (1.0 + rt)), p[active], c.M)
+        stats, = src.fetch([src.weighted_key(p[active] ** -0.5 * np.sqrt(rt / (1.0 + rt)),
+                                             p[active], c.M)])
         rates = []
         for n in range(active.size):
             total = 0.0
@@ -336,16 +341,17 @@ def _one_draw_estimate(mean, var, served=None):
 
 
 class TableSource:
-    """eta(M, K) read from fixed tables: entry N-1 of mean[K] and var[K]; a
-    sequence of K gives a dict K -> estimate, as MomentSource.eta does."""
+    """A source whose eta of (M, K) is read from fixed tables, entry N-1 of
+    mean[K] and var[K]: its keys are (M, K), fetched as MomentSource's are."""
 
     def __init__(self, mean, var):
         self.mean, self.var = mean, var
 
-    def eta(self, M, K):
-        if np.ndim(K):
-            return {k: self.eta(M, k) for k in K}
-        return _one_draw_estimate(self.mean[K], self.var[K])
+    def eta_keys(self, M, ks):
+        return [(M, k) for k in ks]
+
+    def fetch(self, keys):
+        return [_one_draw_estimate(self.mean[k], self.var[k]) for _, k in keys]
 
 
 # a reverse SINR so large that the bound hardly depends on tau, so that rates
@@ -451,14 +457,17 @@ def test_bound_array_matches_scalar_evaluation():
 
 
 class WeightedTableSource:
-    """weighted(...) read from one fixed [N-1, user] table of phi moments,
-    served where `served` is nonzero."""
+    """A source whose every weighted statistic is one fixed [N-1, user]
+    table of phi moments, served where `served` is nonzero."""
 
     def __init__(self, served, mean, var):
         self.est = _one_draw_estimate(mean, var, served)
 
-    def weighted(self, f_diag, p_star, M):
-        return self.est
+    def weighted_key(self, f_diag, p_star, M):
+        return (M, tuple(f_diag), tuple(p_star))
+
+    def fetch(self, keys):
+        return [self.est for _ in keys]
 
 
 def _equal_powers(w, *_):
