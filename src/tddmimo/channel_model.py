@@ -46,10 +46,6 @@ class RngStream:
         key = ((self.seed & _MASK64) << 64) | (self.stream_id & _MASK64)
         return np.random.Generator(np.random.Philox(key=key, counter=(self.row & _MASK64) << 192))
 
-    def substream(self, offset: int) -> "RngStream":
-        """Derived stream for a sub-draw (noise vs. channel, etc.)."""
-        return RngStream(self.seed, (self.stream_id + offset) & _MASK64)
-
 
 @dataclass(frozen=True)
 class SystemConfig:

@@ -1,9 +1,9 @@
 """Monte Carlo estimation of the trace-inverse gain statistics.
 
-Every statistic is one kernel (`_chunk`) composed from the physical layer
-over a sample axis: draw the rows of M antennas of a block, each row on its
-own sub-stream (`RngStream.row`), form the Gram matrix of the first K rows,
-scale it by f_i f_j, order the rows best first by scores_k * ||z_k||^2
+Every statistic is one kernel (`_block_sums`) composed from the physical
+layer over a sample axis: draw the rows of M antennas of a block, each row
+on its own sub-stream (`RngStream.row`), form the Gram matrix of the first K
+rows, scale it by f_i f_j, order the rows best first by scores_k * ||z_k||^2
 (`scheduling.best_first`) and read phi for every served count N from the
 precoders' guarded Cholesky factor (`precoding.chi_all_n`).  The statistics
 differ only in their parameters, a view (per_user, scores, F) of the rows:
@@ -16,19 +16,21 @@ max(K) rows per block: `sample` runs one task per (M, block) over all the
 statistics of that M, and the views of one K share its Gram matrix.
 
 Samples are drawn in blocks of CHUNK: row r of block b is the Philox stream
-keyed by (seed, b) with its counter at row r.  A block runs in slices of
-SLICE draws, each slice drawing the next SLICE draws of every row from one
-generator per row and forming, ordering and factoring them, so a task holds
-a slice's rows and Gram matrices, not a block's; the slices are the same
-bits as one stack.  Draw i of a block does not depend on the block's size,
-so fewer samples read a prefix of the draws of more.  Each block is reduced
-to per-group sums of phi and phi^2, draw i of a statistic being in group
-i % GROUPS, and the blocks are added in block order, so estimates are
-bit-identical with or without a worker pool, for any number of workers and
-whichever other statistics are sampled with them.  `sample` is the one path
-from keys to estimates: each call runs its tasks through one `pool.map` on a
-pool of min(workers, tasks, CPUs) processes that lives for that call only,
-or in-process when that is fewer than 2.  The process-pool stack
+keyed by (seed, b) with its counter at row r.  A block is a stream of slices
+(`_slices`), each drawing the next SLICE draws of every row from one
+generator per row and forming, ordering and factoring them; the slices are
+the same bits as one stack.  Draw i of a block does not depend on the
+block's size, so fewer samples read a prefix of the draws of more.  Each
+block is reduced to per-group sums of phi and phi^2, draw i of a statistic
+being in group i % GROUPS, and each slice is added to them as it is made,
+round by round of GROUPS draws (`_fold`): a task holds one slice, never an
+array over its block's draws, and gets the bits of one sum over the block.
+The blocks are added in block order, so estimates are bit-identical with or
+without a worker pool, for any number of workers and whichever other
+statistics are sampled with them.  `sample` is the one path from keys to
+estimates: each call runs its tasks through one `pool.map` on a pool of
+min(workers, tasks, CPUs) processes that lives for that call only, or
+in-process when that is fewer than 2.  The process-pool stack
 (multiprocessing, socket, subprocess, logging) is imported when the first
 pool is built, so a process that builds none never loads it.
 
@@ -62,7 +64,7 @@ from .scheduling import best_first
 
 CHUNK = 2048  # samples per task and per RNG block; independent of the worker count
 GROUPS = 16  # draw i is in group i % GROUPS; a divisor of CHUNK, so blocks hold whole rounds
-SLICE = CHUNK // 8  # draws per slice of a block in `_chunk`; a multiple of GROUPS
+SLICE = CHUNK // 8  # draws a task holds at once (`_slices`); a multiple of GROUPS
 SINGULAR_FRACTION_LIMIT = 1e-3
 
 
@@ -134,27 +136,25 @@ def f_fingerprint(f_diag) -> str:
     return np.atleast_1d(np.asarray(f_diag, dtype="<f8")).tobytes().hex()
 
 
-def _chunk(args):
-    """phi_N for every N over one block, one (phi, order) per view in
-    `views`: phi[i, N-1] is the statistic of the N leading of the view's K
-    rows of draw i once ordered (a NaN row marks a singular draw), and
-    order[i] lists those rows best first by scores_k * ||z_k||^2.
+def _slices(M: int, views: tuple, seed: int, block: int, count: int):
+    """phi_N for every N over one block of `count` draws, yielded as it is
+    made: one (phi, order) per slice of SLICE draws and, within a slice, per
+    view of `views` in turn.  phi[i, N-1] is the statistic of the N leading
+    of the view's K rows of the slice's draw i once ordered (a NaN row marks
+    a singular draw), and order[i] lists those rows best first by
+    scores_k * ||z_k||^2.
 
     A view is (per_user, scores, f_diag), scores and f_diag holding K
     entries.  Row r is drawn from RngStream(seed, block, r) and the rows are
     stacked outermost, so the first K rows, their norms and their Gram matrix
     are the same bits however many rows the block draws and whichever views
-    read them.  The block runs in slices of SLICE draws that continue each
-    row's generator, so only phi and order are held whole.  Per slice, the
-    Gram matrix of the first K rows is formed once per run of consecutive
-    views with that K, in row order, then scaled by f_i f_j and permuted
-    best first per view; each draw is factored on its own, so the slicing
-    changes no bit.
+    read them.  A slice continues each row's generator.  Per slice, the Gram
+    matrix of the first K rows is formed once per run of consecutive views
+    with that K, in row order, then scaled by f_i f_j and permuted best first
+    per view; each draw is factored on its own, so the slicing changes no bit.
     """
-    M, views, seed, block, count = args
     streams = [RngStream(seed, block, r).generator()
                for r in range(max(len(f) for *_, f in views))]
-    out = [(np.empty((count, len(f))), np.empty((count, len(f)), np.intp)) for *_, f in views]
     for s in range(0, count, SLICE):
         n = min(SLICE, count - s)
         rows = np.empty((len(streams), n, M), complex)  # [row, draw, antenna]
@@ -162,14 +162,13 @@ def _chunk(args):
             row[:] = draw_channel(1, M, stream, n)[:, 0]
         norms = np.sum(rows.real ** 2 + rows.imag ** 2, axis=2).T  # ||z_k||^2
         draw = np.arange(n)[:, None, None]
-        for K, run in groupby(zip(views, out), key=lambda pair: len(pair[0][2])):
+        for K, run in groupby(views, key=lambda view: len(view[2])):
             g_k = gram(rows[:K].swapaxes(0, 1))
-            for (_, scores, f_diag), (phi, order) in run:
+            for _, scores, f_diag in run:
                 f = np.asarray(f_diag)
                 o = best_first(np.asarray(scores) * norms[:, :K])
                 g = (g_k * (f[:, None] * f))[draw, o[:, :, None], o[:, None, :]]
-                phi[s:s + n], order[s:s + n] = chi_all_n(g), o
-    return out
+                yield chi_all_n(g), o
 
 
 def __getattr__(name: str):
@@ -182,8 +181,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _collect(kernel, passes: list, workers: int) -> list:
-    """kernel's results per pass (M, views, samples, seed), one list over the
+def _collect(passes: list, workers: int) -> list:
+    """`_block_sums` per pass (M, views, samples, seed), one list over the
     pass's consecutive CHUNK-sized blocks in block order.  The tasks of every
     pass go through one `pool.map` on a pool built for this call, of
     `workers` processes but no more than the tasks or the machine's CPUs;
@@ -196,42 +195,44 @@ def _collect(kernel, passes: list, workers: int) -> list:
     flat = [task for blocks in tasks for task in blocks]
     size = min(workers, len(flat), os.cpu_count() or 1)
     if size < 2:
-        results = map(kernel, flat)
+        results = map(_block_sums, flat)
     else:
         executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
         with executor(size) as pool:
-            results = iter(list(pool.map(kernel, flat)))
+            results = iter(list(pool.map(_block_sums, flat)))
     return [[next(results) for _ in blocks] for blocks in tasks]
 
 
-def _block_sums(phi: np.ndarray, served: np.ndarray) -> tuple:
-    """(singular draws, per-group draw counts, sums of phi and phi^2) of one
-    block: draw j is in group j % GROUPS and counts toward the entries
-    served[j] marks, phi[j, N-1] being broadcast over the user axis of a
-    weighted mask.  Kernels reduce their blocks in the task, so a statistic
-    holds group sums, not draws, however many blocks it has."""
-    vals = np.where(served, phi.reshape(phi.shape + (1,) * (served.ndim - 2)), 0.0)
-    pad = -len(phi) % GROUPS
-
-    def fold(a):  # pad to whole rounds of GROUPS draws, then add the rounds
-        a = np.concatenate([a, np.zeros((pad,) + a.shape[1:], a.dtype)]) if pad else a
-        return a.reshape((-1, GROUPS) + a.shape[1:]).sum(axis=0)
-    return (int(np.isnan(phi[:, 0]).sum()), fold(served).astype(np.int64), fold(vals),
-            fold(vals * vals))
+def _fold(running, a: np.ndarray):
+    """running plus a's draws, padded with zeros to whole rounds of GROUPS
+    draws and added round by round in draw order, so that slice by slice a
+    block gets the bits of one sum over all its rounds."""
+    pad = -len(a) % GROUPS
+    a = np.concatenate([a, np.zeros((pad,) + a.shape[1:], a.dtype)]) if pad else a
+    return sum(a.reshape((-1, GROUPS) + a.shape[1:]), running)
 
 
-def _chunk_sums(args):
-    """`_chunk`'s block as one `_block_sums` per view.  With `per_user`
-    (weighted) user k counts toward [N-1, k] when it is among the N best;
-    otherwise every regular draw counts toward every N."""
-    out = []
-    for (per_user, _, _), (phi, order) in zip(args[1], _chunk(args)):
+def _block_sums(task) -> list:
+    """Per view of one block (M, views, seed, block, count), its singular
+    draws, per-group draw counts and sums of phi and phi^2: draw j is in
+    group j % GROUPS and counts toward the entries it serves.  With
+    `per_user` (weighted) user k counts toward [N-1, k] when it is among the
+    N best, phi[j, N-1] being broadcast over the user axis; otherwise every
+    regular draw counts toward every N.  Each slice of `_slices` is folded
+    into the sums as it is made."""
+    views = task[1]
+    sums = [(0, 0, 0, 0)] * len(views)
+    for i, (phi, order) in enumerate(_slices(*task)):
+        v = i % len(views)
         served = np.isfinite(phi)
-        if per_user:
+        if views[v][0]:  # per_user
             n = np.arange(1, order.shape[1] + 1)[:, None]
             served = (np.argsort(order, axis=1)[:, None, :] < n) & served[:, :1, None]
-        out.append(_block_sums(phi, served))
-    return out
+        vals = np.where(served, phi.reshape(phi.shape + (1,) * (served.ndim - 2)), 0.0)
+        singular, count, s1, s2 = sums[v]
+        sums[v] = (singular + int(np.isnan(phi[:, 0]).sum()), _fold(count, served),
+                   _fold(s1, vals), _fold(s2, vals * vals))
+    return [(singular, count.astype(np.int64), s1, s2) for singular, count, s1, s2 in sums]
 
 
 def key_of(kind: str, M: int, K: int, samples: int, seed: int, *diags) -> MomentKey:
@@ -242,7 +243,7 @@ def key_of(kind: str, M: int, K: int, samples: int, seed: int, *diags) -> Moment
 
 
 def _view(key: MomentKey) -> tuple:
-    """(per_user, scores, f_diag) of key's statistic, as `_chunk` reads it:
+    """(per_user, scores, f_diag) of key's statistic, as `_slices` reads it:
     unit scores and F for eta, unit scores and the fingerprint's F for
     phi_F, and the fingerprint's F and p_star (the scores) for weighted.
     Every entry point samples through here, so this is the one input check:
@@ -286,7 +287,7 @@ def sample(keys, workers: int = 1) -> dict:
     views = [(M, tuple(map(_view, group)), samples, seed)
              for (M, samples, seed), group in passes.items()]
     out = {}
-    for group, blocks in zip(passes.values(), _collect(_chunk_sums, views, workers)):
+    for group, blocks in zip(passes.values(), _collect(views, workers)):
         for key, view_blocks in zip(group, zip(*blocks)):
             singular, *sums = zip(*view_blocks)
             if sum(singular) > SINGULAR_FRACTION_LIMIT * key.samples:
@@ -296,12 +297,13 @@ def sample(keys, workers: int = 1) -> dict:
     return out
 
 
-def eta_samples(M: int, K: int, samples: int, seed: int, *, workers: int = 1) -> np.ndarray:
+def eta_samples(M: int, K: int, samples: int, seed: int) -> np.ndarray:
     """Raw eta draws indexed [sample, N-1] (a NaN row marks a discarded
     singular draw); test oracle hook."""
     view = _view(key_of("eta", M, K, samples, seed))
-    [blocks] = _collect(_chunk, [(M, (view,), samples, seed)], workers)
-    return np.concatenate([phi for [(phi, _)] in blocks])
+    return np.concatenate([phi for start in range(0, samples, CHUNK)
+                           for phi, _ in _slices(M, (view,), seed, start // CHUNK,
+                                                 min(CHUNK, samples - start))])
 
 
 def eta_moments(M: int, K, samples: int, seed: int, *, workers: int = 1):

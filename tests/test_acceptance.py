@@ -92,9 +92,9 @@ def test_criterion_2_closed_form_oracles():
     err_pow = np.zeros(K)
     trials = 1000  # K * M * trials = 1e5 entries
     for t in range(trials):
-        rng = RngStream(100, t)
-        h = draw_channel(K, M, rng)
-        y = simulate_reverse_pilots(h, cfg, psi, rng.substream(1))
+        # the noise is row 1 of the trial's stream, which no channel draw reads
+        h = draw_channel(K, M, RngStream(100, t))
+        y = simulate_reverse_pilots(h, cfg, psi, RngStream(100, t, 1))
         est = lmmse_estimate(y, psi, cfg)
         est_pow += np.mean(np.abs(est.h_hat) ** 2, axis=1) / trials
         err_pow += np.mean(np.abs(est.h_hat - h) ** 2, axis=1) / trials

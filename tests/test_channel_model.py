@@ -30,11 +30,6 @@ def test_block_draw_starts_with_the_single_draw():
     assert not np.allclose(block[1], block[0])
 
 
-def test_substream_offsets():
-    base = RngStream(9, 3)
-    assert base.substream(2) == RngStream(9, 5)
-
-
 def test_row_streams():
     # row 0 is the stream itself; other rows are distinct draws of the same key
     rows = [draw_channel(1, 6, RngStream(9, 3, r), 50) for r in range(3)]

@@ -11,7 +11,7 @@ import pytest
 from tddmimo import (MomentCache, MomentKey, RngStream, chi_of, draw_channel, moments,
                      eta_moments, phi_f_moments, weighted_phi_stats)
 from tddmimo.experiments import parse_spec, run_experiment
-from tddmimo.moments import CHUNK, GROUPS, SLICE, _chunk, eta_samples, f_fingerprint
+from tddmimo.moments import CHUNK, GROUPS, SLICE, _slices, eta_samples, f_fingerprint
 from tddmimo.precoding import COND_LIMIT
 from tddmimo.rates import MomentSource
 
@@ -369,6 +369,12 @@ def test_certificate_fallback_gives_the_eigenvalue_guards_statistics(monkeypatch
             _assert_same(est, ref)
 
 
+def _block(task) -> list:
+    """`_slices`' (phi, order) per view, each joined over the block's slices."""
+    made, views = list(_slices(*task)), len(task[1])
+    return [tuple(map(np.concatenate, zip(*made[v::views]))) for v in range(views)]
+
+
 @pytest.mark.parametrize("hard", [False, True], ids=["regular", "hard-first-slice"])
 def test_slices_give_the_bits_of_one_stack(monkeypatch, hard):
     # a block runs in slices of SLICE draws; run as one stack (SLICE = CHUNK)
@@ -390,41 +396,72 @@ def test_slices_give_the_bits_of_one_stack(monkeypatch, hard):
 
     def run():
         fallbacks.clear()
-        return [(_chunk(task), moments._chunk_sums(task)) for task in tasks], fallbacks[:]
+        return [(_block(task), moments._block_sums(task)) for task in tasks], fallbacks[:]
 
     sliced, sliced_fallbacks = run()
     assert samples - CHUNK == SLICE + 44 and SLICE < CHUNK
     monkeypatch.setattr(moments, "SLICE", CHUNK)
     whole, whole_fallbacks = run()
-    # _chunk and _chunk_sums each run block 0 once
+    # _slices and _block_sums each run block 0 once
     assert sliced_fallbacks == ([SLICE] * 2 * len(views) if hard else [])
     assert whole_fallbacks == ([CHUNK] * 2 * len(views) if hard else [])
-    for (chunks, sums), (ref_chunks, ref_sums) in zip(sliced, whole):
-        for got, want in zip(chunks + sums, ref_chunks + ref_sums):
+    for (block, sums), (ref_block, ref_sums) in zip(sliced, whole):
+        for got, want in zip(block + sums, ref_block + ref_sums):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
     if hard:  # draws 3 and 7 of block 0 are singular at K = 4
         assert np.flatnonzero(np.isnan(sliced[0][0][2][0][:, 0])).tolist() == [3, 7]
 
 
+def _peak(M: int, count: int) -> int:
+    """tracemalloc's peak over one eta block of `count` draws at M, K = 1..M."""
+    views = tuple(moments._view(moments.key_of("eta", M, k, CHUNK, 1)) for k in range(1, M + 1))
+    tracemalloc.start()
+    try:
+        moments._block_sums((M, views, 1, 0, count))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_block_holds_one_slice_of_its_gram_work(monkeypatch):
     # one block of the largest eta pass of fig2 and fig3 (M = 16, K = 1..16)
-    # holds only phi and order whole, so its allocation peak is at most a
-    # third of the same block's peak as one stack: a bound relative to the
-    # same test's own measurement
-    views = tuple(moments._view(moments.key_of("eta", 16, k, CHUNK, 1)) for k in range(1, 17))
-
-    def peak():
-        tracemalloc.start()
-        try:
-            moments._chunk_sums((16, views, 1, 0, CHUNK))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    sliced = peak()
+    # holds one slice's rows and Gram matrices, so its allocation peak is at
+    # most a third of the same block's peak as one stack: a bound relative to
+    # the same test's own measurement
+    sliced = _peak(16, CHUNK)
     monkeypatch.setattr(moments, "SLICE", CHUNK)
-    assert 3 * sliced <= peak()
+    assert 3 * sliced <= _peak(16, CHUNK)
+
+
+def test_a_task_does_not_grow_with_its_blocks_draws():
+    # each slice is folded into the group sums as it is made, so a block of
+    # CHUNK draws holds no more than a block of one slice plus the sums: at
+    # M = 32, K = 1..32 holding phi and order of the whole block would take
+    # the ratio to 1.6
+    assert _peak(32, CHUNK) <= 1.25 * _peak(32, SLICE)
+
+
+@pytest.mark.parametrize("count", [CHUNK, 2 * SLICE + 37], ids=["whole", "padded"])
+@pytest.mark.parametrize("shape", [(20,), (1,), (8, 8)], ids=["eta-phi_F", "K=1", "weighted"])
+def test_fold_by_slice_gives_the_bits_of_one_block_sum(shape, count):
+    # _block_sums folds each slice into the group sums as it is made; that
+    # must be the bits of padding the whole block to rounds of GROUPS draws
+    # and summing over the rounds axis, which holds while numpy adds an outer
+    # axis in order.  Heavy-tailed values make any other order show: adding
+    # the rounds in reverse changes the bits
+    a = np.random.default_rng(5).pareto(0.5, (count,) + shape)
+    rounds = np.concatenate([a, np.zeros((-count % GROUPS,) + shape)])
+    rounds = rounds.reshape((-1, GROUPS) + shape)
+    whole = rounds.sum(axis=0)
+    assert rounds[::-1].sum(axis=0).tobytes() != whole.tobytes()
+    folded = served = 0
+    for s in range(0, count, SLICE):
+        folded = moments._fold(folded, a[s:s + SLICE])
+        served = moments._fold(served, a[s:s + SLICE] > 1.0)
+    assert folded.dtype == whole.dtype and folded.shape == whole.shape
+    assert folded.tobytes() == whole.tobytes()
+    np.testing.assert_array_equal(served, (rounds > 1.0).sum(axis=0))
 
 
 def _row_draws(K: int, M: int, samples: int, seed: int) -> np.ndarray:
@@ -447,7 +484,7 @@ def test_all_n_kernel_matches_per_n_inverse(M):
     K, seed, count = 4, 15, 400
     scores = np.array([1.0, 2.0, 0.5, 1.0])
     f = np.array([0.5, 1.5, 1.0, 2.0])
-    [(phi, order)] = _chunk((M, ((False, tuple(scores), tuple(f)),), seed, 0, count))
+    [(phi, order)] = _block((M, ((False, tuple(scores), tuple(f)),), seed, 0, count))
     worst = 0.0
     for i, z in enumerate(_row_draws(K, M, count, seed)):
         expected = np.argsort(-scores * np.sum(np.abs(z) ** 2, axis=1), kind="stable")

@@ -219,9 +219,9 @@ def test_kernel_runs_once_per_statistic(monkeypatch):
     runs = []
     collect = moments._collect
 
-    def counting(kernel, passes, pool):
+    def counting(passes, pool):
         runs.extend(passes)
-        return collect(kernel, passes, pool)
+        return collect(passes, pool)
 
     monkeypatch.setattr(moments, "_collect", counting)
     src = MomentSource(200, 31)
