@@ -5,12 +5,14 @@ layer over a sample axis: draw the rows of M antennas of a block, each row
 on its own sub-stream (`RngStream.row`), form the Gram matrix of the first K
 rows, scale it by f_i f_j, order the rows best first by scores_k * ||z_k||^2
 (`scheduling.best_first`) and read phi for every served count N from the
-precoders' guarded Cholesky factor (`precoding.chi_all_n`).  The statistics
-differ only in their parameters, a view (per_user, scores, F) of the rows:
-eta has unit scores and unit F, phi_F has unit scores and its F, and the
-weighted statistics have F, order by p_star and count per user.  A MomentKey
-names its view exactly (`_view`).  The first K rows do not depend on how
-many rows are drawn, so every statistic of one (seed, M) reads the same rows
+precoders' guarded Cholesky factor (`precoding.chi_all_n`), which one Crout
+pass builds for the whole slice of draws at once, with no LAPACK call for a
+slice whose draws are all certified.  The statistics differ only in their
+parameters, a view (per_user, scores, F) of the rows: eta has unit scores
+and unit F, phi_F has unit scores and its F, and the weighted statistics
+have F, order by p_star and count per user.  A MomentKey names its view
+exactly (`_view`).  The first K rows do not depend on how many rows are
+drawn, so every statistic of one (seed, M) reads the same rows
 (common random numbers), and statistics sampled together share one draw of
 max(K) rows per block: `sample` runs one task per (M, block) over all the
 statistics of that M, and the views of one K share its Gram matrix.
@@ -353,7 +355,7 @@ class MomentCache:
     """Every Monte Carlo statistic of a run: an in-memory store, backed by one
     record file per statistic when given a directory `path`.
 
-    The records of this format live in `path/v9/` (`dir`).  A record is named
+    The records of this format live in `path/v10/` (`dir`).  A record is named
     `<kind>_<M>_<K>_<samples>_<seed>_<crc>`, crc being the zlib.crc32 of the
     key's fingerprint in hex: a weighted fingerprint holds 32 hex digits per
     user, too long for a file name.  It holds five consecutive `np.save`
@@ -370,7 +372,7 @@ class MomentCache:
     directories are never read, and constructing a cache touches no file.
     """
 
-    VERSION = "tddmimo-moments-cache v9"
+    VERSION = "tddmimo-moments-cache v10"
 
     def __init__(self, path: str | Path | None = None):
         self.dir = Path(path) / self.VERSION.rpartition(" ")[2] if path is not None else None

@@ -4,13 +4,15 @@ trace-inverse statistic chi and the forward-link simulation, for one channel
 
 The Gram matrix G = H H^H (`gram`) is not inverted directly:
 `_inverse_cholesky` inverts its Cholesky factor, G^{-1} = L^{-H} L^{-1},
-and guards every draw against cond(G) > COND_LIMIT.  The guard is certified
-first: a draw with tr(G) tr(G^{-1}) <= COND_LIMIT passes without its
-eigenvalues, and only a stack with a draw that fails the certificate pays
-for `eigvalsh`.  The Monte Carlo kernel reads the factor through
-`chi_all_n`.  The precoders return (A, chi) as arrays and raise
-SingularChannelError when a draw fails the guard, so callers can resample
-and count the event.
+and guards every draw against cond(G) > COND_LIMIT.  `_factor` builds L and
+L^{-1} together in one Crout pass over the columns, each step a few numpy
+operations over the whole stack of draws, so the factor makes no call per
+matrix into LAPACK.  The guard is certified first: a draw with
+tr(G) tr(G^{-1}) <= COND_LIMIT passes without its eigenvalues, and only a
+stack with a draw that fails the certificate pays for `eigvalsh`.  The
+Monte Carlo kernel reads the factor through `chi_all_n`.  The precoders
+return (A, chi) as arrays and raise SingularChannelError when a draw fails
+the guard, so callers can resample and count the event.
 """
 
 from __future__ import annotations
@@ -42,26 +44,53 @@ def _inverse_cholesky(g: np.ndarray):
     The whole stack is factored first.  For a positive-definite G,
     lambda_max <= tr(G) and 1/lambda_min <= tr(G^{-1}), so cond(G) <=
     tr(G) tr(G^{-1}), and a stack whose draws all have tr(G) tr(G^{-1}) <=
-    COND_LIMIT passes as it is.  When the stack's Cholesky fails or some draw
-    is not certified, the stack takes the eigenvalue guard instead.  Each
-    matrix is factored on its own, so both routes give the same bits.
+    COND_LIMIT passes as it is.  A draw that is not positive definite
+    factors to a non-finite trace, which fails the certificate like any
+    other uncertified draw, and the stack takes the eigenvalue guard
+    instead.  A draw's factor does not depend on the stack around it, so
+    both routes give the same bits.
     """
     g = g.reshape((-1,) + g.shape[-2:])
-    try:
+    with np.errstate(divide="ignore", invalid="ignore"):
         l_inv, tr_inv = _factor(g)
-        if np.all(np.trace(g, axis1=1, axis2=2).real * tr_inv[:, -1] <= COND_LIMIT):
-            return np.ones(len(g), bool), l_inv, tr_inv
-    except np.linalg.LinAlgError:
-        pass
+        certified = np.all(np.trace(g, axis1=1, axis2=2).real * tr_inv[:, -1] <= COND_LIMIT)
+    if certified:
+        return np.ones(len(g), bool), l_inv, tr_inv
     lam = np.linalg.eigvalsh(g)
     ok = (lam[:, 0] > 0) & (lam[:, -1] <= COND_LIMIT * lam[:, 0])
     return (ok, *_factor(g[ok]))
 
 
 def _factor(g: np.ndarray):
-    """(L^{-1}, cumulative row norms of L^{-1}) of a Gram stack (n, K, K)."""
-    l_inv = np.tril(np.linalg.inv(np.linalg.cholesky(g)))
-    return l_inv, np.cumsum(np.sum(np.abs(l_inv) ** 2, axis=2), axis=1)
+    """(L^{-1}, cumulative row norms of L^{-1}) of a Gram stack (n, K, K).
+
+    One Crout pass over the columns j of G = L L^H (Golub & Van Loan,
+    Matrix Computations, 4.2), every step numpy operations over the n
+    draws.  Step j forms row j of L^H, the conjugate of column j of L,
+    (G[j, j:] - L[j, :j] L^H[:j, j:]) / L_jj, and row j of L^{-1},
+    -L[j, :j] L^{-1}[:j, :j] / L_jj with 1/L_jj on its diagonal: two
+    vector-matrix products of L[j, :j] per draw.  Only the upper triangle
+    of G is read.  A draw's products are its own matrix products and every
+    other step is elementwise, so its bits do not depend on the size of the
+    stack or its place in it.  A draw that is not positive definite gets a
+    NaN or infinite pivot, which spreads to its trace.
+    """
+    # L^H and L^{-1} are two arrays of G's size: one [L^H | L^{-1}] array
+    # would need one product per step, not two, but its single allocation of
+    # twice G's size raised glibc's mmap threshold and a worker's peak RSS
+    dtype = np.promote_types(g.dtype, np.float64)
+    l_h, l_inv = np.zeros(g.shape, dtype), np.zeros(g.shape, dtype)
+    norms = np.empty(g.shape[:-1])  # ||row_j(L^{-1})||^2
+    for j in range(g.shape[-1]):
+        l_j = l_h[:, None, :j, j].conj()  # L[j, :j]
+        row = g[:, j, j:] - (l_j @ l_h[:, :j, j:])[:, 0]
+        d = 1 / np.sqrt(row[:, :1].real)  # 1 / L_jj
+        l_h[:, j, j:] = row * d
+        l_inv[:, j, :j] = (l_j @ l_inv[:, :j, :j])[:, 0] * -d
+        l_inv[:, j, j] = d[:, 0]
+        w = l_inv[:, j, :j + 1].view(np.float64)
+        norms[:, j] = (w * w).sum(axis=1)
+    return l_inv, np.cumsum(norms, axis=1)
 
 
 def chi_all_n(g: np.ndarray) -> np.ndarray:

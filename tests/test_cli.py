@@ -211,7 +211,8 @@ def test_runtime_error_exits_2(tmp_path, capsys):
 
 def test_cache_info_without_cache(tmp_path, capsys):
     assert main(["cache-info", "--out", str(tmp_path)]) == 0
-    assert capsys.readouterr().out == f"no cache at {tmp_path / 'moments_cache' / 'v9'}\n"
+    version = tddmimo.MomentCache.VERSION.rpartition(" ")[2]
+    assert capsys.readouterr().out == f"no cache at {tmp_path / 'moments_cache' / version}\n"
     assert not (tmp_path / "moments_cache").exists()
 
 
@@ -297,16 +298,16 @@ def test_invalid_overrides_exit_1(tmp_path, capsys, override, message):
 
 
 def test_stale_cache_version_recovers(tmp_path, capsys):
-    # a v8 cache file and another version's directory are left as they are
-    # and never read, so the run samples every statistic without a warning
+    # a v8 cache file and an older version's directory (v9) are left as they
+    # are and never read, so the run samples every statistic without a warning
     spec_file = tmp_path / "spec.txt"
     spec_file.write_text(CUSTOM_SPEC)
     out = tmp_path / "out"
-    (out / "moments_cache" / "v8").mkdir(parents=True)
+    (out / "moments_cache" / "v9").mkdir(parents=True)
     name = tddmimo.MomentCache(out / "moments_cache")._file(
         tddmimo.MomentKey("eta", 4, 3, "-", 300, 4)).name
     leftovers = {out / "moments_cache.txt": b"tddmimo-moments-cache v8\n\neta,4,3,-,300,4\n",
-                 out / "moments_cache" / "v8" / name: b"garbage"}
+                 out / "moments_cache" / "v9" / name: b"garbage"}
     for leftover, data in leftovers.items():
         leftover.write_bytes(data)
     run = ["run", "--spec", str(spec_file), "--out", str(out)]
@@ -319,7 +320,8 @@ def test_stale_cache_version_recovers(tmp_path, capsys):
     assert "cache_misses=0" in capsys.readouterr().out
     assert (out / "custom_sum_bound.csv").read_bytes() == first
     assert all(leftover.read_bytes() == data for leftover, data in leftovers.items())
-    assert sorted(os.listdir(out / "moments_cache")) == ["v8", "v9"]
+    assert sorted(os.listdir(out / "moments_cache")) == sorted(
+        ["v9", tddmimo.MomentCache.VERSION.rpartition(" ")[2]])
 
 
 def test_manifest_counts_singular_draws_once(tmp_path):

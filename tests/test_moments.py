@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tddmimo import (MomentCache, MomentKey, RngStream, chi_of, draw_channel, moments,
-                     eta_moments, phi_f_moments, weighted_phi_stats)
+                     eta_moments, phi_f_moments, precoding, weighted_phi_stats)
 from tddmimo.experiments import parse_spec, run_experiment
 from tddmimo.moments import CHUNK, GROUPS, SLICE, _slices, eta_samples, f_fingerprint
 from tddmimo.precoding import COND_LIMIT
@@ -283,12 +283,12 @@ def test_eta_draws_only_the_rows_it_reads(monkeypatch):
 
 
 def _eigvalsh_guard(g):
-    """The guard without its certificate: every draw's eigenvalues decide."""
+    """The guard without its certificate: every draw's eigenvalues decide,
+    and the draws that pass are factored on their own stack."""
     g = g.reshape((-1,) + g.shape[-2:])
     lam = np.linalg.eigvalsh(g)
     ok = (lam[:, 0] > 0) & (lam[:, -1] <= COND_LIMIT * lam[:, 0])
-    l_inv = np.tril(np.linalg.inv(np.linalg.cholesky(g[ok])))
-    return ok, l_inv, np.cumsum(np.sum(np.abs(l_inv) ** 2, axis=2), axis=1)
+    return (ok, *precoding._factor(g[ok]))
 
 
 def _with_cond(z, cond):
@@ -326,6 +326,31 @@ def test_certified_guard_matches_eigenvalue_guard(monkeypatch):
     assert np.flatnonzero(np.isnan(chi[:, 0])).tolist() == [3, 7]
 
 
+def test_certified_blocks_call_no_lapack(monkeypatch):
+    # a certified block is factored by numpy operations over its draws: with
+    # LAPACK's cholesky, inv and eigvalsh made to raise, an eta pass, a
+    # phi_F and a weighted view give the same block sums as with them
+    M, seed = 6, 31
+    f, p = [0.5, 1.5, 1.0, 2.0], [1.0, 2.0, 0.5, 1.0]
+    keys = [moments.key_of("eta", M, k, CHUNK, seed) for k in (1, 2, 4)]
+    keys += [moments.key_of("phi_F", M, 4, CHUNK, seed, f),
+             moments.key_of("weighted", M, 4, CHUNK, seed, f, p)]
+    [views] = [tuple(map(moments._view, group)) for group in moments._passes(keys).values()]
+    task = (M, views, seed, 0, CHUNK)
+    want = moments._block_sums(task)
+
+    def lapack(*args, **kwargs):
+        raise RuntimeError("LAPACK called on a certified block")
+
+    for name in ("cholesky", "inv", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lapack)
+    got = moments._block_sums(task)
+    assert len(got) == len(views) and all(sums[0] == 0 for sums in got)
+    for sums, ref in zip(got, want):
+        for a, b in zip(sums, ref):
+            np.testing.assert_array_equal(a, b)
+
+
 def _hard_draws(monkeypatch):
     """Start block 0 of every pass with the 12 draws of `_hard_block`, row r
     of the block taking row r of them: one block, within the singular-draw
@@ -354,7 +379,6 @@ def _hard_draws(monkeypatch):
 def test_certificate_fallback_gives_the_eigenvalue_guards_statistics(monkeypatch):
     # the kernel's certificate fails on these blocks; the eigenvalue guard
     # alone must give the same singular draws and the same phi
-    import tddmimo.precoding as precoding
     _hard_draws(monkeypatch)
     f = np.array([0.5, 1.5, 1.0, 2.0])
     p = np.array([1.0, 2.0, 0.5, 1.0])
@@ -589,7 +613,8 @@ def test_cache_persistence_round_trip(tmp_path):
     _assert_same(a, reloaded.eta(5, 3))
     assert reloaded.cache.hits == 1 and reloaded.cache.misses == 0
     crc = format(zlib.crc32(b"-"), "08x")
-    assert os.listdir(path) == ["v9"] and os.listdir(path / "v9") == [f"eta_5_3_2000_14_{crc}"]
+    version = MomentCache.VERSION.rpartition(" ")[2]
+    assert os.listdir(path) == [version] and os.listdir(path / version) == [f"eta_5_3_2000_14_{crc}"]
 
 
 def test_cache_is_lazy(tmp_path):

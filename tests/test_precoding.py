@@ -5,6 +5,7 @@ from tddmimo import (RngStream, SingularChannelError, SystemConfig,
                      build_pilots, chi_of, draw_channel, eta_moments,
                      lmmse_estimate, modified_precoder, pinv_precoder,
                      simulate_forward, simulate_reverse_pilots)
+from tddmimo.precoding import _factor, _inverse_cholesky, gram
 
 
 def random_full_rank(n, m, seed):
@@ -16,6 +17,9 @@ def test_identity_channel():
     a, chi = pinv_precoder(h)
     assert chi == pytest.approx(1 / np.sqrt(3), abs=1e-12)
     assert np.allclose(a, np.vstack([np.eye(3), np.zeros((2, 3))]) / np.sqrt(3))
+    a_int, chi_int = pinv_precoder(np.hstack([np.eye(3, dtype=int), np.zeros((3, 2), int)]))
+    np.testing.assert_array_equal(a_int, a.real)
+    assert chi_int == chi
 
 
 def test_diagonal_example():
@@ -216,3 +220,59 @@ def test_symbol_uncorrelated_with_effective_noise(forward_runs, chi_moments):
     corr = np.mean(qs * eff_noise.conj())
     se = np.sqrt(np.mean(np.abs(eff_noise) ** 2) / TRIALS)
     assert abs(corr) < 3 * se
+
+
+# ---------------------------------------------------------------------------
+# The draw-vectorized factor against independent oracles
+# ---------------------------------------------------------------------------
+
+def test_factor_matches_per_block_inverse():
+    # tr(G_N^-1) of every leading block against np.linalg.inv, and
+    # L^-1 G L^-H = I, within a backward-stable bound in the dtype's eps,
+    # for K = 1..32 at M - K = 0, 1 and 2
+    eps = np.finfo(float).eps
+    for K in range(1, 33):
+        for M in (K, K + 1, K + 2):
+            g = gram(draw_channel(K, M, RngStream(K, M), 24))
+            l_inv, tr_inv = _factor(g)
+            for n in range(1, K + 1):
+                g_n = g[:, :n, :n]
+                ref = np.trace(np.linalg.inv(g_n), axis1=1, axis2=2).real
+                tol = 16 * n * eps * np.linalg.cond(g_n) * ref
+                assert np.all(np.abs(tr_inv[:, n - 1] - ref) <= tol), (K, M, n)
+            resid = l_inv @ g @ l_inv.conj().swapaxes(1, 2) - np.eye(K)
+            assert np.all(np.abs(resid).max(axis=(1, 2))
+                          <= 16 * K * eps * np.linalg.cond(g)), (K, M)
+            assert np.all(np.triu(l_inv, 1) == 0)
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 18, 32])
+def test_factor_of_a_draw_ignores_its_stack(K):
+    # a draw's bits do not depend on how many draws are factored with it or
+    # where it sits among them
+    g = gram(draw_channel(K, K + 2, RngStream(40, K), 256))
+    whole = _factor(g)
+    for n in (1, 37, 200, 256):
+        for part in (slice(None, n), slice(256 - n, None)):
+            for got, want in zip(_factor(g[part]), whole):
+                np.testing.assert_array_equal(got, want[part])
+
+
+def test_singular_draw_sends_its_stack_to_eigvalsh(monkeypatch):
+    # a draw that is not positive definite factors to a non-finite trace,
+    # so the stack's certificate fails and eigvalsh decides, once per stack
+    hs = draw_channel(4, 6, RngStream(41), 50)
+    hs[9, 2] = hs[9, 1]  # rank 3
+    hs[30, 3] = 0  # a zero row
+    g = gram(hs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tr_inv = _factor(g)[1][:, -1]
+    assert np.flatnonzero(~np.isfinite(tr_inv)).tolist() == [9, 30]
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    ok, l_inv, tr = _inverse_cholesky(g)
+    assert calls == [50] and np.flatnonzero(~ok).tolist() == [9, 30]
+    np.testing.assert_array_equal(tr, _factor(g[ok])[1])
+    assert np.all(np.isfinite(l_inv)) and len(l_inv) == 48
+    _inverse_cholesky(np.delete(g, [9, 30], axis=0))
+    assert calls == [50]  # the regular draws alone are certified
