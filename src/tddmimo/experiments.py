@@ -5,8 +5,8 @@ list key's values add up over lines.  SINRs are entered in dB and converted
 per cell.  CSV numbers are pinned to 9 significant digits so reruns with the
 same seed are byte-identical.  Each preset is one `Preset` record in `PRESETS`,
 whose `request` gives each cell's statistics and the finish that turns their
-estimates into the row.  A run samples the statistics of every cell in one
-call before it finishes any (`run_experiment`), so no finish samples.
+estimates into the row.  A run fetches the statistics of every cell in one
+lookup before it finishes any (`run_experiment`), so no finish samples.
 """
 
 from __future__ import annotations
@@ -329,13 +329,13 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     """Run the sweep, write CSV + manifest + moment cache, return manifest.
 
     Each cell's request is built once and names the statistics it reads.
-    Those the cache lacks, over all the cells, are sampled first, in one
-    pass per (M, block) over all of them, on up to `workers` processes
-    (moments.sample); each cell then finishes from its keys' estimates,
-    which the cache holds.  The manifest's cache_misses counts the
-    statistics sampled, and cache_hits the cells' keys, each a lookup that
-    found its statistic.  `status` always reads ok: a request's ValueError
-    fails the run, and a spec that passes validation raises none.
+    One fetch of all the cells' keys looks each distinct statistic up once
+    and samples those the cache lacks in one pass per (M, block), on up to
+    `workers` processes (moments.sample); each cell then finishes from its
+    slice of the estimates.  The manifest's cache_hits counts the distinct
+    statistics found in the cache and cache_misses those sampled.  `status`
+    always reads ok: a request's ValueError fails the run, and a spec that
+    passes validation raises none.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,8 +344,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path,
     preset = PRESETS[spec.preset]
     cells = list(preset.cells(spec))
     requests = [preset.request(spec, source, **cell) for cell in cells]
-    source.fetch(source.missing(key for keys, _ in requests for key in keys))
-    rows = [list(cell.values()) + finish(source.fetch(keys)) + ["ok"]
+    estimates = iter(source.fetch(key for keys, _ in requests for key in keys))
+    rows = [list(cell.values()) + finish([next(estimates) for _ in keys]) + ["ok"]
             for cell, (keys, finish) in zip(cells, requests)]
     cache = source.cache
     lines = [preset.header] + [",".join(_fmt(v) for v in row) for row in rows]

@@ -364,21 +364,23 @@ class MomentCache:
     estimate is bit-identical.  A record is written to a dot-named temporary
     file and renamed into place, so a reader sees a whole record or none.
 
-    A key is looked up in memory and then, until found, in its file, so a
-    run sees every statistic that another run has finished.  A record whose
+    `key in cache` looks a key up in memory and then, until found, in its
+    file, keeping what it reads, so a run sees every statistic that another
+    run has finished; `cached` reads memory only.  A record whose
     fingerprint differs (a shared crc) is a miss and is replaced; one that
-    does not parse, or whose arrays have the wrong shape or dtype, is warned
-    about, recomputed and replaced.  Dot files and other versions'
+    fails to parse in any way, or holds arrays of the wrong shape or dtype,
+    is warned about, recomputed and replaced.  Dot files and other versions'
     directories are never read, and constructing a cache touches no file.
     """
 
     VERSION = "tddmimo-moments-cache v10"
+    # the singular draws of every statistic in memory, once each
+    singular_events = property(lambda self: sum(e.singular_events for e in self._store.values()))
 
     def __init__(self, path: str | Path | None = None):
         self.dir = Path(path) / self.VERSION.rpartition(" ")[2] if path is not None else None
         self._store: dict[MomentKey, MomentEstimate] = {}
-        self._used: set[MomentKey] = set()
-        self.hits = self.misses = self.singular_events = 0
+        self.hits = self.misses = 0
 
     def _file(self, key: MomentKey) -> Path:
         crc = zlib.crc32(key.fingerprint.encode())
@@ -398,7 +400,7 @@ class MomentCache:
                 raise ValueError("arrays of the wrong shape or dtype")
         except (FileNotFoundError, NotADirectoryError):
             return None
-        except (OSError, ValueError) as exc:
+        except Exception as exc:  # numpy's header parser raises more than ValueError
             warnings.warn(f"moment cache record {path} unreadable, recomputing: {exc}")
             return None
         return MomentEstimate(key.samples, int(singular), *sums)
@@ -418,22 +420,16 @@ class MomentCache:
             warnings.warn(f"moment cache not writable: {exc}")
 
     def cached(self, key: MomentKey, compute) -> MomentEstimate:
-        """Return the stored estimate for key, computing and storing on miss.
-
-        `singular_events` adds up the singular draws of every distinct
-        statistic used through this cache, once each.
-        """
-        if key in self:
+        """The estimate of key in memory (a hit), or else compute()'s, stored
+        and written to its record (a miss).  Reads no record: `key in self`
+        does."""
+        if key in self._store:
             self.hits += 1
-            est = self._store[key]
-        else:
-            self.misses += 1
-            est = self._store[key] = compute()
-            if self.dir is not None:
-                self._write(key, est)
-        if key not in self._used:
-            self._used.add(key)
-            self.singular_events += est.singular_events
+            return self._store[key]
+        self.misses += 1
+        est = self._store[key] = compute()
+        if self.dir is not None:
+            self._write(key, est)
         return est
 
     def __contains__(self, key: MomentKey) -> bool:

@@ -100,8 +100,8 @@ class MomentSource:
     """Sampling protocol (samples, seed) and the MomentCache, in memory only
     without `cache_path`, behind every statistic it serves.  Keys are built
     here only (`eta_keys`, `weighted_key`), and every statistic goes through
-    `fetch`, which samples the keys the cache lacks in one call of
-    moments.sample, on up to `workers` processes.  `eta`, `phi` and
+    `fetch`, the one lookup, which samples the keys found nowhere in one
+    call of moments.sample, on up to `workers` processes.  `eta`, `phi` and
     `weighted` are shorthands that fetch their statistics' keys."""
 
     def __init__(self, samples: int, seed: int, *, workers: int = 1, cache_path=None):
@@ -119,17 +119,17 @@ class MomentSource:
     def weighted_key(self, f_diag, p_star, M: int) -> MomentKey:
         return self._key("weighted", M, np.size(f_diag), f_diag, p_star)
 
-    def missing(self, keys) -> list[MomentKey]:
-        """The distinct keys that the cache (memory or record files) lacks."""
-        return [key for key in dict.fromkeys(keys) if key not in self.cache]
-
     def fetch(self, keys) -> list[MomentEstimate]:
-        """The estimate of each key, in order: the ones the cache lacks are
-        sampled together (moments.sample), and every key is looked up
-        through the cache, a sampled one counting as a miss."""
+        """One estimate per key, in order, repeats included.  Each distinct
+        key is looked up once (`key in self.cache`: memory, then its record),
+        those found nowhere are sampled in one call of moments.sample, and
+        each passes once through `cache.cached`, a hit or, sampled, a miss."""
         keys = list(keys)
-        sampled = sample(self.missing(keys), self.workers)
-        return [self.cache.cached(key, lambda key=key: sampled[key]) for key in keys]
+        distinct = dict.fromkeys(keys)
+        missing = [key for key in distinct if key not in self.cache]
+        sampled = sample(missing, self.workers) if missing else {}
+        ests = {key: self.cache.cached(key, lambda key=key: sampled[key]) for key in distinct}
+        return [ests[key] for key in keys]
 
     def eta(self, M: int, K):
         """eta moments for every served count N <= K (entry N-1).  K may be a
