@@ -32,9 +32,10 @@ without a worker pool, for any number of workers and whichever other
 statistics are sampled with them.  `sample` is the one path from keys to
 estimates: each call runs its tasks through one `pool.map` on a pool of
 min(workers, tasks, CPUs) processes that lives for that call only, or
-in-process when that is fewer than 2.  The process-pool stack
-(multiprocessing, socket, subprocess, logging) is imported when the first
-pool is built, so a process that builds none never loads it.
+in-process when that is fewer than 2 or off Linux.  The pool (`ForkPool`)
+forks its children directly: each inherits the kernel, its tasks and
+everything imported, and sends back only its block sums, so no
+process-pool module (multiprocessing, concurrent.futures) is ever loaded.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
 of the samples.  The guard is applied once, to the ordered K x K Gram
@@ -49,6 +50,8 @@ one record file per statistic when it has a directory.
 from __future__ import annotations
 
 import os
+import pickle
+import sys
 import warnings
 import zlib
 from collections import Counter
@@ -173,35 +176,122 @@ def _slices(M: int, views: tuple, seed: int, block: int, count: int):
                 yield chi_all_n(g), o
 
 
-def __getattr__(name: str):
-    """`ProcessPoolExecutor`, imported at its first lookup (PEP 562), so that
-    only a process that builds a pool loads the process-pool stack.  A value
-    assigned to the name replaces it."""
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+class ForkPool:
+    """`max_workers` forked copies of this process that run the tasks of
+    `map`.  A child inherits the function and the task list, so neither is
+    pickled; only its results come back, pickled over a pipe of its own.
+    Every child is reaped before `map` returns or raises.  Fork is safe here
+    only on Linux, so `_collect` builds no pool elsewhere."""
+
+    def __init__(self, max_workers: int):
+        self.size = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def map(self, fn, tasks) -> list:
+        """[fn(task) for task in tasks] on `size` children.  Each child
+        claims the next task index, in task order, from one shared pipe and
+        sends back its (index, result) pairs when none is left.  A task's
+        exception is raised here; a child that ends without a result (a
+        signal, or an exception that cannot be pickled) raises RuntimeError.
+        On any error, Ctrl-C included, the children left are killed."""
+        tasks = list(tasks)
+        claims, feed = _pipe()
+        children = {}  # pid -> the read end of its result pipe
+        try:
+            for _ in range(self.size):
+                results, out = _pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, tasks, claims, feed, out)
+                out.close()  # so that the pipe ends when its child does
+                children[pid] = results
+            claims.close()  # so that a claim fails once no child is left
+            try:
+                for i in range(len(tasks)):  # a 4-byte write lands whole (< PIPE_BUF)
+                    feed.write(i.to_bytes(4, "little"))
+            except BrokenPipeError:
+                pass  # no child is left: their statuses say why
+            feed.close()
+            done = [None] * len(tasks)
+            for pid, results in list(children.items()):
+                payload = results.read()
+                status = os.waitpid(pid, 0)[1]
+                children.pop(pid).close()
+                if status:
+                    raise RuntimeError(f"sampling worker {pid} ended without a result"
+                                       f" (exit status {os.waitstatus_to_exitcode(status)})")
+                payload = pickle.loads(payload)
+                if isinstance(payload, Exception):
+                    raise payload
+                for i, result in payload:
+                    done[i] = result
+            return done
+        finally:
+            claims.close()
+            feed.close()
+            for pid, results in children.items():
+                results.close()
+                os.kill(pid, 9)  # SIGKILL, without importing signal
+                os.waitpid(pid, 0)
+
+
+def _pipe() -> tuple:
+    """A pipe's (read, write) ends as unbuffered files, which close once
+    however often they are closed."""
+    r, w = os.pipe()
+    return os.fdopen(r, "rb", 0), os.fdopen(w, "wb", 0)
+
+
+def _serve(fn, tasks, claims, feed, out):
+    """A child of `ForkPool.map`: run the tasks it claims until none is left,
+    send back [(index, fn(task))] or the exception that stopped it, and end
+    with `os._exit`, which runs no atexit handler and flushes none of the
+    stdio buffers this process inherited."""
+    status = 1
+    try:
+        feed.close()
+        done = []
+        try:
+            while claim := claims.read(4):
+                i = int.from_bytes(claim, "little")
+                done.append((i, fn(tasks[i])))
+        except Exception as exc:  # noqa: BLE001 - raised again in the parent
+            done = exc
+        data = memoryview(pickle.dumps(done))
+        while data:
+            data = data[out.write(data):]
+        status = 0
+    finally:
+        os._exit(status)
+
+
+ProcessPoolExecutor = ForkPool  # the name `_collect` builds its pool from
 
 
 def _collect(passes: list, workers: int) -> list:
     """`_block_sums` per pass (M, views, samples, seed), one list over the
     pass's consecutive CHUNK-sized blocks in block order.  The tasks of every
     pass go through one `pool.map` on a pool built for this call, of
-    `workers` processes but no more than the tasks or the machine's CPUs;
-    they run in-process when that leaves fewer than 2."""
+    `workers` processes but no more than the tasks or the CPUs this process
+    may run on; they run in-process when that leaves fewer than 2, and
+    always off Linux."""
     if any(samples < 1 for *_, samples, _ in passes):
         raise IndexError("samples must be positive")
     tasks = [[(M, views, seed, block, min(CHUNK, samples - start))
               for block, start in enumerate(range(0, samples, CHUNK))]
              for M, views, samples, seed in passes]
     flat = [task for blocks in tasks for task in blocks]
-    size = min(workers, len(flat), os.cpu_count() or 1)
+    size = min(workers, len(flat), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
     if size < 2:
         results = map(_block_sums, flat)
     else:
-        executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        with executor(size) as pool:
-            results = iter(list(pool.map(_block_sums, flat)))
+        with ProcessPoolExecutor(size) as pool:
+            results = iter(pool.map(_block_sums, flat))
     return [[next(results) for _ in blocks] for blocks in tasks]
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -433,7 +434,7 @@ def test_traced_benchmark_entry_point_runs(tmp_path, spec_text, waterfills, work
 @pytest.fixture
 def pool_calls(monkeypatch):
     """(built, submitted): the process pools that runs build and the tasks
-    submitted to them."""
+    passed to their `map`."""
     built, submitted = [], []
 
     class CountingPool(moments.ProcessPoolExecutor):
@@ -441,9 +442,10 @@ def pool_calls(monkeypatch):
             built.append(self)
             super().__init__(*args, **kwargs)
 
-        def submit(self, *args, **kwargs):
-            submitted.append(args)
-            return super().submit(*args, **kwargs)
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            submitted.extend(tasks)
+            return super().map(fn, tasks)
 
     monkeypatch.setattr(moments, "ProcessPoolExecutor", CountingPool)
     return built, submitted
@@ -495,6 +497,64 @@ def test_no_pool_when_every_statistic_is_one_block(tmp_path, pool_calls):
         assert len(submitted) == 2 * pools
         built.clear()
         submitted.clear()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks only on Linux")
+@pytest.mark.parametrize("failure", ["raise", "kill"])
+def test_worker_failure_exits_2(tmp_path, monkeypatch, capsys, failure):
+    # a task that raises in a forked worker, or a worker killed by a signal,
+    # ends the run with exit status 2 and leaves no child behind; two CPUs,
+    # so that the three blocks go to a pool on any machine
+    def block_sums(task):
+        if failure == "raise":
+            raise ValueError("the task failed")
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(moments, "_block_sums", block_sums)
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(CUSTOM_SPEC.replace("samples=300", f"samples={2 * moments.CHUNK + 17}"))
+    assert main(["run", "--spec", str(spec_file), "--out", str(tmp_path / "out"),
+                 "--workers", "2"]) == 2
+    message = {"raise": "runtime error: the task failed",
+               "kill": f"ended without a result (exit status {-signal.SIGKILL})"}[failure]
+    assert message in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+POOL_PROBE = """
+import json, os, sys
+import tddmimo.cli
+from tddmimo import moments
+os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs, so that the run builds its pool
+built = []
+class CountingPool(moments.ProcessPoolExecutor):
+    def __init__(self, size):
+        built.append(size)
+        super().__init__(size)
+moments.ProcessPoolExecutor = CountingPool
+rc = tddmimo.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "pools": built, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks only on Linux")
+def test_pool_run_loads_no_process_pool_stack(tmp_path):
+    # the sampling workers are forked directly: a cold --workers 2 run that
+    # samples three blocks on a pool of 2 loads neither multiprocessing nor
+    # concurrent.futures, in a fresh interpreter
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(CUSTOM_SPEC.replace("samples=300", f"samples={2 * moments.CHUNK + 17}"))
+    proc = subprocess.run([sys.executable, "-c", POOL_PROBE, "run", "--spec", str(spec_file),
+                           "--out", str(tmp_path / "out"), "--workers", "2"],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["rc"] == 0 and loaded["pools"] == [2]
+    assert _manifest(tmp_path / "out")["cache_misses"] == "3"
+    assert [m for m in loaded["modules"]
+            if m.partition(".")[0] in ("multiprocessing", "concurrent")] == []
 
 
 # Specs whose requests cover every preset; fig5's waterfilling leaves 6 of its

@@ -1,5 +1,7 @@
 import math
 import os
+import signal
+import sys
 import tracemalloc
 import warnings
 import zlib
@@ -154,26 +156,31 @@ def test_every_entry_point_checks_its_inputs(entry, bad):
         _ENTRY_POINTS[entry][1](M, f, p)
 
 
-def test_worker_count_independence():
-    # every statistic on two workers, as in a run; the last block of each
-    # sample count is partial
+def test_worker_count_independence(monkeypatch):
+    # every statistic on two and three workers, as in a run, with four CPUs
+    # so that three workers are not capped: 3 or 4 blocks over 2 children
+    # and 4 over 3 are uneven shares; the last block of each sample count is
+    # partial
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     f = np.array([0.5, 1.5, 1.0, 2.0])
     p = np.array([1.0, 2.0, 0.5, 1.0])
     runs = [
         lambda workers: eta_moments(6, 4, 6000, seed=10, workers=workers),
         lambda workers: eta_moments(5, 3, 2 * CHUNK + 17, seed=10, workers=workers),
+        lambda workers: eta_moments(4, 2, 3 * CHUNK + 17, seed=10, workers=workers),
         lambda workers: phi_f_moments(f, 6, 5000, seed=10, workers=workers),
         lambda workers: weighted_phi_stats(f, p, 6, 2500, seed=10, workers=workers),
     ]
-    for a, b in zip([run(1) for run in runs], [run(2) for run in runs]):
-        for name, value in vars(a).items():
-            np.testing.assert_array_equal(getattr(b, name), value)
+    for workers in (2, 3):
+        for a, b in zip([run(1) for run in runs], [run(workers) for run in runs]):
+            for name, value in vars(a).items():
+                np.testing.assert_array_equal(getattr(b, name), value)
 
 
 def test_pool_size_is_bounded_by_cpu_count(monkeypatch, tmp_path):
     # a sampling call builds a pool of min(workers, tasks, CPUs) processes,
-    # and only when that is at least 2; the stand-in records the size and
-    # runs the tasks in-process
+    # counting the CPUs this process may run on, and only when that is at
+    # least 2; the stand-in records the size and runs the tasks in-process
     sizes = []
 
     class RecordingPool:
@@ -191,17 +198,51 @@ def test_pool_size_is_bounded_by_cpu_count(monkeypatch, tmp_path):
 
     monkeypatch.setattr(moments, "ProcessPoolExecutor", RecordingPool)
     keys = [MomentKey("eta", M, 2, "-", CHUNK, 3) for M in (2, 3, 4)]  # one task each
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     moments.sample([replace(key, samples=2 * CHUNK) for key in keys], 10**6)  # 6 tasks
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     moments.sample(keys, 8)
     assert sizes == [4, 3]
     # one CPU: a run of several blocks at --workers 2 samples in-process
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1)))
     spec = parse_spec("preset=custom\nscheme=1\nM=4\nK=2\nrho_f_db=0\nrho_r_db=-10\n"
                       f"seed=4\nsamples={2 * CHUNK + 17}\n")
     assert run_experiment(spec, tmp_path, workers=2)["cache_misses"] == 1
     assert sizes == [4, 3]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks only on Linux")
+def test_fork_pool_failures_reap_every_child():
+    # a task's exception comes back with its type and message, a child that
+    # ends without a result is a RuntimeError rather than a hang, and no
+    # child outlives either; SIGALRM turns a hang into a failure
+    def fail(i):
+        if i == 3:
+            raise ValueError(f"task {i} failed")
+        return i
+
+    def die(i):
+        if i == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    def hung(signum, frame):
+        raise TimeoutError("the pool hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with moments.ProcessPoolExecutor(2) as pool:
+            assert pool.map(lambda i: i * i, range(5)) == [0, 1, 4, 9, 16]
+            with pytest.raises(ValueError, match="^task 3 failed$"):
+                pool.map(fail, range(6))
+            with pytest.raises(RuntimeError, match=f"exit status {-signal.SIGKILL}"):
+                pool.map(die, range(6))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_eta_batch_matches_each_k_alone():
