@@ -33,8 +33,10 @@ class RngStream:
     Each logical stream (one per fixed-size block of Monte Carlo samples) is
     an independent Philox stream, so a block is identical no matter how the
     blocks are partitioned across workers or in what order they are consumed.
-    `row` r > 0 starts the same key's counter at r * 2**192: a sub-stream per
-    channel row of a block, which no other row's draws ever reach.
+    `row` r > 0 starts the same key's counter at r * 2**192: a sub-stream of
+    the block that no other sub-stream's draws ever reach.  The Monte Carlo
+    kernel gives each row i of a block's Bartlett factor two of them: 2i
+    for its diagonal entry and 2i + 1 for its entries below the diagonal.
     """
 
     seed: int

@@ -1,46 +1,55 @@
 """Monte Carlo estimation of the trace-inverse gain statistics.
 
-Every statistic is one kernel (`_block_sums`) composed from the physical
-layer over a sample axis: draw the rows of M antennas of a block, each row
-on its own sub-stream (`RngStream.row`), form the Gram matrix of the first K
-rows, scale it by f_i f_j, order the rows best first by scores_k * ||z_k||^2
-(`scheduling.best_first`) and read phi for every served count N from the
-precoders' guarded Cholesky factor (`precoding.chi_all_n`), which one Crout
-pass builds for the whole slice of draws at once, with no LAPACK call for a
-slice whose draws are all certified.  The statistics differ only in their
-parameters, a view (per_user, scores, F) of the rows: eta has unit scores
-and unit F, phi_F has unit scores and its F, and the weighted statistics
-have F, order by p_star and count per user.  A MomentKey names its view
-exactly (`_view`).  The first K rows do not depend on how many rows are
-drawn, so every statistic of one (seed, M) reads the same rows
-(common random numbers), and statistics sampled together share one draw of
-max(K) rows per block: `sample` runs one task per (M, block) over all the
-statistics of that M, and the views of one K share its Gram matrix.
+Every statistic is one kernel (`_block_sums`) over a sample axis, built on
+norms and directions.  Write row k of a K x M i.i.d. CN(0, 1) matrix Z as
+z_k = sqrt(r_k) u_k: the norm r_k = ||z_k||^2 ~ Gamma(M, 1) and the
+direction u_k, uniform on the unit sphere, are independent (Muirhead,
+Aspects of Multivariate Statistical Theory, 1982, sec. 1.5).  Every selection
+reads only norms, so the directions of the selected rows are i.i.d.
+uniform whatever was selected, and the j-th best row may take the
+direction of row j.  Each draw is therefore the Cholesky factor L of
+W = Z Z^H, drawn directly (`_bartlett`: the complex Bartlett decomposition,
+Goodman 1963), with r_k = W_kk, and one triangular inverse L^{-1} at the
+pass's max(K) (`precoding.triangular_inverse`, the precoders' own) serves
+every K and every view: with A = |L^{-1}|^2 scaled by r along its columns
+and w = 1 / (f^2 r) in rank order, tr(G_{S,N}^{-1}) = cumsum(A[:K, :K] w)
+for every served count N at once (`_slices`).  The statistics differ only
+in their parameters, a view (per_user, scores, F) of the draws: eta has
+unit scores and unit F, phi_F has unit scores and its F, and the weighted
+statistics have F, order by p_star and count per user.  A MomentKey names
+its view exactly (`_view`).  The first K rows of L do not depend on how
+many rows are drawn, so every statistic of one (seed, M) reads the same
+draws (common random numbers), and statistics sampled together share one
+draw of max(K) rows per block: `sample` runs one task per (M, block) over
+all the statistics of that M.
 
-Samples are drawn in blocks of CHUNK: row r of block b is the Philox stream
-keyed by (seed, b) with its counter at row r.  A block is a stream of slices
-(`_slices`), each drawing the next SLICE draws of every row from one
-generator per row and forming, ordering and factoring them; the slices are
-the same bits as one stack.  Draw i of a block does not depend on the
-block's size, so fewer samples read a prefix of the draws of more.  Each
-block is reduced to per-group sums of phi and phi^2, draw i of a statistic
-being in group i % GROUPS, and each slice is added to them as it is made,
-round by round of GROUPS draws (`_fold`): a task holds one slice, never an
-array over its block's draws, and gets the bits of one sum over the block.
-The blocks are added in block order, so estimates are bit-identical with or
-without a worker pool, for any number of workers and whichever other
-statistics are sampled with them.  `sample` is the one path from keys to
-estimates: each call runs its tasks through one `pool.map` on a pool of
-min(workers, tasks, CPUs) processes that lives for that call only, or
-in-process when that is fewer than 2 or off Linux.  The pool (`ForkPool`)
-forks its children directly: each inherits the kernel, its tasks and
-everything imported, and sends back only its block sums, so no
-process-pool module (multiprocessing, concurrent.futures) is ever loaded.
+Samples are drawn in blocks of CHUNK: a block is keyed by (seed, b), and
+row i of its factor draws its diagonal from sub-stream 2i and its entries
+below from sub-stream 2i + 1 (`RngStream.row`).  A block is a stream of
+slices (`_slices`), each drawing the next SLICE draws of every sub-stream,
+continuing one generator per sub-stream; the slices are the same bits as
+one stack.  Draw i of a block does not depend on the block's size, so
+fewer samples read a prefix of the draws of more.  Each block is reduced
+to per-group sums of phi and phi^2, draw i of a statistic being in group
+i % GROUPS, and each slice is added to them as it is made, round by round
+of GROUPS draws (`_fold`): a task holds one slice, never an array over its
+block's draws, and gets the bits of one sum over the block.  The blocks
+are added in block order, so estimates are bit-identical with or without a
+worker pool, for any number of workers and whichever other statistics are
+sampled with them.  `sample` is the one path from keys to estimates: each
+call runs its tasks through one `pool.map` on a pool of min(workers,
+tasks, CPUs) processes that lives for that call only, or in-process when
+that is fewer than 2 or off Linux.  The pool (`ForkPool`) forks its
+children directly: each inherits the kernel, its tasks and everything
+imported, and sends back only its block sums, so no process-pool module
+(multiprocessing, concurrent.futures) is ever loaded.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
-of the samples.  The guard is applied once, to the ordered K x K Gram
-matrix, so a statistic with N < K may discard a draw whose own block would
-pass.
+of the samples.  The guard is applied once per view, to the ordered K x K
+matrix G_S, so a statistic with N < K may discard a draw whose own block
+would pass.  It is certified in O(K): tr(G_S) = sum_j (f^2 r)_(j), and a
+draw with tr(G_S) tr(G_S^{-1}) <= COND_LIMIT passes; only a draw that
+fails the certificate builds its G_S for the eigenvalue check.
 
 Each statistic is one MomentEstimate over all N, whose groups also give the
 leave-one-out moments of the jackknife in `rates`; MomentCache holds them all,
@@ -57,14 +66,15 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
-from .channel_model import RngStream, draw_channel
+# The kernel draws no channel rows; `draw_channel` stays a name of this
+# module because perfbench/traced.py wraps `moments.draw_channel` to count them
+from .channel_model import RngStream, draw_channel  # noqa: F401
 from .errors import ExcessSingularDrawsError
-from .precoding import chi_all_n, gram
+from .precoding import COND_LIMIT, triangular_inverse, well_conditioned
 from .scheduling import best_first
 
 CHUNK = 2048  # samples per task and per RNG block; independent of the worker count
@@ -145,35 +155,64 @@ def _slices(M: int, views: tuple, seed: int, block: int, count: int):
     """phi_N for every N over one block of `count` draws, yielded as it is
     made: one (phi, order) per slice of SLICE draws and, within a slice, per
     view of `views` in turn.  phi[i, N-1] is the statistic of the N leading
-    of the view's K rows of the slice's draw i once ordered (a NaN row marks
-    a singular draw), and order[i] lists those rows best first by
-    scores_k * ||z_k||^2.
+    of the view's K users in the slice's draw i once ordered (a NaN row
+    marks a singular draw), and order[i] lists those users best first by
+    scores_k * r_k, r_k = ||z_k||^2.
 
     A view is (per_user, scores, f_diag), scores and f_diag holding K
-    entries.  Row r is drawn from RngStream(seed, block, r) and the rows are
-    stacked outermost, so the first K rows, their norms and their Gram matrix
-    are the same bits however many rows the block draws and whichever views
-    read them.  A slice continues each row's generator.  Per slice, the Gram
-    matrix of the first K rows is formed once per run of consecutive views
-    with that K, in row order, then scaled by f_i f_j and permuted best first
-    per view; each draw is factored on its own, so the slicing changes no bit.
+    entries.  Each draw is the Bartlett factor L of W = Z Z^H (`_bartlett`)
+    at the pass's max(K), and every view reads the same L^{-1}
+    (`precoding.triangular_inverse`) through A = |L^{-1}|^2 scaled by r
+    along its columns: with w = 1 / (f^2 r) in rank order, tr_N =
+    cumsum(A[:K, :K] w)[N-1], one K x K matrix-vector product per view.
+    Row i of L^{-1} reads only the first i + 1 rows of L, so the first K
+    rows give the same bits whatever max(K) is, and a draw's products are
+    its own, so the slicing changes no bit.
+
+    The guard is once per view, on the ordered K x K matrix G_S, whose
+    trace is sum_j (f^2 r)_(j): a draw with that sum times tr_K at most
+    COND_LIMIT is certified, and only a draw that is not builds its G_S for
+    `precoding.well_conditioned`.
     """
-    streams = [RngStream(seed, block, r).generator()
-               for r in range(max(len(f) for *_, f in views))]
+    rows = [tuple(RngStream(seed, block, 2 * i + part).generator() for part in (0, 1))
+            for i in range(max(len(f) for *_, f in views))]
     for s in range(0, count, SLICE):
         n = min(SLICE, count - s)
-        rows = np.empty((len(streams), n, M), complex)  # [row, draw, antenna]
-        for row, stream in zip(rows, streams):
-            row[:] = draw_channel(1, M, stream, n)[:, 0]
-        norms = np.sum(rows.real ** 2 + rows.imag ** 2, axis=2).T  # ||z_k||^2
-        draw = np.arange(n)[:, None, None]
-        for K, run in groupby(views, key=lambda view: len(view[2])):
-            g_k = gram(rows[:K].swapaxes(0, 1))
-            for _, scores, f_diag in run:
-                f = np.asarray(f_diag)
-                o = best_first(np.asarray(scores) * norms[:, :K])
-                g = (g_k * (f[:, None] * f))[draw, o[:, :, None], o[:, None, :]]
-                yield chi_all_n(g), o
+        l, r = _bartlett(M, rows, n)
+        a = triangular_inverse(l)[0]
+        a = (a.real ** 2 + a.imag ** 2) * r[:, None, :]
+        for _, scores, f_diag in views:
+            K, f = len(f_diag), np.asarray(f_diag)
+            o = best_first(np.asarray(scores) * r[:, :K])
+            fr = np.take_along_axis(f * f * r[:, :K], o, axis=1)  # (f^2 r)_(j)
+            tr = np.cumsum((a[:, :K, :K] @ (1 / fr)[:, :, None])[:, :, 0], axis=1)
+            ok = fr.sum(axis=1) * tr[:, -1] <= COND_LIMIT
+            if not ok.all():
+                bad = np.flatnonzero(~ok)
+                h = np.sqrt(fr[bad] / r[bad, :K])[:, :, None] * l[bad, :K, :K]
+                ok[bad] = well_conditioned(h @ h.conj().swapaxes(1, 2))
+            phi = tr ** -0.5
+            phi[~ok] = np.nan
+            yield phi, o
+
+
+def _bartlett(M: int, rows: list, n: int) -> tuple:
+    """(L, r) for the next n draws of a block: L (n, K, K) is the lower
+    Cholesky factor of W = Z Z^H for Z of K i.i.d. CN(0, I_M) rows, drawn
+    directly (Bartlett decomposition; Goodman 1963 for the complex case),
+    and r[:, k] = ||z_k||^2 = W_kk = sum_j |L_kj|^2.  L_ii^2 ~ Gamma(M - i, 1)
+    (0-based i) and L_ij ~ CN(0, 1) for j < i; row i draws its diagonal from
+    rows[i][0] and its i entries below from rows[i][1], each continued from
+    slice to slice, so that the slices give the bits of one stack."""
+    l = np.zeros((n, len(rows), len(rows)), complex)
+    r = np.empty((n, len(rows)))
+    for i, (diag, below) in enumerate(rows):
+        gamma = diag.standard_gamma(M - i, n)
+        z = below.standard_normal((n, 2 * i)) * np.sqrt(0.5)
+        l[:, i, i] = np.sqrt(gamma)
+        l[:, i, :i] = z.view(complex)
+        r[:, i] = gamma + (z * z).sum(axis=1)
+    return l, r
 
 
 class ForkPool:
@@ -359,8 +398,7 @@ def _view(key: MomentKey) -> tuple:
 
 def _passes(keys) -> dict:
     """The distinct keys by pass (M, samples, seed), each pass's in order of
-    K so that its views of one K share their Gram matrix, the largest M
-    first so that the longest tasks start first."""
+    K, the largest M first so that the longest tasks start first."""
     passes: dict[tuple, list] = {}
     for key in sorted(dict.fromkeys(keys), key=lambda k: (-k.M, k.K)):
         passes.setdefault((key.M, key.samples, key.seed), []).append(key)
@@ -369,8 +407,8 @@ def _passes(keys) -> dict:
 
 def sample(keys, workers: int = 1) -> dict:
     """MomentKey -> MomentEstimate for every statistic of `keys`, sampled in
-    one pass per (M, block) over all of them: each block draws the rows of
-    its M once, and every statistic of that M is a view of them.  All the
+    one pass per (M, block) over all of them: each block draws the factors
+    of its M once, and every statistic of that M is a view of them.  All the
     tasks go through one `_collect`, on up to `workers` processes.  The
     block sums are added in block order, so each estimate is the same, bit
     for bit, as when its statistic is sampled alone and on any number of
@@ -445,7 +483,7 @@ class MomentCache:
     """Every Monte Carlo statistic of a run: an in-memory store, backed by one
     record file per statistic when given a directory `path`.
 
-    The records of this format live in `path/v10/` (`dir`).  A record is named
+    The records of this format live in `path/v11/` (`dir`).  A record is named
     `<kind>_<M>_<K>_<samples>_<seed>_<crc>`, crc being the zlib.crc32 of the
     key's fingerprint in hex: a weighted fingerprint holds 32 hex digits per
     user, too long for a file name.  It holds five consecutive `np.save`
@@ -463,7 +501,7 @@ class MomentCache:
     directories are never read, and constructing a cache touches no file.
     """
 
-    VERSION = "tddmimo-moments-cache v10"
+    VERSION = "tddmimo-moments-cache v11"
     # the singular draws of every statistic in memory, once each
     singular_events = property(lambda self: sum(e.singular_events for e in self._store.values()))
 

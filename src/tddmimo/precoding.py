@@ -4,15 +4,18 @@ trace-inverse statistic chi and the forward-link simulation, for one channel
 
 The Gram matrix G = H H^H (`gram`) is not inverted directly:
 `_inverse_cholesky` inverts its Cholesky factor, G^{-1} = L^{-H} L^{-1},
-and guards every draw against cond(G) > COND_LIMIT.  `_factor` builds L and
-L^{-1} together in one Crout pass over the columns, each step a few numpy
-operations over the whole stack of draws, so the factor makes no call per
-matrix into LAPACK.  The guard is certified first: a draw with
-tr(G) tr(G^{-1}) <= COND_LIMIT passes without its eigenvalues, and only a
-stack with a draw that fails the certificate pays for `eigvalsh`.  The
-Monte Carlo kernel reads the factor through `chi_all_n`.  The precoders
-return (A, chi) as arrays and raise SingularChannelError when a draw fails
-the guard, so callers can resample and count the event.
+and guards every draw against cond(G) > COND_LIMIT.  The factor comes in
+two halves, each a pass of a few numpy operations per step over the whole
+stack of draws, so neither makes a call per matrix into LAPACK: `_cholesky`
+builds L from G by Crout, and `triangular_inverse` builds L^{-1} and its
+cumulative row norms, tr(G_N^{-1}) for every leading block.  The Monte
+Carlo kernel (`moments`) draws L itself and shares only the second half.
+The guard is certified first: a draw with tr(G) tr(G^{-1}) <= COND_LIMIT
+passes without its eigenvalues, and only a stack with a draw that fails
+the certificate pays for the eigenvalue check (`well_conditioned`), which
+the kernel shares too.  The precoders return (A, chi) as arrays and raise
+SingularChannelError when a draw fails the guard, so callers can resample
+and count the event.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ def gram(h: np.ndarray) -> np.ndarray:
 
 def _inverse_cholesky(g: np.ndarray):
     """(ok, l_inv, tr_inv) for G = L L^H per matrix of a Gram stack: ok is
-    True where lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min,
-    l_inv stacks L^{-1} of those draws only, in order, and tr_inv[j, N-1] =
+    True where the draw is well conditioned (`well_conditioned`), l_inv
+    stacks L^{-1} of those draws only, in order, and tr_inv[j, N-1] =
     tr(G_N^{-1}) = sum_{i<N} ||row_i(L^{-1})||^2 for the leading N x N block.
 
     The whole stack is factored first.  For a positive-definite G,
@@ -52,57 +55,58 @@ def _inverse_cholesky(g: np.ndarray):
     """
     g = g.reshape((-1,) + g.shape[-2:])
     with np.errstate(divide="ignore", invalid="ignore"):
-        l_inv, tr_inv = _factor(g)
+        l_inv, tr_inv = triangular_inverse(_cholesky(g))
         certified = np.all(np.trace(g, axis1=1, axis2=2).real * tr_inv[:, -1] <= COND_LIMIT)
     if certified:
         return np.ones(len(g), bool), l_inv, tr_inv
+    ok = well_conditioned(g)
+    return (ok, *triangular_inverse(_cholesky(g[ok])))
+
+
+def well_conditioned(g: np.ndarray) -> np.ndarray:
+    """The guard itself, per Hermitian matrix of a stack (n, K, K): True
+    where lambda_min > 0 and lambda_max <= COND_LIMIT * lambda_min."""
     lam = np.linalg.eigvalsh(g)
-    ok = (lam[:, 0] > 0) & (lam[:, -1] <= COND_LIMIT * lam[:, 0])
-    return (ok, *_factor(g[ok]))
+    return (lam[:, 0] > 0) & (lam[:, -1] <= COND_LIMIT * lam[:, 0])
 
 
-def _factor(g: np.ndarray):
-    """(L^{-1}, cumulative row norms of L^{-1}) of a Gram stack (n, K, K).
-
-    One Crout pass over the columns j of G = L L^H (Golub & Van Loan,
-    Matrix Computations, 4.2), every step numpy operations over the n
-    draws.  Step j forms row j of L^H, the conjugate of column j of L,
-    (G[j, j:] - L[j, :j] L^H[:j, j:]) / L_jj, and row j of L^{-1},
-    -L[j, :j] L^{-1}[:j, :j] / L_jj with 1/L_jj on its diagonal: two
-    vector-matrix products of L[j, :j] per draw.  Only the upper triangle
-    of G is read.  A draw's products are its own matrix products and every
-    other step is elementwise, so its bits do not depend on the size of the
-    stack or its place in it.  A draw that is not positive definite gets a
-    NaN or infinite pivot, which spreads to its trace.
-    """
-    # L^H and L^{-1} are two arrays of G's size: one [L^H | L^{-1}] array
-    # would need one product per step, not two, but its single allocation of
-    # twice G's size raised glibc's mmap threshold and a worker's peak RSS
-    dtype = np.promote_types(g.dtype, np.float64)
-    l_h, l_inv = np.zeros(g.shape, dtype), np.zeros(g.shape, dtype)
-    norms = np.empty(g.shape[:-1])  # ||row_j(L^{-1})||^2
+def _cholesky(g: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor L of G = L L^H per matrix of a Gram stack
+    (n, K, K), by one Crout pass over the columns (Golub & Van Loan, Matrix
+    Computations, 4.2), every step numpy operations over the n draws.  Step
+    j forms row j of L^H, the conjugate of column j of L, as
+    (G[j, j:] - L[j, :j] L^H[:j, j:]) / L_jj: one vector-matrix product per
+    draw.  Only the upper triangle of G is read.  A draw that is not
+    positive definite gets a NaN or infinite pivot."""
+    l_h = np.zeros(g.shape, np.promote_types(g.dtype, np.float64))
     for j in range(g.shape[-1]):
-        l_j = l_h[:, None, :j, j].conj()  # L[j, :j]
-        row = g[:, j, j:] - (l_j @ l_h[:, :j, j:])[:, 0]
-        d = 1 / np.sqrt(row[:, :1].real)  # 1 / L_jj
-        l_h[:, j, j:] = row * d
-        l_inv[:, j, :j] = (l_j @ l_inv[:, :j, :j])[:, 0] * -d
-        l_inv[:, j, j] = d[:, 0]
+        row = g[:, j, j:] - (l_h[:, None, :j, j].conj() @ l_h[:, :j, j:])[:, 0]
+        l_h[:, j, j:] = row / np.sqrt(row[:, :1].real)
+    return np.conjugate(l_h, out=l_h).swapaxes(1, 2)
+
+
+def triangular_inverse(l: np.ndarray):
+    """(L^{-1}, cumulative row norms of L^{-1}) of a stack (n, K, K) of lower
+    triangular L with a real positive diagonal: entry [j, N-1] of the norms
+    is sum_{i<N} ||row_i(L^{-1})||^2, which is tr(G_N^{-1}) for G = L L^H.
+
+    Forward substitution by rows, every step numpy operations over the n
+    draws: row j of L^{-1} is -L[j, :j] L^{-1}[:j, :j] / L_jj with 1/L_jj on
+    its diagonal, one vector-matrix product per draw.  Row j reads only
+    the first j + 1 rows of L, and a draw's products are its own matrix
+    products, so its bits depend neither on the rows below nor on the size
+    of the stack or its place in it.  A zero, NaN or infinite pivot spreads
+    to the trace.
+    """
+    l_inv = np.zeros(l.shape, np.promote_types(l.dtype, np.float64))
+    norms = np.empty(l.shape[:-1])  # ||row_j(L^{-1})||^2
+    for j in range(l.shape[-1]):
+        d = 1 / l[:, j, j].real
+        l_inv[:, j, :j] = (l[:, None, j, :j] @ l_inv[:, :j, :j])[:, 0] * -d[:, None]
+        l_inv[:, j, j] = d
         w = l_inv[:, j, :j + 1].view(np.float64)
         norms[:, j] = (w * w).sum(axis=1)
     return l_inv, np.cumsum(norms, axis=1)
-
-
-def chi_all_n(g: np.ndarray) -> np.ndarray:
-    """chi of the N leading rows for every N, from the Gram stack g (..., K, K)
-    of those rows, indexed [..., N-1], NaN where the draw fails the guard.
-    The Cholesky factor of G_N is the leading block of L, so tr(G_N^{-1}) is
-    a cumulative sum, and by Cauchy interlacing cond(G_N) <= cond(G).
-    """
-    ok, _, tr_inv = _inverse_cholesky(g)
-    chi = np.full((ok.size, g.shape[-1]), np.nan)
-    chi[ok] = tr_inv ** -0.5
-    return chi.reshape(g.shape[:-1])
 
 
 def chi_of(h_hat_s: np.ndarray):

@@ -264,10 +264,10 @@ def test_eta_batch_matches_each_k_alone():
 def test_shared_pass_matches_each_statistic_alone():
     # one pass per (M, block) over every statistic of two M: the eta of every
     # K, a phi_F, and weighted statistics of several K, two of one K sharing
-    # their Gram matrix.  At F = (1, 1e-4) and M = K = 2 this seed has 3
-    # singular draws of 4113.  Each estimate is the same bits, group sums and
-    # singular count included, as alone, in-process or on a pool.  A weighted
-    # fingerprint holds F, then p_star
+    # their draws.  At F = (1, 1e-4) this seed has 2 singular draws of 4113
+    # at M = K = 2 and 3 at M = K = 3.  Each estimate is the same bits, group
+    # sums and singular count included, as alone, in-process or on a pool.  A
+    # weighted fingerprint holds F, then p_star
     samples, seed = 2 * CHUNK + 17, 33
     weighted = [(2, [1.0, 1e-4], [1.0, 1.0]), (2, [0.5, 2.0], [2.0, 1.0]),
                 (3, [1.0, 1e-4, 1.0], [1.0, 1.0, 1.0]), (3, [0.5, 1.5], [1.0, 2.0]),
@@ -279,7 +279,7 @@ def test_shared_pass_matches_each_statistic_alone():
     alone = [eta_moments(key.M, key.K, samples, seed) for key in keys[:5]]
     alone += [weighted_phi_stats(f, p, M, samples, seed) for M, f, p in weighted]
     alone.append(phi_f_moments([0.5, 1.5], 3, samples, seed))
-    assert [est.singular_events for est in alone[5:]] == [3, 0, 1, 0, 0, 0]
+    assert [est.singular_events for est in alone[5:]] == [2, 0, 3, 0, 0, 0]
     assert list(moments._passes(keys)) == [(3, samples, seed), (2, samples, seed)]
     serial = moments.sample(keys)
     pooled = moments.sample(keys, 2)
@@ -290,37 +290,50 @@ def test_shared_pass_matches_each_statistic_alone():
 
 
 def test_eta_kernel_reads_the_first_k_rows_of_the_row_draws():
-    # eta(M, K) orders the first K rows of each draw by norm, best first,
-    # row r of block b being drawn from RngStream(seed, b, r)
+    # eta(M, K) reads the first K rows of each draw's Bartlett factor L, drawn
+    # at max(K) = M here: it ranks their norms, best first, and serves them
+    # along the directions of L's leading rows
     M, K, seed, count = 5, 3, 27, 300
     vals = eta_samples(M, K, count, seed)
-    for i, z in enumerate(_row_draws(M, M, count, seed)):
-        rows = z[:K][np.argsort(-np.sum(np.abs(z[:K]) ** 2, axis=1), kind="stable")]
-        ref = [_per_n_oracle(rows, n) for n in range(1, K + 1)]
+    draws = _bartlett_draws(M, M, count, seed)
+    for i, l in enumerate(draws):
+        h = _served(l[:K, :K], np.ones(K), np.ones(K))[1]
+        ref = [_per_n_oracle(h, n) for n in range(1, K + 1)]
         np.testing.assert_allclose(vals[i], ref, rtol=1e-9)
-    # at K = M every row is served, and chi does not depend on their order
-    np.testing.assert_allclose(eta_samples(M, M, count, seed)[:, -1],
-                               chi_of(_row_draws(M, M, count, seed)), rtol=1e-12)
+    # at K = M every row is served: chi of the served channel, through the
+    # precoders' factorization
+    served = np.array([_served(l, np.ones(M), np.ones(M))[1] for l in draws])
+    np.testing.assert_allclose(eta_samples(M, M, count, seed)[:, -1], chi_of(served),
+                               rtol=1e-12)
     # fewer samples read a prefix of the draws of more
     np.testing.assert_array_equal(vals, eta_samples(M, K, CHUNK + 5, seed)[:count])
 
 
 def test_eta_draws_only_the_rows_it_reads(monkeypatch):
-    # a block draws max(K) rows of M, so a small K at a large M stays cheap;
-    # each slice of a block draws every row once, continuing its generator
-    import tddmimo.moments as moments
-    calls = []
-    draw = moments.draw_channel
-    monkeypatch.setattr(moments, "draw_channel", lambda K, M, rng, count:
-                        calls.append((K, M, count)) or draw(K, M, rng, count))
+    # a block opens two sub-streams for each of its max(K) rows, whatever M,
+    # so a small K at a large M stays cheap: sub-stream 2r for row r's
+    # diagonal and 2r + 1 for its entries below.  Each slice of a block
+    # draws every sub-stream once, continuing its generator
+    opened, calls = [], []
+
+    def tap(stream, values, taken):
+        calls.append((stream.stream_id, stream.row, len(values)))
+        return values
+
+    monkeypatch.setattr(RngStream, "generator", lambda stream: opened.append(
+        (stream.stream_id, stream.row)) or _Tapped(stream, tap))
     eta_moments(64, 2, 100, seed=30)
-    assert calls == [(1, 64, 100)] * 2
-    calls.clear()
+    assert opened == [(0, s) for s in range(4)]
+    assert calls == [(0, s, 100) for s in range(4)]
+    del opened[:], calls[:]
     eta_moments(64, [3, 1, 5], 100, seed=30)
-    assert calls == [(1, 64, 100)] * 5
-    calls.clear()
+    assert opened == [(0, s) for s in range(10)]
+    assert calls == [(0, s, 100) for s in range(10)]
+    del opened[:], calls[:]
     eta_moments(64, 2, CHUNK + 300, seed=30)  # whole slices, then a slice and 44 draws
-    assert calls == [(1, 64, SLICE)] * 2 * (CHUNK // SLICE + 1) + [(1, 64, 44)] * 2
+    assert opened == [(b, s) for b in (0, 1) for s in range(4)]
+    assert calls == ([(0, s, SLICE) for _ in range(CHUNK // SLICE) for s in range(4)]
+                     + [(1, s, n) for n in (SLICE, 44) for s in range(4)])
 
 
 def _eigvalsh_guard(g):
@@ -329,7 +342,7 @@ def _eigvalsh_guard(g):
     g = g.reshape((-1,) + g.shape[-2:])
     lam = np.linalg.eigvalsh(g)
     ok = (lam[:, 0] > 0) & (lam[:, -1] <= COND_LIMIT * lam[:, 0])
-    return (ok, *precoding._factor(g[ok]))
+    return (ok, *precoding.triangular_inverse(precoding._cholesky(g[ok])))
 
 
 def _with_cond(z, cond):
@@ -352,7 +365,7 @@ def _hard_block(K, M, count, seed):
 
 
 def test_certified_guard_matches_eigenvalue_guard(monkeypatch):
-    from tddmimo.precoding import _inverse_cholesky, chi_all_n, gram
+    from tddmimo.precoding import _inverse_cholesky, gram
     g = gram(_hard_block(4, 6, 64, 28))
     assert np.trace(g[11]).real * np.trace(np.linalg.inv(g[11])).real > COND_LIMIT
     stacks = (g[:3], g[:8], g[8:], g[:12], g)
@@ -363,8 +376,7 @@ def test_certified_guard_matches_eigenvalue_guard(monkeypatch):
         for got, want in zip(_inverse_cholesky(stack), ref):
             np.testing.assert_array_equal(got, want)
     assert fallbacks == [8, 56, 12, 64]  # only the first stack is certified whole
-    chi = chi_all_n(g)
-    assert np.flatnonzero(np.isnan(chi[:, 0])).tolist() == [3, 7]
+    assert np.flatnonzero(~refs[-1][0]).tolist() == [3, 7]
 
 
 def test_certified_blocks_call_no_lapack(monkeypatch):
@@ -392,29 +404,48 @@ def test_certified_blocks_call_no_lapack(monkeypatch):
             np.testing.assert_array_equal(a, b)
 
 
+_generator = RngStream.generator
+
+
+class _Tapped:
+    """A sub-stream's generator whose every draw passes through
+    tap(stream, values, taken), `taken` counting the draws it gave before.
+    The kernel draws only standard_gamma and standard_normal, draws first."""
+
+    def __init__(self, stream, tap):
+        self.stream, self.tap, self.taken, self.g = stream, tap, 0, _generator(stream)
+
+    def _draw(self, values):
+        values = self.tap(self.stream, values, self.taken)
+        self.taken += len(values)
+        return values
+
+    def standard_gamma(self, shape, size):
+        return self._draw(self.g.standard_gamma(shape, size))
+
+    def standard_normal(self, size):
+        return self._draw(self.g.standard_normal(size))
+
+
+# block 0's hard draws: draw -> (the row whose L_ii^2 is scaled, the scale)
+_HARD = {3: (1, 1e-30), 7: (1, 1e-13), 11: (0, 5.6e11)}
+
+
 def _hard_draws(monkeypatch):
-    """Start block 0 of every pass with the 12 draws of `_hard_block`, row r
-    of the block taking row r of them: one block, within the singular-draw
-    budget.  The kernel continues one generator per row of a block, so each
-    generator is tagged with its stream when it is made, and the hook counts
-    the draws taken from it."""
-    draw, generator, made = moments.draw_channel, RngStream.generator, {}
+    """Make draws 3, 7 and 11 of block 0 of every pass fail the kernel's
+    certificate.  At draws 3 and 7 row 1's diagonal shrinks, so the first
+    two directions are all but parallel and every view's G_S is singular,
+    the limit exceeded about 1e18- and 40-fold.  At draw 11 user 0's norm
+    grows about 5.6e11-fold: every view at M = 4 and the eta views at M = 6
+    find it singular, while under the F of the phi_F and weighted views
+    at M = 6 its eigenvalues pass although no certificate does."""
+    def hard(stream, values, taken):
+        for draw, (row, scale) in _HARD.items():
+            if (stream.stream_id, stream.row) == (0, 2 * row) and 0 <= draw - taken < len(values):
+                values[draw - taken] *= scale
+        return values
 
-    def tagged(stream):
-        g = generator(stream)
-        made[g] = stream, [0]
-        return g
-
-    def hard(K, M, rng, count):
-        z = draw(K, M, rng, count)
-        stream, taken = made[rng]
-        if stream.stream_id == 0 and taken[0] == 0:  # the first slice of block 0
-            z[:12] = _hard_block(4, M, 12, stream.seed)[:, stream.row:stream.row + 1]
-        taken[0] += count
-        return z
-
-    monkeypatch.setattr(RngStream, "generator", tagged)
-    monkeypatch.setattr(moments, "draw_channel", hard)
+    monkeypatch.setattr(RngStream, "generator", lambda stream: _Tapped(stream, hard))
 
 
 def test_certificate_fallback_gives_the_eigenvalue_guards_statistics(monkeypatch):
@@ -427,7 +458,9 @@ def test_certificate_fallback_gives_the_eigenvalue_guards_statistics(monkeypatch
             lambda: [phi_f_moments(f, 6, 4000, seed=29)],
             lambda: [weighted_phi_stats(f, p, 6, 4000, seed=29)]]
     certified = [run() for run in runs]
-    monkeypatch.setattr(precoding, "_inverse_cholesky", _eigvalsh_guard)
+    assert [est.singular_events for ests in certified for est in ests] == [3, 3, 3, 2, 2]
+    # a certificate no draw passes: eigvalsh decides every draw of every view
+    monkeypatch.setattr(moments, "COND_LIMIT", 0.0)
     for ests, run in zip(certified, runs):
         for est, ref in zip(ests, run()):
             assert est.singular_events == ref.singular_events > 0
@@ -446,7 +479,7 @@ def test_slices_give_the_bits_of_one_stack(monkeypatch, hard):
     # it gives the same phi, order and block sums for a multi-K eta pass, a
     # phi_F and a weighted view.  The second block of CHUNK + 300 samples is
     # one full slice plus 44 draws.  With hard draws in block 0's first slice,
-    # that slice alone takes the eigenvalue fallback, once per view
+    # those draws alone take the eigenvalue fallback, once per view
     M, seed, samples = 6, 29, CHUNK + 300
     f, p = [0.5, 1.5, 1.0, 2.0], [1.0, 2.0, 0.5, 1.0]
     keys = [moments.key_of("eta", M, k, samples, seed) for k in (2, 3, 4)]
@@ -468,14 +501,14 @@ def test_slices_give_the_bits_of_one_stack(monkeypatch, hard):
     monkeypatch.setattr(moments, "SLICE", CHUNK)
     whole, whole_fallbacks = run()
     # _slices and _block_sums each run block 0 once
-    assert sliced_fallbacks == ([SLICE] * 2 * len(views) if hard else [])
-    assert whole_fallbacks == ([CHUNK] * 2 * len(views) if hard else [])
+    assert sliced_fallbacks == whole_fallbacks == ([3] * 2 * len(views) if hard else [])
     for (block, sums), (ref_block, ref_sums) in zip(sliced, whole):
         for got, want in zip(block + sums, ref_block + ref_sums):
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
-    if hard:  # draws 3 and 7 of block 0 are singular at K = 4
-        assert np.flatnonzero(np.isnan(sliced[0][0][2][0][:, 0])).tolist() == [3, 7]
+    if hard:  # of block 0's hard draws, 11 passes under the F of phi_F and weighted
+        assert [np.flatnonzero(np.isnan(phi[:, 0])).tolist() for phi, _ in sliced[0][0]] == (
+            [[3, 7, 11]] * 3 + [[3, 7]] * 2)
 
 
 def _peak(M: int, count: int) -> int:
@@ -529,13 +562,32 @@ def test_fold_by_slice_gives_the_bits_of_one_block_sum(shape, count):
     np.testing.assert_array_equal(served, (rounds > 1.0).sum(axis=0))
 
 
-def _row_draws(K: int, M: int, samples: int, seed: int) -> np.ndarray:
-    """Every statistic's draws: sample i is draw i % CHUNK of block
-    i // CHUNK, whose row r is drawn from RngStream(seed, b, r)."""
-    return np.concatenate([
-        np.concatenate([draw_channel(1, M, RngStream(seed, b, r), min(CHUNK, samples - start))
-                        for r in range(K)], axis=1)
-        for b, start in enumerate(range(0, samples, CHUNK))])
+def _bartlett_draws(K: int, M: int, samples: int, seed: int) -> np.ndarray:
+    """Every statistic's draws as Bartlett factors L (samples, K, K) of
+    W = Z Z^H: sample i is draw i % CHUNK of block i // CHUNK, whose row r
+    has L_rr^2 ~ Gamma(M - r, 1) from RngStream(seed, b, 2r) and its r
+    entries L_rj ~ CN(0, 1), j < r, from RngStream(seed, b, 2r + 1)."""
+    blocks = []
+    for b, start in enumerate(range(0, samples, CHUNK)):
+        n = min(CHUNK, samples - start)
+        l = np.zeros((n, K, K), complex)
+        for r in range(K):
+            l[:, r, r] = np.sqrt(RngStream(seed, b, 2 * r).generator().standard_gamma(M - r, n))
+            z = RngStream(seed, b, 2 * r + 1).generator().standard_normal((n, r, 2))
+            l[:, r, :r] = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2)
+        blocks.append(l)
+    return np.concatenate(blocks)
+
+
+def _served(l: np.ndarray, scores, f) -> tuple:
+    """(order, H) of one draw's Bartlett factor l (K x K) under a view: its
+    rows best first by scores_k r_k, r_k = ||row_k(l)||^2 = ||z_k||^2, and
+    the channel H whose row j is sqrt(f^2 r) of the j-th best row along the
+    direction of row j of l.  The directions are i.i.d. uniform and
+    independent of the norms, so H H^H has the law of the ordered G_S."""
+    r = np.sum(np.abs(l) ** 2, axis=1)
+    order = np.argsort(-scores * r, kind="stable")
+    return order, np.sqrt((f * f * r)[order] / r)[:, None] * l
 
 
 def _per_n_oracle(z: np.ndarray, n: int) -> float:
@@ -551,12 +603,11 @@ def test_all_n_kernel_matches_per_n_inverse(M):
     f = np.array([0.5, 1.5, 1.0, 2.0])
     [(phi, order)] = _block((M, ((False, tuple(scores), tuple(f)),), seed, 0, count))
     worst = 0.0
-    for i, z in enumerate(_row_draws(K, M, count, seed)):
-        expected = np.argsort(-scores * np.sum(np.abs(z) ** 2, axis=1), kind="stable")
+    for i, l in enumerate(_bartlett_draws(K, M, count, seed)):
+        expected, zf = _served(l, scores, f)
         np.testing.assert_array_equal(order[i], expected)
         if np.isnan(phi[i, 0]):
             continue
-        zf = (f[:, None] * z)[expected]
         for n in range(1, K + 1):
             ref = _per_n_oracle(zf, n)
             worst = max(worst, abs(phi[i, n - 1] - ref) / ref)
@@ -572,9 +623,8 @@ def _weighted_oracle(f_diag, p_star, M, samples, seed):
     cnt = np.zeros((GROUPS, Ka, Ka), dtype=np.int64)
     s1 = np.zeros((GROUPS, Ka, Ka))
     s2 = np.zeros((GROUPS, Ka, Ka))
-    for i, z in enumerate(_row_draws(Ka, M, samples, seed)):
-        order = np.argsort(-p_star * np.sum(np.abs(z) ** 2, axis=1), kind="stable")
-        zf = (f_diag[:, None] * z)[order]
+    for i, l in enumerate(_bartlett_draws(Ka, M, samples, seed)):
+        order, zf = _served(l, p_star, f_diag)
         grams = [zf[:n] @ zf[:n].conj().T for n in range(1, Ka + 1)]
         if any(np.linalg.cond(g) > COND_LIMIT for g in grams):
             continue
@@ -587,10 +637,11 @@ def _weighted_oracle(f_diag, p_star, M, samples, seed):
 
 
 def test_weighted_stats_match_per_sample_oracle():
+    # user 2 ranks first in about 1 of 300 draws; at this seed in none
     f = np.array([0.5, 1.5, 1.0, 2.0])
     p = np.array([1.0, 2.0, 0.5, 1.0])
-    stats = weighted_phi_stats(f, p, 6, 300, seed=16)
-    group_cnt, group_s1, group_s2 = _weighted_oracle(f, p, 6, 300, seed=16)
+    stats = weighted_phi_stats(f, p, 6, 300, seed=18)
+    group_cnt, group_s1, group_s2 = _weighted_oracle(f, p, 6, 300, seed=18)
     np.testing.assert_array_equal(stats.group_count, group_cnt)
     np.testing.assert_allclose(stats.group_sum, group_s1, rtol=1e-12)
     np.testing.assert_allclose(stats.group_sum_sq, group_s2, rtol=1e-12)

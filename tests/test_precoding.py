@@ -5,7 +5,13 @@ from tddmimo import (RngStream, SingularChannelError, SystemConfig,
                      build_pilots, chi_of, draw_channel, eta_moments,
                      lmmse_estimate, modified_precoder, pinv_precoder,
                      simulate_forward, simulate_reverse_pilots)
-from tddmimo.precoding import _factor, _inverse_cholesky, gram
+from tddmimo.precoding import _cholesky, _inverse_cholesky, gram, triangular_inverse
+
+
+def _factor(g):
+    """(L^-1, tr(G_N^-1) for every N) of a Gram stack: the Crout half,
+    then the triangular-inverse half that the Monte Carlo kernel shares."""
+    return triangular_inverse(_cholesky(g))
 
 
 def random_full_rank(n, m, seed):
@@ -256,6 +262,17 @@ def test_factor_of_a_draw_ignores_its_stack(K):
         for part in (slice(None, n), slice(256 - n, None)):
             for got, want in zip(_factor(g[part]), whole):
                 np.testing.assert_array_equal(got, want[part])
+
+
+@pytest.mark.parametrize("K", [1, 5, 16])
+def test_triangular_inverse_of_leading_rows_ignores_the_rows_below(K):
+    # the Monte Carlo kernel inverts one factor at the largest K of a pass
+    # and reads its leading K x K block for every smaller K: those are the
+    # bits of inverting the leading block alone
+    l = np.linalg.cholesky(gram(draw_channel(16, 18, RngStream(42), 64)))
+    whole = triangular_inverse(l)
+    for got, want in zip(triangular_inverse(l[:, :K, :K].copy()), whole):
+        np.testing.assert_array_equal(got, want[:, :K, :K] if got.ndim == 3 else want[:, :K])
 
 
 def test_singular_draw_sends_its_stack_to_eigvalsh(monkeypatch):
