@@ -1,13 +1,20 @@
 """Command-line entry point: run sweeps, validate specs, inspect the cache.
 
 Exit codes: 0 on success, 1 on spec validation failure, 2 on runtime error.
+`main(argv)` returns its code to a caller.  The `tddmimo` console script and
+`python -m tddmimo.cli` go through `entry()`, which flushes stdout and stderr
+once `main` returns and ends the process with `os._exit`, so interpreter
+teardown and atexit handlers do not run.  Every file a run writes is closed
+before `main` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .experiments import CACHE_DIR, SpecValidationError, parse_spec, run_experiment
 from .moments import MomentCache
@@ -81,5 +88,15 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry() -> NoReturn:
+    """main() as a process: flush stdout and stderr, then `os._exit` with its
+    code.  An exception from main (argparse's SystemExit, KeyboardInterrupt)
+    or from a flush exits the normal way."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -75,16 +75,28 @@ def _first_best(values) -> np.ndarray:
     order, keep the running best, and replace it only by a value larger by
     more than _TIE_TOL.  This is neither argmax (a, a + 0.5e-12 picks a) nor
     the first value within _TIE_TOL of the maximum (a, a + 0.6e-12,
-    a + 1.2e-12 picks the last).  NaN never replaces the running best."""
+    a + 1.2e-12 picks the last).  NaN never replaces the running best.
+
+    Every row is scanned at once.  The best is within _TIE_TOL of every
+    earlier value, so only a record (a value above all earlier ones) can
+    replace it, and a record above them by more than _TIE_TOL always does.
+    The loop visits only the positions where some row has a record within
+    _TIE_TOL, the near-ties, and takes each row's last clear record first."""
     values = np.asarray(values, dtype=float)
-    picks = []
-    for row in values.reshape(-1, values.shape[-1]).tolist():
-        best = 0
-        for i, v in enumerate(row):
-            if v > row[best] + _TIE_TOL:
-                best = i
-        picks.append(best)
-    return np.array(picks).reshape(values.shape[:-1])
+    rows = values.reshape(-1, values.shape[-1])
+    prior = np.fmax.accumulate(rows[:, :-1], axis=1)  # the largest earlier value
+    prior[np.isnan(rows[:, 0])] = np.inf  # a leading NaN is never replaced
+    later = rows[:, 1:]
+    clear = later > prior + _TIE_TOL
+    near = (later > prior) & ~clear
+    # by position, the last clear record up to it (0 if none)
+    last = np.maximum.accumulate(np.where(clear, np.arange(1, rows.shape[1]), 0), axis=1)
+    best = np.zeros(len(rows), dtype=int)
+    for i in np.flatnonzero(near.any(axis=0)):
+        best = np.maximum(best, last[:, i])
+        beats = later[:, i] > rows[np.arange(len(rows)), best] + _TIE_TOL
+        best[beats] = i + 1
+    return np.maximum(best, last.max(axis=1, initial=0)).reshape(values.shape[:-1])
 
 
 def _jackknife_se(held_out) -> float:

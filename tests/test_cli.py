@@ -400,6 +400,91 @@ def test_concurrent_writers_share_one_cache(tmp_path):
     assert (out / csv).read_bytes() == (alone / csv).read_bytes()
 
 
+def _buffered_env():
+    """_subprocess_env with stdout block-buffered on a pipe: nothing printed
+    reaches the pipe unless `cli.entry` flushes before its `os._exit`."""
+    env = _subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _cli_process(args, **kwargs):
+    """`python -m tddmimo.cli` in its own process, stdout a pipe by default."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "tddmimo.cli", *args], env=_buffered_env(),
+                          stderr=subprocess.PIPE, text=True, timeout=300, **kwargs)
+
+
+def _tree_bytes(directory):
+    return {path.relative_to(directory): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+def test_process_exit_codes_through_the_hard_exit(tmp_path, capsys):
+    spec_file = tmp_path / "spec.txt"
+    spec_file.write_text(FIG5_SPEC)
+    out, alone = tmp_path / "out", tmp_path / "alone"
+    run = ["run", "--spec", str(spec_file), "--seed", "6"]
+    proc = _cli_process(run + ["--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == (out / "run_manifest.txt").read_text().splitlines()
+    # the same files as a run that returns from main in this process
+    assert main(run + ["--out", str(alone)]) == 0
+    capsys.readouterr()
+    csv = "fig5_weighted_net_rate.csv"
+    assert (out / csv).read_bytes() == (alone / csv).read_bytes()
+    records = _tree_bytes(out / "moments_cache")
+    assert records and records == _tree_bytes(alone / "moments_cache")
+    manifest, expected = _manifest(out), _manifest(alone)
+    del manifest["wall_time_s"], expected["wall_time_s"]
+    assert manifest == expected
+
+    bad = tmp_path / "bad.txt"
+    bad.write_text("preset=custom\nM=2\nK=4\nrho_f_db=0\nrho_r_db=0\n")
+    invalid = ["run", "--spec", str(bad), "--out", str(tmp_path / "bad"), "--workers", "0"]
+    assert main(invalid) == 1
+    violations = capsys.readouterr().err
+    assert violations.count("invalid spec: ") > 1
+    proc = _cli_process(invalid)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", violations)
+    assert not (tmp_path / "bad").exists()
+
+    proc = _cli_process(["run", "--spec", str(tmp_path / "missing.txt")])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot read spec: ")
+
+
+# `python -m tddmimo.cli validate --spec SPEC`, with an atexit handler
+ENTRY_PROBE = """
+import atexit, runpy, sys
+atexit.register(print, "teardown ran", file=sys.stderr)
+sys.argv[1:] = ["validate", "--spec", sys.argv[1]]
+runpy.run_module("tddmimo.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_entry_ends_the_process_without_teardown():
+    proc = subprocess.run([sys.executable, "-c", ENTRY_PROBE,
+                           str(ROOT / "perfbench" / "specs" / "homog.txt")],
+                          env=_buffered_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "spec ok: preset=fig3, output=fig3_net_rate.csv\n"
+
+
+def test_lost_stdout_exits_the_normal_way(tmp_path):
+    # the flush fails on a pipe without a reader, so the process exits the
+    # normal way, and teardown's failed flush makes the status 120
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process(["validate", "--spec", str(ROOT / "perfbench" / "specs" / "homog.txt")],
+                            stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 120
+    assert "BrokenPipeError" in proc.stderr
+
+
 @pytest.mark.parametrize("spec_text,waterfills,workers", [
     (CUSTOM_SPEC, 0, 1),
     (FIG5_SPEC, 8, 1),

@@ -7,7 +7,7 @@ from tddmimo import (MomentEstimate, PowerAllocation, SystemConfig,
                      c_ind_lb, c_ind_lb_scheduled, c_net, c_sum_lb, c_wt_lb, c_wt_net,
                      eta_moments)
 from tddmimo.moments import GROUPS
-from tddmimo.rates import MomentSource, _bound
+from tddmimo.rates import MomentSource, _bound, _first_best
 
 
 def test_zero_gain_gives_zero_rate():
@@ -389,6 +389,52 @@ def test_tie_rule_keeps_the_running_best(scheduled):
     # than 1e-12), while the first value within 1e-12 of the maximum is 1.6
     assert _sum_pick([1.0e-12, 1.6e-12, 2.2e-12, 2.5e-12], scheduled) == 3
     assert _sum_pick([3e-12, 1e-12, 4.1e-12], scheduled) == 3
+
+
+def _scalar_first_best(values):
+    """The scalar scan that `_first_best` vectorizes, kept as its oracle: one
+    row at a time, replace the running best only by a value larger by more
+    than 1e-12."""
+    values = np.asarray(values, dtype=float)
+    picks = []
+    for row in values.reshape(-1, values.shape[-1]).tolist():
+        best = 0
+        for i, v in enumerate(row):
+            if v > row[best] + 1e-12:
+                best = i
+        picks.append(best)
+    return np.array(picks).reshape(values.shape[:-1])
+
+
+def _near_tie_table(rng, shape):
+    """Walks along the last axis from a few shared bases: exact ties, steps
+    of 0.4e-12, 0.6e-12 and 1.2e-12 either way, the odd large jump, NaNs,
+    leading ones included, and infinities."""
+    steps = rng.choice([0.0, 0.4e-12, 0.6e-12, 1.2e-12, -0.6e-12, -1.2e-12], size=shape)
+    jumps = rng.random(shape) < 0.05
+    steps[jumps] = rng.normal(0.0, 1e-3, jumps.sum())
+    values = rng.choice([0.0, 1.0, 1e-3], size=shape[:-1] + (1,)) + np.cumsum(steps, axis=-1)
+    values[rng.random(shape) < rng.choice([0.0, 0.05, 0.3])] = np.nan
+    if rng.random() < 0.2:
+        values[..., 0] = np.nan
+    values[rng.random(shape) < 0.01] = np.inf
+    values[rng.random(shape) < 0.01] = -np.inf
+    return values
+
+
+def test_vectorized_scan_matches_the_scalar_scan():
+    rng = np.random.default_rng(27)
+    for case in range(2000):
+        if case % 10 == 0:  # a single long row, as the net-rate search passes
+            shape = (int(rng.integers(780, 821)),)
+        else:
+            lead = tuple(int(n) for n in rng.integers(1, 6, size=rng.integers(0, 3)))
+            shape = lead + (int(rng.integers(1, 41)),)
+        values = _near_tie_table(rng, shape)
+        picks = _first_best(values)
+        expected = _scalar_first_best(values)
+        assert picks.shape == expected.shape == shape[:-1]
+        np.testing.assert_array_equal(picks, expected, err_msg=f"case {case}")
 
 
 def test_net_rate_chain_picks_the_running_best():
