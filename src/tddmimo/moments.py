@@ -10,10 +10,10 @@ uniform whatever was selected, and the j-th best row may take the
 direction of row j.  Each draw is therefore the Cholesky factor L of
 W = Z Z^H, drawn directly (`_bartlett`: the complex Bartlett decomposition,
 Goodman 1963), with r_k = W_kk, and one triangular inverse L^{-1} at the
-pass's max(K) (`precoding.triangular_inverse`, the precoders' own) serves
-every K and every view: with A = |L^{-1}|^2 scaled by r along its columns
-and w = 1 / (f^2 r) in rank order, tr(G_{S,N}^{-1}) = cumsum(A[:K, :K] w)
-for every served count N at once (`_slices`).  The statistics differ only
+pass's max(K) (`triangular_inverse`, the kernel's own) serves every K and
+every view: with A = |L^{-1}|^2 scaled by r along its columns and
+w = 1 / (f^2 r) in rank order, tr(G_{S,N}^{-1}) = cumsum(A[:K, :K] w) for
+every served count N at once (`_slices`).  The statistics differ only
 in their parameters, a view (per_user, scores, F) of the draws: eta has
 unit scores and unit F, phi_F has unit scores and its F, and the weighted
 statistics have F, order by p_star and count per user.  A MomentKey names
@@ -49,7 +49,8 @@ of the samples.  The guard is applied once per view, to the ordered K x K
 matrix G_S, so a statistic with N < K may discard a draw whose own block
 would pass.  It is certified in O(K): tr(G_S) = sum_j (f^2 r)_(j), and a
 draw with tr(G_S) tr(G_S^{-1}) <= COND_LIMIT passes; only a draw that
-fails the certificate builds its G_S for the eigenvalue check.
+fails the certificate builds its G_S (`precoding.gram`) for the eigenvalue
+check (`precoding.well_conditioned`, the guard of the precoders too).
 
 Each statistic is one MomentEstimate over all N, whose groups also give the
 leave-one-out moments of the jackknife in `rates`; MomentCache holds them all,
@@ -74,7 +75,7 @@ import numpy as np
 # module because perfbench/traced.py wraps `moments.draw_channel` to count them
 from .channel_model import RngStream, draw_channel  # noqa: F401
 from .errors import ExcessSingularDrawsError
-from .precoding import COND_LIMIT, triangular_inverse, well_conditioned
+from .precoding import COND_LIMIT, gram, well_conditioned
 from .scheduling import best_first
 
 CHUNK = 2048  # samples per task and per RNG block; independent of the worker count
@@ -162,7 +163,7 @@ def _slices(M: int, views: tuple, seed: int, block: int, count: int):
     A view is (per_user, scores, f_diag), scores and f_diag holding K
     entries.  Each draw is the Bartlett factor L of W = Z Z^H (`_bartlett`)
     at the pass's max(K), and every view reads the same L^{-1}
-    (`precoding.triangular_inverse`) through A = |L^{-1}|^2 scaled by r
+    (`triangular_inverse`) through A = |L^{-1}|^2 scaled by r
     along its columns: with w = 1 / (f^2 r) in rank order, tr_N =
     cumsum(A[:K, :K] w)[N-1], one K x K matrix-vector product per view.
     Row i of L^{-1} reads only the first i + 1 rows of L, so the first K
@@ -171,8 +172,8 @@ def _slices(M: int, views: tuple, seed: int, block: int, count: int):
 
     The guard is once per view, on the ordered K x K matrix G_S, whose
     trace is sum_j (f^2 r)_(j): a draw with that sum times tr_K at most
-    COND_LIMIT is certified, and only a draw that is not builds its G_S for
-    `precoding.well_conditioned`.
+    COND_LIMIT is certified, and only a draw that is not builds its G_S
+    (`precoding.gram`) for `precoding.well_conditioned`.
     """
     rows = [tuple(RngStream(seed, block, 2 * i + part).generator() for part in (0, 1))
             for i in range(max(len(f) for *_, f in views))]
@@ -190,7 +191,7 @@ def _slices(M: int, views: tuple, seed: int, block: int, count: int):
             if not ok.all():
                 bad = np.flatnonzero(~ok)
                 h = np.sqrt(fr[bad] / r[bad, :K])[:, :, None] * l[bad, :K, :K]
-                ok[bad] = well_conditioned(h @ h.conj().swapaxes(1, 2))
+                ok[bad] = well_conditioned(gram(h))
             phi = tr ** -0.5
             phi[~ok] = np.nan
             yield phi, o
@@ -213,6 +214,30 @@ def _bartlett(M: int, rows: list, n: int) -> tuple:
         l[:, i, :i] = z.view(complex)
         r[:, i] = gamma + (z * z).sum(axis=1)
     return l, r
+
+
+def triangular_inverse(l: np.ndarray):
+    """(L^{-1}, cumulative row norms of L^{-1}) of a stack (n, K, K) of lower
+    triangular L with a real positive diagonal: entry [j, N-1] of the norms
+    is sum_{i<N} ||row_i(L^{-1})||^2, which is tr(G_N^{-1}) for G = L L^H.
+
+    Forward substitution by rows, every step numpy operations over the n
+    draws: row j of L^{-1} is -L[j, :j] L^{-1}[:j, :j] / L_jj with 1/L_jj on
+    its diagonal, one vector-matrix product per draw.  Row j reads only
+    the first j + 1 rows of L, and a draw's products are its own matrix
+    products, so its bits depend neither on the rows below nor on the size
+    of the stack or its place in it.  A zero, NaN or infinite pivot spreads
+    to the trace.
+    """
+    l_inv = np.zeros(l.shape, np.promote_types(l.dtype, np.float64))
+    norms = np.empty(l.shape[:-1])  # ||row_j(L^{-1})||^2
+    for j in range(l.shape[-1]):
+        d = 1 / l[:, j, j].real
+        l_inv[:, j, :j] = (l[:, None, j, :j] @ l_inv[:, :j, :j])[:, 0] * -d[:, None]
+        l_inv[:, j, j] = d
+        w = l_inv[:, j, :j + 1].view(np.float64)
+        norms[:, j] = (w * w).sum(axis=1)
+    return l_inv, np.cumsum(norms, axis=1)
 
 
 class ForkPool:

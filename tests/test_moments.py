@@ -10,11 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tddmimo import (MomentCache, MomentKey, RngStream, chi_of, draw_channel, moments,
-                     eta_moments, phi_f_moments, precoding, weighted_phi_stats)
+from tddmimo import (MomentCache, MomentKey, RngStream, SingularChannelError, chi_of,
+                     draw_channel, eta_moments, modified_precoder, moments, phi_f_moments,
+                     pinv_precoder, weighted_phi_stats)
 from tddmimo.experiments import parse_spec, run_experiment
-from tddmimo.moments import CHUNK, GROUPS, SLICE, _slices, eta_samples, f_fingerprint
-from tddmimo.precoding import COND_LIMIT
+from tddmimo.moments import (CHUNK, GROUPS, SLICE, _slices, eta_samples, f_fingerprint,
+                             triangular_inverse)
+from tddmimo.precoding import COND_LIMIT, gram, well_conditioned
 from tddmimo.rates import MomentSource
 
 
@@ -300,8 +302,8 @@ def test_eta_kernel_reads_the_first_k_rows_of_the_row_draws():
         h = _served(l[:K, :K], np.ones(K), np.ones(K))[1]
         ref = [_per_n_oracle(h, n) for n in range(1, K + 1)]
         np.testing.assert_allclose(vals[i], ref, rtol=1e-9)
-    # at K = M every row is served: chi of the served channel, through the
-    # precoders' factorization
+    # at K = M every row is served: chi of the served channel, which the
+    # precoders take from np.linalg.inv
     served = np.array([_served(l, np.ones(M), np.ones(M))[1] for l in draws])
     np.testing.assert_allclose(eta_samples(M, M, count, seed)[:, -1], chi_of(served),
                                rtol=1e-12)
@@ -336,13 +338,61 @@ def test_eta_draws_only_the_rows_it_reads(monkeypatch):
                      + [(1, s, n) for n in (SLICE, 44) for s in range(4)])
 
 
-def _eigvalsh_guard(g):
-    """The guard without its certificate: every draw's eigenvalues decide,
-    and the draws that pass are factored on their own stack."""
-    g = g.reshape((-1,) + g.shape[-2:])
-    lam = np.linalg.eigvalsh(g)
-    ok = (lam[:, 0] > 0) & (lam[:, -1] <= COND_LIMIT * lam[:, 0])
-    return (ok, *precoding.triangular_inverse(precoding._cholesky(g[ok])))
+def test_factor_matches_per_block_inverse():
+    # tr(G_N^-1) of every leading block against np.linalg.inv, and
+    # L^-1 G L^-H = I, within a backward-stable bound in the dtype's eps,
+    # for K = 1..32 at M - K = 0, 1 and 2
+    eps = np.finfo(float).eps
+    for K in range(1, 33):
+        for M in (K, K + 1, K + 2):
+            g = gram(draw_channel(K, M, RngStream(K, M), 24))
+            l_inv, tr_inv = triangular_inverse(np.linalg.cholesky(g))
+            for n in range(1, K + 1):
+                g_n = g[:, :n, :n]
+                ref = np.trace(np.linalg.inv(g_n), axis1=1, axis2=2).real
+                tol = 16 * n * eps * np.linalg.cond(g_n) * ref
+                assert np.all(np.abs(tr_inv[:, n - 1] - ref) <= tol), (K, M, n)
+            resid = l_inv @ g @ l_inv.conj().swapaxes(1, 2) - np.eye(K)
+            assert np.all(np.abs(resid).max(axis=(1, 2))
+                          <= 16 * K * eps * np.linalg.cond(g)), (K, M)
+            assert np.all(np.triu(l_inv, 1) == 0)
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 18, 32])
+def test_factor_of_a_draw_ignores_its_stack(K):
+    # a draw's bits do not depend on how many draws are inverted with it or
+    # where it sits among them
+    l = np.linalg.cholesky(gram(draw_channel(K, K + 2, RngStream(40, K), 256)))
+    whole = triangular_inverse(l)
+    for n in (1, 37, 200, 256):
+        for part in (slice(None, n), slice(256 - n, None)):
+            for got, want in zip(triangular_inverse(l[part]), whole):
+                np.testing.assert_array_equal(got, want[part])
+
+
+@pytest.mark.parametrize("K", [1, 5, 16])
+def test_triangular_inverse_of_leading_rows_ignores_the_rows_below(K):
+    # the kernel inverts one factor at the largest K of a pass and reads its
+    # leading K x K block for every smaller K: those are the bits of
+    # inverting the leading block alone
+    l = np.linalg.cholesky(gram(draw_channel(16, 18, RngStream(42), 64)))
+    whole = triangular_inverse(l)
+    for got, want in zip(triangular_inverse(l[:, :K, :K].copy()), whole):
+        np.testing.assert_array_equal(got, want[:, :K, :K] if got.ndim == 3 else want[:, :K])
+
+
+@pytest.mark.parametrize("j", [0, 2, 5])
+def test_zero_pivot_makes_the_trace_non_finite_from_its_row_on(j):
+    # the kernel's certificate relies on this to fail a draw whose factor
+    # has a zero pivot: the rows above keep their bits
+    l = np.linalg.cholesky(gram(draw_channel(6, 8, RngStream(43), 10)))
+    want = triangular_inverse(l)[1]
+    l[[1, 4], j, j] = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tr = triangular_inverse(l)[1]
+    assert not np.isfinite(tr[[1, 4], j:]).any()
+    np.testing.assert_array_equal(tr[:, :j], want[:, :j])
+    np.testing.assert_array_equal(np.delete(tr, [1, 4], axis=0), np.delete(want, [1, 4], axis=0))
 
 
 def _with_cond(z, cond):
@@ -364,19 +414,29 @@ def _hard_block(K, M, count, seed):
     return z
 
 
-def test_certified_guard_matches_eigenvalue_guard(monkeypatch):
-    from tddmimo.precoding import _inverse_cholesky, gram
-    g = gram(_hard_block(4, 6, 64, 28))
+def test_precoders_reject_exactly_the_draws_the_guard_rejects():
+    # a rank-3 draw, cond 1.1e12 and a zero row fail the guard, one draw
+    # alone or in a stack; cond 0.55e12 passes, although tr(G) tr(G^-1)
+    # cannot certify it
+    hs = _hard_block(4, 6, 64, 28)
+    hs[30, 3] = 0
+    g = gram(hs)
+    ok = well_conditioned(g)
+    assert np.flatnonzero(~ok).tolist() == [3, 7, 30]
     assert np.trace(g[11]).real * np.trace(np.linalg.inv(g[11])).real > COND_LIMIT
-    stacks = (g[:3], g[:8], g[8:], g[:12], g)
-    refs = [_eigvalsh_guard(stack) for stack in stacks]
-    eigvalsh, fallbacks = np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: fallbacks.append(len(a)) or eigvalsh(a))
-    for stack, ref in zip(stacks, refs):
-        for got, want in zip(_inverse_cholesky(stack), ref):
-            np.testing.assert_array_equal(got, want)
-    assert fallbacks == [8, 56, 12, 64]  # only the first stack is certified whole
-    assert np.flatnonzero(~refs[-1][0]).tolist() == [3, 7]
+    precoders = (pinv_precoder, chi_of, lambda h: modified_precoder(h, np.ones(h.shape[:-1])))
+    for h, passes in [*zip(hs, ok), (hs[:4], False), (hs[8:31], False), (hs[8:30], True)]:
+        for precoder in precoders:
+            if passes:
+                precoder(h)
+            else:
+                with pytest.raises(SingularChannelError):
+                    precoder(h)
+    a, chi = pinv_precoder(hs[ok])
+    assert np.all(np.isfinite(a)) and np.all(np.isfinite(chi)) and np.all(chi > 0)
+    np.testing.assert_array_equal(chi_of(hs[ok]), chi)
+    a_mod, phi = modified_precoder(hs[ok], np.ones((61, 4)))
+    assert np.all(np.isfinite(a_mod)) and np.all(np.isfinite(phi))
 
 
 def test_certified_blocks_call_no_lapack(monkeypatch):
@@ -611,7 +671,7 @@ def test_all_n_kernel_matches_per_n_inverse(M):
         for n in range(1, K + 1):
             ref = _per_n_oracle(zf, n)
             worst = max(worst, abs(phi[i, n - 1] - ref) / ref)
-        # the kernel reads the precoders' factorization: keep the paths joined
+        # the kernel against the precoders' chi, from np.linalg.inv
         assert phi[i, -1] == pytest.approx(chi_of(zf), rel=1e-12)
     assert worst < 1e-9
 

@@ -5,13 +5,6 @@ from tddmimo import (RngStream, SingularChannelError, SystemConfig,
                      build_pilots, chi_of, draw_channel, eta_moments,
                      lmmse_estimate, modified_precoder, pinv_precoder,
                      simulate_forward, simulate_reverse_pilots)
-from tddmimo.precoding import _cholesky, _inverse_cholesky, gram, triangular_inverse
-
-
-def _factor(g):
-    """(L^-1, tr(G_N^-1) for every N) of a Gram stack: the Crout half,
-    then the triangular-inverse half that the Monte Carlo kernel shares."""
-    return triangular_inverse(_cholesky(g))
 
 
 def random_full_rank(n, m, seed):
@@ -226,70 +219,3 @@ def test_symbol_uncorrelated_with_effective_noise(forward_runs, chi_moments):
     corr = np.mean(qs * eff_noise.conj())
     se = np.sqrt(np.mean(np.abs(eff_noise) ** 2) / TRIALS)
     assert abs(corr) < 3 * se
-
-
-# ---------------------------------------------------------------------------
-# The draw-vectorized factor against independent oracles
-# ---------------------------------------------------------------------------
-
-def test_factor_matches_per_block_inverse():
-    # tr(G_N^-1) of every leading block against np.linalg.inv, and
-    # L^-1 G L^-H = I, within a backward-stable bound in the dtype's eps,
-    # for K = 1..32 at M - K = 0, 1 and 2
-    eps = np.finfo(float).eps
-    for K in range(1, 33):
-        for M in (K, K + 1, K + 2):
-            g = gram(draw_channel(K, M, RngStream(K, M), 24))
-            l_inv, tr_inv = _factor(g)
-            for n in range(1, K + 1):
-                g_n = g[:, :n, :n]
-                ref = np.trace(np.linalg.inv(g_n), axis1=1, axis2=2).real
-                tol = 16 * n * eps * np.linalg.cond(g_n) * ref
-                assert np.all(np.abs(tr_inv[:, n - 1] - ref) <= tol), (K, M, n)
-            resid = l_inv @ g @ l_inv.conj().swapaxes(1, 2) - np.eye(K)
-            assert np.all(np.abs(resid).max(axis=(1, 2))
-                          <= 16 * K * eps * np.linalg.cond(g)), (K, M)
-            assert np.all(np.triu(l_inv, 1) == 0)
-
-
-@pytest.mark.parametrize("K", [1, 2, 7, 18, 32])
-def test_factor_of_a_draw_ignores_its_stack(K):
-    # a draw's bits do not depend on how many draws are factored with it or
-    # where it sits among them
-    g = gram(draw_channel(K, K + 2, RngStream(40, K), 256))
-    whole = _factor(g)
-    for n in (1, 37, 200, 256):
-        for part in (slice(None, n), slice(256 - n, None)):
-            for got, want in zip(_factor(g[part]), whole):
-                np.testing.assert_array_equal(got, want[part])
-
-
-@pytest.mark.parametrize("K", [1, 5, 16])
-def test_triangular_inverse_of_leading_rows_ignores_the_rows_below(K):
-    # the Monte Carlo kernel inverts one factor at the largest K of a pass
-    # and reads its leading K x K block for every smaller K: those are the
-    # bits of inverting the leading block alone
-    l = np.linalg.cholesky(gram(draw_channel(16, 18, RngStream(42), 64)))
-    whole = triangular_inverse(l)
-    for got, want in zip(triangular_inverse(l[:, :K, :K].copy()), whole):
-        np.testing.assert_array_equal(got, want[:, :K, :K] if got.ndim == 3 else want[:, :K])
-
-
-def test_singular_draw_sends_its_stack_to_eigvalsh(monkeypatch):
-    # a draw that is not positive definite factors to a non-finite trace,
-    # so the stack's certificate fails and eigvalsh decides, once per stack
-    hs = draw_channel(4, 6, RngStream(41), 50)
-    hs[9, 2] = hs[9, 1]  # rank 3
-    hs[30, 3] = 0  # a zero row
-    g = gram(hs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tr_inv = _factor(g)[1][:, -1]
-    assert np.flatnonzero(~np.isfinite(tr_inv)).tolist() == [9, 30]
-    eigvalsh, calls = np.linalg.eigvalsh, []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
-    ok, l_inv, tr = _inverse_cholesky(g)
-    assert calls == [50] and np.flatnonzero(~ok).tolist() == [9, 30]
-    np.testing.assert_array_equal(tr, _factor(g[ok])[1])
-    assert np.all(np.isfinite(l_inv)) and len(l_inv) == 48
-    _inverse_cholesky(np.delete(g, [9, 30], axis=0))
-    assert calls == [50]  # the regular draws alone are certified
