@@ -180,7 +180,7 @@ def _slices(M: int, views: tuple, seed: int, block: int, count: int):
     for s in range(0, count, SLICE):
         n = min(SLICE, count - s)
         l, r = _bartlett(M, rows, n)
-        a = triangular_inverse(l)[0]
+        a = triangular_inverse(l)
         a = (a.real ** 2 + a.imag ** 2) * r[:, None, :]
         for _, scores, f_diag in views:
             K, f = len(f_diag), np.asarray(f_diag)
@@ -216,28 +216,25 @@ def _bartlett(M: int, rows: list, n: int) -> tuple:
     return l, r
 
 
-def triangular_inverse(l: np.ndarray):
-    """(L^{-1}, cumulative row norms of L^{-1}) of a stack (n, K, K) of lower
-    triangular L with a real positive diagonal: entry [j, N-1] of the norms
-    is sum_{i<N} ||row_i(L^{-1})||^2, which is tr(G_N^{-1}) for G = L L^H.
+def triangular_inverse(l: np.ndarray) -> np.ndarray:
+    """L^{-1} of a stack (n, K, K) of lower triangular L with a real positive
+    diagonal.  The squared norms of its first N rows sum to tr(G_N^{-1}) for
+    G = L L^H.
 
     Forward substitution by rows, every step numpy operations over the n
     draws: row j of L^{-1} is -L[j, :j] L^{-1}[:j, :j] / L_jj with 1/L_jj on
     its diagonal, one vector-matrix product per draw.  Row j reads only
     the first j + 1 rows of L, and a draw's products are its own matrix
     products, so its bits depend neither on the rows below nor on the size
-    of the stack or its place in it.  A zero, NaN or infinite pivot spreads
-    to the trace.
+    of the stack or its place in it.  A zero, NaN or infinite pivot makes
+    its row and the rows below it non-finite.
     """
     l_inv = np.zeros(l.shape, np.promote_types(l.dtype, np.float64))
-    norms = np.empty(l.shape[:-1])  # ||row_j(L^{-1})||^2
     for j in range(l.shape[-1]):
         d = 1 / l[:, j, j].real
         l_inv[:, j, :j] = (l[:, None, j, :j] @ l_inv[:, :j, :j])[:, 0] * -d[:, None]
         l_inv[:, j, j] = d
-        w = l_inv[:, j, :j + 1].view(np.float64)
-        norms[:, j] = (w * w).sum(axis=1)
-    return l_inv, np.cumsum(norms, axis=1)
+    return l_inv
 
 
 class ForkPool:

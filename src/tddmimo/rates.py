@@ -6,15 +6,15 @@ inputs and returns (keys, finish): the MomentKeys of the statistics it
 reads, and the search itself, `finish(estimates)` on one estimate per key.
 `c_sum_lb`, `c_net` and `c_wt_net` are `finish(moment_source.fetch(keys))`.
 The searches evaluate their bounds as arrays and pick the optimum by one
-tie rule (`_first_best`).  A result's standard error is the delete-a-group
-jackknife (`_jackknife_se`) of the array that gives its rate, evaluated at
-the chosen optimum only on the moments with one group of draws left out
-(`MomentEstimate.leave_one_out`).
+tie rule (`_first_best`): the first candidate within 1e-12 of the best.
+A result's standard error is the delete-a-group jackknife (`_jackknife_se`)
+of the array that gives its rate, evaluated at the chosen optimum only on
+the moments with one group of draws left out (`MomentEstimate.leave_one_out`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,15 +29,15 @@ _TIE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RatePoint:
-    """A rate value with its optimizers; auxiliary["prelog"] is the factor
-    (T - tau - 1) / T already in rate and std_error (1 for a sum bound)."""
+    """A rate value with its optimizers; prelog is the factor (T - tau - 1) / T
+    already in rate and std_error (1 for a sum bound)."""
 
     rate: float
     n_selected: int
     tau_rp: int
     K: int
     std_error: float = 0.0
-    auxiliary: dict = field(default_factory=dict)
+    prelog: float = 1.0
 
 
 def _user_rate(rho_f, p, err, m, v):
@@ -71,32 +71,12 @@ def c_ind_lb_scheduled(rho_f: float, rho_r: float, tau_rp: int,
 
 
 def _first_best(values) -> np.ndarray:
-    """Index of the optimum along the last axis under the tie rule: scan in
-    order, keep the running best, and replace it only by a value larger by
-    more than _TIE_TOL.  This is neither argmax (a, a + 0.5e-12 picks a) nor
-    the first value within _TIE_TOL of the maximum (a, a + 0.6e-12,
-    a + 1.2e-12 picks the last).  NaN never replaces the running best.
-
-    Every row is scanned at once.  The best is within _TIE_TOL of every
-    earlier value, so only a record (a value above all earlier ones) can
-    replace it, and a record above them by more than _TIE_TOL always does.
-    The loop visits only the positions where some row has a record within
-    _TIE_TOL, the near-ties, and takes each row's last clear record first."""
+    """Index of the optimum along the last axis: the first value within
+    _TIE_TOL of the largest.  Not argmax: of a and a + 0.5e-12 it picks a.
+    NaN is never chosen over a number, and an all-NaN row gives 0."""
     values = np.asarray(values, dtype=float)
-    rows = values.reshape(-1, values.shape[-1])
-    prior = np.fmax.accumulate(rows[:, :-1], axis=1)  # the largest earlier value
-    prior[np.isnan(rows[:, 0])] = np.inf  # a leading NaN is never replaced
-    later = rows[:, 1:]
-    clear = later > prior + _TIE_TOL
-    near = (later > prior) & ~clear
-    # by position, the last clear record up to it (0 if none)
-    last = np.maximum.accumulate(np.where(clear, np.arange(1, rows.shape[1]), 0), axis=1)
-    best = np.zeros(len(rows), dtype=int)
-    for i in np.flatnonzero(near.any(axis=0)):
-        best = np.maximum(best, last[:, i])
-        beats = later[:, i] > rows[np.arange(len(rows)), best] + _TIE_TOL
-        best[beats] = i + 1
-    return np.maximum(best, last.max(axis=1, initial=0)).reshape(values.shape[:-1])
+    best = np.fmax.reduce(values, axis=-1, keepdims=True)  # NaN only if the row is all NaN
+    return np.argmax(values >= best - _TIE_TOL, axis=-1)
 
 
 def _jackknife_se(held_out) -> float:
@@ -198,8 +178,7 @@ def _sum_request(M: int, rho_f: float, rho_r: float, taus, ks, prelogs, schedule
         held_out = n * _bound(rho_f, rho_r, tau, mean[:, n - 1], var[:, n - 1])
         prelog = float(prelogs[t])
         return RatePoint(rate=prelog * float(sums[t, row, n - 1]), n_selected=n, tau_rp=tau,
-                         K=k, std_error=prelog * _jackknife_se(held_out),
-                         auxiliary={"prelog": prelog})
+                         K=k, std_error=prelog * _jackknife_se(held_out), prelog=prelog)
     return moment_source.eta_keys(M, eta_ks), finish
 
 
@@ -243,8 +222,9 @@ def c_net(M: int, T: int, rho_f: float, rho_r: float, scheduled: bool,
     """Net sum rate: exhaustive search over training length and user count.
 
     Maximizes ((T - tau - 1)/T) * C_sum_lb over tau <= T-2 and
-    K <= min(M, tau); ties within 1e-12 resolve to the smallest tau, then
-    the smallest K.
+    K <= min(M, tau): N is picked within each (tau, K), then (tau, K), each
+    as the first candidate within 1e-12 of its stage's best, so ties go to
+    the smallest tau, then the smallest K, then the smallest N.
     """
     keys, finish = c_net_request(M, T, rho_f, rho_r, scheduled, moment_source)
     return finish(moment_source.fetch(keys))
@@ -305,11 +285,11 @@ def c_wt_net_request(config: SystemConfig, scheduled: bool, moment_source: Momen
             n_idx = int(_first_best(rates)) if scheduled else active.size - 1
             prelog = (config.T - cfg.tau_rp - 1) / config.T
             points.append((RatePoint(rate=prelog * rates[n_idx], n_selected=n_idx + 1,
-                                     tau_rp=cfg.tau_rp, K=config.K, auxiliary={"prelog": prelog}),
+                                     tau_rp=cfg.tau_rp, K=config.K, prelog=prelog),
                            cfg, active, p_star, stats))
         best, cfg, active, p_star, stats = points[int(_first_best([pt[0].rate for pt in points]))]
         held_out = _weighted_rates(cfg, active, p_star, *stats.leave_one_out())
-        return replace(best, std_error=best.auxiliary["prelog"]
+        return replace(best, std_error=best.prelog
                        * _jackknife_se(held_out[:, best.n_selected - 1]))
     return [moment_source.weighted_key(f_diag, p_star[active], config.M)
             for _, active, p_star, f_diag in taus], finish

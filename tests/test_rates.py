@@ -101,7 +101,7 @@ def test_net_rate_minimal_coherence():
 def test_net_rate_prelog_bookkeeping():
     src = MomentSource(3000, 25)
     rp = c_net(4, 8, 1.0, 0.1, scheduled=True, moment_source=src)
-    assert rp.auxiliary["prelog"] == pytest.approx((8 - rp.tau_rp - 1) / 8, abs=0)
+    assert rp.prelog == pytest.approx((8 - rp.tau_rp - 1) / 8, abs=0)
 
 
 def test_net_rate_infeasible():
@@ -160,7 +160,7 @@ def test_wt_net_minimal_coherence_forces_tau():
     src = MomentSource(2000, 27)
     rp = c_wt_net(cfg, scheduled=False, moment_source=src)
     assert rp.tau_rp == 8  # only feasible value at T = K + 2
-    assert rp.auxiliary["prelog"] == pytest.approx((10 - 8 - 1) / 10, abs=0)
+    assert rp.prelog == pytest.approx((10 - 8 - 1) / 10, abs=0)
 
 
 def test_wt_net_scheduled_at_least_unscheduled():
@@ -175,7 +175,7 @@ def test_wt_net_prelog_bound():
     cfg = paper_hetero_config(T=16)
     src = MomentSource(2000, 29)
     rp = c_wt_net(cfg, scheduled=True, moment_source=src)
-    assert rp.auxiliary["prelog"] <= (16 - 8 - 1) / 16 + 1e-15
+    assert rp.prelog <= (16 - 8 - 1) / 16 + 1e-15
 
 
 def test_wt_net_infeasible():
@@ -263,9 +263,16 @@ def test_net_rate_requests_each_statistic_once(monkeypatch, T):
 
 
 # The nested-loop searches that the array searches replaced, kept here as the
-# oracle of the tie rule: scan tau, then K, then N, and let a rate replace the
-# running best only if it is larger by more than 1e-12.  The bound is
-# evaluated on Python floats.
+# oracle of the tie rule: N within each (tau, K), then (tau, K) with tau
+# outer, each stage picking the first rate within 1e-12 of its largest.  The
+# bound is evaluated on Python floats.
+
+def _first_within(rates):
+    """Index of the first of `rates` within 1e-12 of the largest number among
+    them, one Python float at a time; NaN is skipped, and all-NaN gives 0."""
+    top = max((r for r in rates if r == r), default=np.nan)
+    return next((i for i, r in enumerate(rates) if r >= top - 1e-12), 0)
+
 
 def _ref_bound(rho_f, rho_r, tau, e, v):
     rt = rho_r * tau
@@ -275,29 +282,26 @@ def _ref_bound(rho_f, rho_r, tau, e, v):
 
 
 def _ref_sum(M, K, tau, rho_f, rho_r, scheduled, src):
-    best = None
+    rates = []
     for n in range(1, K + 1):
         eta, = src.fetch(src.eta_keys(M, [K if scheduled else n]))
-        rate = n * _ref_bound(rho_f, rho_r, tau, float(eta.mean[n - 1]),
-                              float(eta.variance[n - 1]))
-        if best is None or rate > best[0] + 1e-12:
-            best = (rate, n)
-    return best
+        rates.append(n * _ref_bound(rho_f, rho_r, tau, float(eta.mean[n - 1]),
+                                    float(eta.variance[n - 1])))
+    n = _first_within(rates) + 1
+    return rates[n - 1], n
 
 
 def _ref_net(M, T, rho_f, rho_r, scheduled, src):
-    best = None
+    points = []
     for tau in range(1, T - 1):
         for k in range(1, min(M, tau) + 1):
             inner, n = _ref_sum(M, k, tau, rho_f, rho_r, scheduled, src)
-            rate = (T - tau - 1) / T * inner
-            if best is None or rate > best[0] + 1e-12:
-                best = (rate, tau, k, n)
-    return best
+            points.append(((T - tau - 1) / T * inner, tau, k, n))
+    return points[_first_within([pt[0] for pt in points])]
 
 
 def _ref_wt_net(cfg, scheduled, src, power_source):
-    best = None
+    points = []
     for tau in range(cfg.K, cfg.T - 1):
         c = replace(cfg, tau_rp=tau)
         p = power_source(c.weights).p_star
@@ -316,16 +320,9 @@ def _ref_wt_net(cfg, scheduled, src, power_source):
                 total += c.weights[k] * (stats.frac[n, j] * float(np.log2(
                     1.0 + c.rho_f[k] * p[k] * m ** 2 / (1.0 + c.rho_f[k] * (err + p[k] * v)))))
             rates.append(total)
-        n_idx = active.size - 1
-        if scheduled:
-            n_idx = 0
-            for n in range(1, active.size):
-                if rates[n] > rates[n_idx] + 1e-12:
-                    n_idx = n
-        rate = (cfg.T - tau - 1) / cfg.T * rates[n_idx]
-        if best is None or rate > best[0] + 1e-12:
-            best = (rate, tau, n_idx + 1)
-    return best
+        n_idx = _first_within(rates) if scheduled else active.size - 1
+        points.append(((cfg.T - tau - 1) / cfg.T * rates[n_idx], tau, n_idx + 1))
+    return points[_first_within([pt[0] for pt in points])]
 
 
 def _one_draw_estimate(mean, var, served=None):
@@ -382,27 +379,20 @@ def _sum_pick(rates, scheduled):
 
 
 @pytest.mark.parametrize("scheduled", [True, False])
-def test_tie_rule_keeps_the_running_best(scheduled):
+def test_tie_rule_picks_the_first_near_best(scheduled):
     assert _sum_pick([0.0, 0.0, 0.0], scheduled) == 1  # exact ties: the first
     assert _sum_pick([1e-12, 1.5e-12], scheduled) == 1  # within 1e-12: not argmax
-    # a chain of near-ties: the running best moves to 2.2 (beats 1.0 by more
-    # than 1e-12), while the first value within 1e-12 of the maximum is 1.6
-    assert _sum_pick([1.0e-12, 1.6e-12, 2.2e-12, 2.5e-12], scheduled) == 3
+    # a chain of near-ties: 1.6 is the first value within 1e-12 of the
+    # maximum 2.5, though 2.2 beats the earlier 1.0 by more than 1e-12
+    assert _sum_pick([1.0e-12, 1.6e-12, 2.2e-12, 2.5e-12], scheduled) == 2
     assert _sum_pick([3e-12, 1e-12, 4.1e-12], scheduled) == 3
 
 
 def _scalar_first_best(values):
-    """The scalar scan that `_first_best` vectorizes, kept as its oracle: one
-    row at a time, replace the running best only by a value larger by more
-    than 1e-12."""
+    """The tie rule that `_first_best` applies to every row at once, kept as
+    its oracle: one row at a time, on Python floats."""
     values = np.asarray(values, dtype=float)
-    picks = []
-    for row in values.reshape(-1, values.shape[-1]).tolist():
-        best = 0
-        for i, v in enumerate(row):
-            if v > row[best] + 1e-12:
-                best = i
-        picks.append(best)
+    picks = [_first_within(row) for row in values.reshape(-1, values.shape[-1]).tolist()]
     return np.array(picks).reshape(values.shape[:-1])
 
 
@@ -437,17 +427,17 @@ def test_vectorized_scan_matches_the_scalar_scan():
         np.testing.assert_array_equal(picks, expected, err_msg=f"case {case}")
 
 
-def test_net_rate_chain_picks_the_running_best():
+def test_net_rate_chain_picks_the_first_near_best():
     # only K = 3 has a positive rate, so tau = 3 has the largest prelog; its
-    # N values form a chain that argmax and the running best resolve to N = 3
-    # and the first value within 1e-12 of the maximum to N = 2
+    # N values form a chain that argmax resolves to N = 3 and the first
+    # value within 1e-12 of the maximum to N = 2
     c = 1e-3
     mean = {k: np.zeros(k) for k in range(1, 5)}
     mean[3] = _eta_mean_for([c, c + 0.6e-12, c + 1.2e-12], tau=3)
     src = TableSource(mean, {k: np.zeros(k) for k in range(1, 5)})
     rp = c_net(4, 12, RHO_F, RHO_R, scheduled=True, moment_source=src)
     assert (rp.rate, rp.tau_rp, rp.K, rp.n_selected) == _ref_net(4, 12, RHO_F, RHO_R, True, src)
-    assert (rp.tau_rp, rp.K, rp.n_selected) == (3, 3, 3)
+    assert (rp.tau_rp, rp.K, rp.n_selected) == (3, 3, 2)
 
 
 @pytest.mark.parametrize("scheduled", [True, False])
@@ -547,4 +537,4 @@ def test_weighted_tie_rule_matches_nested_loops(scheduled, monkeypatch):
         assert (rp.rate, rp.tau_rp, rp.n_selected) == _ref_wt_net(
             cfg, scheduled, src, _equal_powers)
     chain = c_wt_net(cfg, scheduled=True, moment_source=sources[1])
-    assert (chain.tau_rp, chain.n_selected) == (K, 3)
+    assert (chain.tau_rp, chain.n_selected) == (K, 2)
