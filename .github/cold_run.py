@@ -1,6 +1,8 @@
 """Run `python -m tddmimo.cli run ARGS...` with src/ on the path and print
 its wall time and the peak RSS of its process tree, pool workers included
-(RUSAGE_CHILDREN): the line the CI step summary reports for a cold run.
+(RUSAGE_CHILDREN: the pool's first worker reaps the workers it forks, so
+their usage reaches this process through it): the line the CI step summary
+reports for a cold run.
 
     python .github/cold_run.py --spec SPEC --out DIR [...]
 

@@ -26,23 +26,29 @@ all the statistics of that M.
 Samples are drawn in blocks of CHUNK: a block is keyed by (seed, b), and
 row i of its factor draws its diagonal from sub-stream 2i and its entries
 below from sub-stream 2i + 1 (`RngStream.row`).  A block is a stream of
-slices (`_slices`), each drawing the next SLICE draws of every sub-stream,
+slices (`_slices`), each drawing the next draws of every sub-stream,
 continuing one generator per sub-stream; the slices are the same bits as
-one stack.  Draw i of a block does not depend on the block's size, so
-fewer samples read a prefix of the draws of more.  Each block is reduced
-to per-group sums of phi and phi^2, draw i of a statistic being in group
-i % GROUPS, and each slice is added to them as it is made, round by round
-of GROUPS draws (`_fold`): a task holds one slice, never an array over its
-block's draws, and gets the bits of one sum over the block.  The blocks
-are added in block order, so estimates are bit-identical with or without a
-worker pool, for any number of workers and whichever other statistics are
+one stack.  A slice holds SLICE_ENTRIES // max(K)^2 draws in whole rounds
+of GROUPS draws, but no fewer than SLICE and no more than CHUNK: a pass of
+few users takes its block in a few large slices, and a pass of large
+max(K) in slices of SLICE.  Draw i of a block does not depend on the
+block's size, so fewer samples read a prefix of the draws of more.  Each
+block is reduced to per-group sums of phi and phi^2, draw i of a statistic
+being in group i % GROUPS, and each slice is added to them as it is made,
+in one sum over its rounds of GROUPS draws that starts from the sums
+(`_fold`): a task holds one slice, never an array over its block's draws,
+and gets the bits of one sum over the block.  The blocks are added in
+block order, so estimates are bit-identical with or without a worker
+pool, for any number of workers and whichever other statistics are
 sampled with them.  `sample` is the one path from keys to estimates: each
 call runs its tasks through one `pool.map` on a pool of min(workers,
 tasks, CPUs) processes that lives for that call only, or in-process when
 that is fewer than 2 or off Linux.  The pool (`ForkPool`) forks its
-children directly: each inherits the kernel, its tasks and everything
+workers directly: each inherits the kernel, its tasks and everything
 imported, and sends back only its block sums, so no process-pool module
-(multiprocessing, concurrent.futures) is ever loaded.
+(multiprocessing, concurrent.futures) is ever loaded, and its first
+worker imports numpy.random before it forks the others, so a pool
+imports it once.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
 of the samples.  The guard is applied once per view, to the ordered K x K
@@ -80,7 +86,8 @@ from .scheduling import best_first
 
 CHUNK = 2048  # samples per task and per RNG block; independent of the worker count
 GROUPS = 16  # draw i is in group i % GROUPS; a divisor of CHUNK, so blocks hold whole rounds
-SLICE = CHUNK // 8  # draws a task holds at once (`_slices`); a multiple of GROUPS
+SLICE = CHUNK // 8  # the fewest draws a slice holds (`_slices`); a multiple of GROUPS
+SLICE_ENTRIES = 2 ** 13  # a slice's draws times max(K)^2, its length kept in [SLICE, CHUNK]
 SINGULAR_FRACTION_LIMIT = 1e-3
 
 
@@ -154,11 +161,13 @@ def f_fingerprint(f_diag) -> str:
 
 def _slices(M: int, views: tuple, seed: int, block: int, count: int):
     """phi_N for every N over one block of `count` draws, yielded as it is
-    made: one (phi, order) per slice of SLICE draws and, within a slice, per
-    view of `views` in turn.  phi[i, N-1] is the statistic of the N leading
-    of the view's K users in the slice's draw i once ordered (a NaN row
-    marks a singular draw), and order[i] lists those users best first by
-    scores_k * r_k, r_k = ||z_k||^2.
+    made: one (phi, order) per slice and, within a slice, per view of
+    `views` in turn.  A slice holds SLICE_ENTRIES // max(K)^2 draws, rounded
+    down to whole rounds of GROUPS and kept within [SLICE, CHUNK].
+    phi[i, N-1] is the statistic of the N leading of the view's K users in
+    the slice's draw i once ordered (a NaN row marks a singular draw), and
+    order[i] lists those users best first by scores_k * r_k,
+    r_k = ||z_k||^2.
 
     A view is (per_user, scores, f_diag), scores and f_diag holding K
     entries.  Each draw is the Bartlett factor L of W = Z Z^H (`_bartlett`)
@@ -177,8 +186,9 @@ def _slices(M: int, views: tuple, seed: int, block: int, count: int):
     """
     rows = [tuple(RngStream(seed, block, 2 * i + part).generator() for part in (0, 1))
             for i in range(max(len(f) for *_, f in views))]
-    for s in range(0, count, SLICE):
-        n = min(SLICE, count - s)
+    step = min(CHUNK, max(SLICE, SLICE_ENTRIES // len(rows) ** 2 // GROUPS * GROUPS))
+    for s in range(0, count, step):
+        n = min(step, count - s)
         l, r = _bartlett(M, rows, n)
         a = triangular_inverse(l)
         a = (a.real ** 2 + a.imag ** 2) * r[:, None, :]
@@ -239,10 +249,14 @@ def triangular_inverse(l: np.ndarray) -> np.ndarray:
 
 class ForkPool:
     """`max_workers` forked copies of this process that run the tasks of
-    `map`.  A child inherits the function and the task list, so neither is
+    `map`.  A worker inherits the function and the task list, so neither is
     pickled; only its results come back, pickled over a pipe of its own.
-    Every child is reaped before `map` returns or raises.  Fork is safe here
-    only on Linux, so `_collect` builds no pool elsewhere."""
+    The parent forks one worker, which imports numpy.random (the generators'
+    module, which the parent need never load) and then forks the others, so
+    a pool pays that import once.  The first worker reaps the workers it
+    forked and the parent reaps the first worker, before `map` returns or
+    raises.  Fork is safe here only on Linux, so `_collect` builds no pool
+    elsewhere."""
 
     def __init__(self, max_workers: int):
         self.size = max_workers
@@ -254,51 +268,55 @@ class ForkPool:
         return None
 
     def map(self, fn, tasks) -> list:
-        """[fn(task) for task in tasks] on `size` children.  Each child
+        """[fn(task) for task in tasks] on `size` workers.  Each worker
         claims the next task index, in task order, from one shared pipe and
         sends back its (index, result) pairs when none is left.  A task's
-        exception is raised here; a child that ends without a result (a
+        exception is raised here; a worker that ends without a result (a
         signal, or an exception that cannot be pickled) raises RuntimeError.
-        On any error, Ctrl-C included, the children left are killed."""
+        On any error, Ctrl-C included, the workers left are killed: they are
+        the first worker's process group.  If this process dies without
+        that, its workers claim no further task."""
         tasks = list(tasks)
         claims, feed = _pipe()
-        children = {}  # pid -> the read end of its result pipe
+        alive, lifeline = _pipe()  # never written: it ends when this process does
+        os.set_blocking(alive.fileno(), False)
+        pipes = [_pipe() for _ in range(self.size)]  # (read, write) per worker
+        first = None  # the first worker's pid until it is reaped
         try:
-            for _ in range(self.size):
-                results, out = _pipe()
-                pid = os.fork()
-                if pid == 0:
-                    _serve(fn, tasks, claims, feed, out)
-                out.close()  # so that the pipe ends when its child does
-                children[pid] = results
-            claims.close()  # so that a claim fails once no child is left
+            first = os.fork()
+            if first == 0:
+                _first(fn, tasks, (claims, alive), (feed, lifeline), pipes)
+            for _, out in pipes:
+                out.close()  # so that each pipe ends when its worker does
+            claims.close()  # so that a claim fails once no worker is left
             try:
                 for i in range(len(tasks)):  # a 4-byte write lands whole (< PIPE_BUF)
                     feed.write(i.to_bytes(4, "little"))
             except BrokenPipeError:
-                pass  # no child is left: their statuses say why
+                pass  # no worker is left: the first one's status says why
             feed.close()
+            payloads = [results.read() for results, _ in pipes]
+            status = os.waitpid(first, 0)[1]
+            first = None
+            if status:
+                raise RuntimeError("a sampling worker ended without a result"
+                                   f" (exit status {os.waitstatus_to_exitcode(status)})")
             done = [None] * len(tasks)
-            for pid, results in list(children.items()):
-                payload = results.read()
-                status = os.waitpid(pid, 0)[1]
-                children.pop(pid).close()
-                if status:
-                    raise RuntimeError(f"sampling worker {pid} ended without a result"
-                                       f" (exit status {os.waitstatus_to_exitcode(status)})")
-                payload = pickle.loads(payload)
+            for payload in map(pickle.loads, payloads):
                 if isinstance(payload, Exception):
                     raise payload
                 for i, result in payload:
                     done[i] = result
             return done
         finally:
-            claims.close()
-            feed.close()
-            for pid, results in children.items():
-                results.close()
-                os.kill(pid, 9)  # SIGKILL, without importing signal
-                os.waitpid(pid, 0)
+            for end in (claims, feed, alive, lifeline, *(end for pair in pipes for end in pair)):
+                end.close()
+            if first is not None:  # an error before the first worker was reaped
+                try:
+                    os.killpg(first, 9)  # SIGKILL, without importing signal
+                except ProcessLookupError:  # no group yet, so no other worker
+                    os.kill(first, 9)
+                os.waitpid(first, 0)
 
 
 def _pipe() -> tuple:
@@ -308,17 +326,48 @@ def _pipe() -> tuple:
     return os.fdopen(r, "rb", 0), os.fdopen(w, "wb", 0)
 
 
-def _serve(fn, tasks, claims, feed, out):
-    """A child of `ForkPool.map`: run the tasks it claims until none is left,
-    send back [(index, fn(task))] or the exception that stopped it, and end
-    with `os._exit`, which runs no atexit handler and flushes none of the
-    stdio buffers this process inherited."""
-    status = 1
+def _first(fn, tasks, inputs, parent_ends, pipes):
+    """The first worker of `ForkPool.map`: in a process group of its own, it
+    imports numpy.random, forks a worker for each other pipe, which holds
+    that pipe's write end and no other, and serves tasks alongside them.
+    `inputs` are the read ends of the claims and of the parent's lifeline,
+    `parent_ends` their write ends, which only the parent holds."""
     try:
-        feed.close()
+        os.setpgid(0, 0)
+        for end in (*parent_ends, *(results for results, _ in pipes)):
+            end.close()
+        import numpy.random  # noqa: F401 - once, for every worker forked below
+        workers = []
+        for _, out in pipes[1:]:
+            pid = os.fork()
+            if pid == 0:
+                for _, end in pipes:
+                    if end is not out:
+                        end.close()
+                _serve(fn, tasks, inputs, out)
+            out.close()
+            workers.append(pid)
+        _serve(fn, tasks, inputs, pipes[0][1], workers)
+    finally:
+        os._exit(1)
+
+
+def _serve(fn, tasks, inputs, out, workers=()):
+    """A worker's work: run the tasks it claims until none is left or the
+    parent is gone, send back [(index, fn(task))] or the exception that
+    stopped it, and close its pipe.  It then reaps `workers` (the parent
+    reads the pipes in turn, so a worker that waited with its own pipe open
+    would wait for good) and ends with the status of the first of them that
+    failed, or else with its own, through `os._exit`, which runs no atexit
+    handler and flushes none of the stdio buffers it inherited."""
+    claims, alive = inputs
+    code = 1
+    try:
         done = []
         try:
-            while claim := claims.read(4):
+            # the non-blocking lifeline reads None while the parent holds
+            # its write end, and b"" once the parent is gone
+            while alive.read(1) is None and (claim := claims.read(4)):
                 i = int.from_bytes(claim, "little")
                 done.append((i, fn(tasks[i])))
         except Exception as exc:  # noqa: BLE001 - raised again in the parent
@@ -326,9 +375,18 @@ def _serve(fn, tasks, claims, feed, out):
         data = memoryview(pickle.dumps(done))
         while data:
             data = data[out.write(data):]
-        status = 0
+        code = 0
     finally:
-        os._exit(status)
+        out.close()
+        for pid in workers:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            code = code or status
+        if code < 0:  # a worker's signal, raised again on this process
+            import signal
+            if -code != signal.SIGKILL:  # SIGKILL's handler cannot be set
+                signal.signal(-code, signal.SIG_DFL)
+            os.kill(os.getpid(), -code)
+        os._exit(code if code >= 0 else 1)
 
 
 ProcessPoolExecutor = ForkPool  # the name `_collect` builds its pool from
@@ -358,11 +416,13 @@ def _collect(passes: list, workers: int) -> list:
 
 def _fold(running, a: np.ndarray):
     """running plus a's draws, padded with zeros to whole rounds of GROUPS
-    draws and added round by round in draw order, so that slice by slice a
-    block gets the bits of one sum over all its rounds."""
-    pad = -len(a) % GROUPS
-    a = np.concatenate([a, np.zeros((pad,) + a.shape[1:], a.dtype)]) if pad else a
-    return sum(a.reshape((-1, GROUPS) + a.shape[1:]), running)
+    draws, in one sum over a stack of rounds whose first is running: numpy
+    adds an outer axis in order, so slice by slice a block gets the bits of
+    one sum over all its rounds."""
+    shape = a.shape[1:]
+    rounds = np.concatenate([np.broadcast_to(running, (GROUPS,) + shape), a,
+                             np.zeros((-len(a) % GROUPS,) + shape, a.dtype)])
+    return rounds.reshape((-1, GROUPS) + shape).sum(axis=0)
 
 
 def _block_sums(task) -> list:

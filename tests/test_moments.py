@@ -1,11 +1,16 @@
+import contextlib
+import json
 import math
 import os
 import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +252,159 @@ def test_fork_pool_failures_reap_every_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def _alarm(seconds: int):
+    """SIGALRM after `seconds`, so that a hung pool fails instead."""
+    def hung(signum, frame):
+        raise TimeoutError("the pool hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _pid_after_a_pause(task):
+    """(pid of the worker, task), after a pause that lets every worker
+    claim a task."""
+    time.sleep(0.02)
+    return os.getpid(), task
+
+
+POOL_IMPORT_PROBE = """
+import json, os, sys, time
+from tddmimo import moments
+before = "numpy.random" in sys.modules  # numpy 1.24 imports it with numpy
+def task(i):
+    time.sleep(0.02)
+    return os.getpid(), "numpy.random" in sys.modules
+seen = moments.ForkPool(3).map(task, range(12))
+print(json.dumps({"before": before, "after": "numpy.random" in sys.modules, "seen": seen}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks only on Linux")
+def test_fork_pool_imports_numpy_random_once_for_every_worker():
+    # the first worker imports numpy.random before it forks the others, so
+    # every worker has it at its first task; the parent, a fresh interpreter
+    # here, does not load it.  The subprocess timeout turns a hang into a
+    # failure
+    src = str(Path(moments.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", POOL_IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["after"] == probe["before"]
+    assert len({pid for pid, _ in probe["seen"]}) == 3
+    assert all(loaded for _, loaded in probe["seen"])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks only on Linux")
+def test_fork_pool_results_larger_than_a_pipe_buffer():
+    # each of 3 workers sends back more than a pipe holds (64 KiB) while the
+    # parent reads the pipes in turn: a worker that held a sibling's pipe
+    # open would keep that pipe from ending, and both would wait for good
+    def big(task):
+        pid, task = _pid_after_a_pause(task)
+        return pid, bytes([task]) * 70_000
+
+    with _alarm(60):
+        results = moments.ForkPool(3).map(big, range(9))
+    assert len({pid for pid, _ in results}) == 3
+    assert [data for _, data in results] == [bytes([i]) * 70_000 for i in range(9)]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks only on Linux")
+@pytest.mark.parametrize("failure", ["raise", "kill-forked", "kill-first"])
+def test_failing_map_leaves_no_worker(failure):
+    # every task sends its worker's pid down a pipe that every worker
+    # inherits.  After the failing map that pipe ends, so no worker is left
+    # running; and when the first worker lives to reap the workers it forked,
+    # none of them is left even as a zombie
+    r, w = os.pipe()
+
+    def task(i):
+        pid, _ = _pid_after_a_pause(i)
+        os.write(w, pid.to_bytes(4, "little"))
+        first = os.getpgid(0) == pid  # the first worker leads the pool's group
+        if failure == "raise" and i == 4:
+            raise ValueError("task 4 failed")
+        if failure == f"kill-{'first' if first else 'forked'}":
+            os.kill(pid, signal.SIGKILL)
+        return i
+
+    error = (ValueError, "^task 4 failed$") if failure == "raise" else (
+        RuntimeError, f"exit status {-signal.SIGKILL}")
+    with _alarm(60):
+        with pytest.raises(error[0], match=error[1]):
+            moments.ForkPool(3).map(task, range(12))
+        os.close(w)
+        with os.fdopen(r, "rb") as fh:
+            data = fh.read()
+    pids = {int.from_bytes(data[i:i + 4], "little") for i in range(0, len(data), 4)}
+    assert len(pids) >= 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if failure != "kill-first":
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks only on Linux")
+def test_interrupted_map_kills_every_worker():
+    # an exception in the parent while every worker is inside a long task
+    # (Ctrl-C, here SIGALRM's) kills the pool's process group at once: the
+    # pipe that each task sends its pid down ends well before the tasks would
+    r, w = os.pipe()
+
+    def slow(i):
+        os.write(w, os.getpid().to_bytes(4, "little"))
+        time.sleep(30)
+
+    start = time.monotonic()
+    with pytest.raises(TimeoutError), _alarm(1):
+        moments.ForkPool(3).map(slow, range(3))
+    os.close(w)
+    with _alarm(10), os.fdopen(r, "rb") as fh:
+        assert len(fh.read()) == 12  # three workers, each in its task
+    assert time.monotonic() - start < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks only on Linux")
+def test_workers_claim_no_task_once_the_parent_is_gone():
+    # a parent killed outright (no finally runs) leaves its workers outside
+    # its process group with claims still in the pipe: each stops after its
+    # current task of 0.2 s, long before the 4 s the 60 tasks would take
+    r, w = os.pipe()
+
+    def slow(i):
+        os.write(w, os.getpid().to_bytes(4, "little"))
+        time.sleep(0.2)
+
+    parent = os.fork()
+    if parent == 0:
+        try:
+            moments.ForkPool(3).map(slow, range(60))
+        finally:
+            os._exit(1)
+    os.close(w)
+    time.sleep(0.5)
+    os.kill(parent, signal.SIGKILL)
+    os.waitpid(parent, 0)
+    start = time.monotonic()
+    with _alarm(20), os.fdopen(r, "rb") as fh:
+        assert 0 < len(fh.read()) < 4 * 60
+    assert time.monotonic() - start < 2
+
+
 def test_eta_batch_matches_each_k_alone():
     # the Ks of one M share their draws; each K's estimate is the same bits
     # whichever other Ks it is sampled with and on however many workers
@@ -315,7 +473,8 @@ def test_eta_draws_only_the_rows_it_reads(monkeypatch):
     # a block opens two sub-streams for each of its max(K) rows, whatever M,
     # so a small K at a large M stays cheap: sub-stream 2r for row r's
     # diagonal and 2r + 1 for its entries below.  Each slice of a block
-    # draws every sub-stream once, continuing its generator
+    # draws every sub-stream once, continuing its generator; at K = 2 a
+    # slice holds a whole block
     opened, calls = [], []
 
     def tap(stream, values, taken):
@@ -332,10 +491,25 @@ def test_eta_draws_only_the_rows_it_reads(monkeypatch):
     assert opened == [(0, s) for s in range(10)]
     assert calls == [(0, s, 100) for s in range(10)]
     del opened[:], calls[:]
-    eta_moments(64, 2, CHUNK + 300, seed=30)  # whole slices, then a slice and 44 draws
+    eta_moments(64, 2, CHUNK + 300, seed=30)  # one slice per block
     assert opened == [(b, s) for b in (0, 1) for s in range(4)]
-    assert calls == ([(0, s, SLICE) for _ in range(CHUNK // SLICE) for s in range(4)]
-                     + [(1, s, n) for n in (SLICE, 44) for s in range(4)])
+    assert calls == [(b, s, n) for b, n in ((0, CHUNK), (1, 300)) for s in range(4)]
+
+
+@pytest.mark.parametrize("K,length", [(1, 2048), (2, 2048), (3, 896), (4, 512), (5, 320),
+                                      (6, 256), (8, 256), (16, 256)])
+def test_slice_length_follows_max_k(monkeypatch, K, length):
+    # a slice holds 2^13 / K^2 draws at the pass's max(K), rounded down to
+    # whole rounds of GROUPS draws, at least SLICE and at most CHUNK: every
+    # sub-stream of a block is drawn in slices of that length, the last one
+    # short
+    calls = []
+    monkeypatch.setattr(RngStream, "generator", lambda stream: _Tapped(
+        stream, lambda stream, values, taken: calls.append((stream.row, len(values))) or values))
+    eta_moments(64, [1, K], CHUNK, seed=31)
+    assert SLICE == 256 and length % GROUPS == 0
+    lengths = [length] * (CHUNK // length) + [CHUNK % length] * (CHUNK % length > 0)
+    assert calls == [(s, n) for n in lengths for s in range(2 * K)]
 
 
 def _trace_inverses(l_inv):
