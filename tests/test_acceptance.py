@@ -2,9 +2,18 @@
 
 Runs the full statistical battery, so expect several minutes of wall time.
 Use `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
+
+The runs of the presets that the criteria read are also compared, row by
+row, with their committed outputs in tests/outputs/.  Regenerate those files
+only for a change that moves estimates on purpose, and list its moved rows:
+
+    PYTHONPATH=src python tests/test_acceptance.py
 """
 
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +23,7 @@ from tddmimo import (RngStream, build_pilots, c_ind_lb, c_ind_lb_scheduled,
                      lmmse_estimate, phi_f_moments, pinv_precoder,
                      simulate_reverse_pilots, waterfill)
 from tddmimo.channel_model import SystemConfig
-from tddmimo.experiments import parse_spec, run_experiment
+from tddmimo.experiments import MANIFEST_FILE, parse_spec, run_experiment
 from tddmimo.moments import eta_samples
 
 
@@ -30,13 +39,120 @@ def _read_csv(path):
     return [dict(zip(header, row.split(","))) for row in lines[1:]]
 
 
-@pytest.fixture(scope="module")
-def sum_bound_run(tmp_path_factory):
-    """Scheduled vs unscheduled sum-bound sweep, single worker."""
-    spec = parse_spec("preset=fig2\nsamples=10000\nseed=1\n")
-    out = tmp_path_factory.mktemp("sum_bound_w1")
-    run_experiment(spec, out, workers=1)
+OUTPUTS = Path(__file__).resolve().parent / "outputs"
+# the preset runs the criteria read, at 10,000 samples and seed 1: name ->
+# (spec lines, workers).  Their CSVs and manifests are committed in OUTPUTS
+RUNS = {"fig2": ("preset=fig2", 1), "fig3": ("preset=fig3\nT=20", 4),
+        "fig4": ("preset=fig4", 4), "fig5": ("preset=fig5", 4)}
+
+
+def _make(name: str, out: Path) -> Path:
+    """Run `name` of RUNS into out; the path of its CSV."""
+    lines, workers = RUNS[name]
+    spec = parse_spec(f"{lines}\nsamples=10000\nseed=1\n")
+    run_experiment(spec, out, workers=workers)
     return out / spec.output
+
+
+def _manifest(csv: Path) -> Path:
+    """The committed manifest of a run whose CSV is `csv`: the run's
+    manifest lines but wall_time_s."""
+    return OUTPUTS / f"{csv.stem}_manifest.txt"
+
+
+@pytest.fixture(scope="module")
+def fig2(tmp_path_factory):
+    """Scheduled vs unscheduled sum-bound sweep, single worker."""
+    return _make("fig2", tmp_path_factory.mktemp("fig2"))
+
+
+@pytest.fixture(scope="module")
+def fig3(tmp_path_factory):
+    return _make("fig3", tmp_path_factory.mktemp("fig3"))
+
+
+@pytest.fixture(scope="module")
+def fig4(tmp_path_factory):
+    return _make("fig4", tmp_path_factory.mktemp("fig4"))
+
+
+@pytest.fixture(scope="module")
+def fig5(tmp_path_factory):
+    return _make("fig5", tmp_path_factory.mktemp("fig5"))
+
+
+def moved(csv: str, manifest: str, want_csv: str, want_manifest: str) -> list[str]:
+    """What differs between a run's CSV and manifest texts and the committed
+    ones, one line per moved row with z = delta rate / std_error.  Under the
+    numpy version the committed manifest records, every byte must be equal
+    (wall_time_s aside).  Under any other, stacked matrix products may round
+    differently: the optimizer and status columns must be equal, and every
+    rate and std_error within 1e-8 relative."""
+    exact = f"numpy_version={np.__version__}" in want_manifest.splitlines()
+    skip = r"wall_time_s=" if exact else r"wall_time_s=|numpy_version="
+    lines = [[line for line in text.splitlines() if not re.match(skip, line)]
+             for text in (manifest, want_manifest)]
+    out = [] if lines[0] == lines[1] else [f"manifest: {lines[0]} != committed {lines[1]}"]
+    (header, *rows), (want_header, *want_rows) = csv.splitlines(), want_csv.splitlines()
+    if header != want_header or len(rows) != len(want_rows):
+        return out + [f"header {header} and {len(rows)} rows, committed"
+                      f" {want_header} and {len(want_rows)} rows"]
+    names = header.split(",")
+    rate = next(name for name in names if name.endswith("rate"))
+    for i, (row, want) in enumerate(zip(rows, want_rows), start=1):
+        got, ref = (dict(zip(names, r.split(","))) for r in (row, want))
+        if exact:
+            same = row == want
+        else:
+            same = all(math.isclose(float(got[c]), float(ref[c]), rel_tol=1e-8, abs_tol=0)
+                       if c in (rate, "std_error") else got[c] == ref[c] for c in names)
+        if not same:
+            z = (float(got[rate]) - float(ref[rate])) / float(ref["std_error"])
+            out.append(f"row {i}: {row} (committed {want}), z = {z:+.2f}")
+    if exact and not out and csv != want_csv:
+        out.append("CSV bytes differ outside its rows")
+    return out
+
+
+@pytest.mark.parametrize("name", RUNS)
+def test_outputs_match_the_committed_files(name, request):
+    # a change that moves no estimate leaves every row of every preset as
+    # committed; one that does must regenerate the files and explain them
+    csv = request.getfixturevalue(name)
+    failures = moved(csv.read_text(), (csv.parent / MANIFEST_FILE).read_text(),
+                     (OUTPUTS / csv.name).read_text(), _manifest(csv).read_text())
+    assert not failures, f"{name} moved from tests/outputs:\n" + "\n".join(failures)
+
+
+def _edit(csv: str, row: int, column: str, value) -> str:
+    """csv with one cell set to value."""
+    lines = csv.splitlines(keepends=True)
+    names, cells = lines[0].rstrip("\n").split(","), lines[row].rstrip("\n").split(",")
+    cells[names.index(column)] = str(value)
+    lines[row] = ",".join(cells) + "\n"
+    return "".join(lines)
+
+
+def test_the_output_check_tolerates_rounding_only_under_another_numpy():
+    # the tolerance branch, reached by faking the numpy version the committed
+    # manifest records: a rate 1e-9 off passes under another numpy but not
+    # under the recorded one, while a rate one std_error off and a moved
+    # optimizer are named under either, with their z
+    csv = (OUTPUTS / "fig2_sum_bound.csv").read_text()
+    manifest = _manifest(Path("fig2_sum_bound.csv")).read_text()
+    here = re.sub(r"(?m)^numpy_version=.*$", f"numpy_version={np.__version__}", manifest)
+    other = re.sub(r"(?m)^numpy_version=.*$", "numpy_version=0.0", manifest)
+    first = dict(zip(*(line.split(",") for line in csv.splitlines()[:2])))
+    rate, se = float(first["rate"]), float(first["std_error"])
+    assert moved(csv, here, csv, here) == moved(csv, here, csv, other) == []
+    rounded = _edit(csv, 1, "rate", repr(rate * (1 + 1e-9)))
+    assert moved(rounded, here, csv, other) == []
+    assert moved(rounded, here, csv, here) == [
+        f"row 1: {rounded.splitlines()[1]} (committed {csv.splitlines()[1]}), z = +0.00"]
+    far = _edit(_edit(csv, 1, "rate", repr(rate + se)), 3, "N_star", 9)
+    assert [line.split(":")[0] for line in moved(far, here, csv, other)] == ["row 1", "row 3"]
+    assert moved(far, here, csv, other)[0].endswith("z = +1.00")
+    assert moved(csv, here.replace("rows=", "rows=1"), csv, other)[0].startswith("manifest:")
 
 
 def test_criterion_1_exact_identities():
@@ -156,10 +272,10 @@ def test_criterion_4_waterfilling_optimality():
     _report(4, "waterfilling optimality vs grid search", failures)
 
 
-def test_criterion_5_scheduling_gain(sum_bound_run):
+def test_criterion_5_scheduling_gain(fig2):
     failures = []
     cells = {}
-    for row in _read_csv(sum_bound_run):
+    for row in _read_csv(fig2):
         key = (int(row["M"]), int(row["K"]))
         cells.setdefault(key, {})[int(row["scheme"])] = (
             float(row["rate"]), float(row["std_error"]))
@@ -173,13 +289,10 @@ def test_criterion_5_scheduling_gain(sum_bound_run):
     _report(5, "scheduled sum bound dominates unscheduled", failures)
 
 
-def test_criterion_6_net_rate_trends(tmp_path_factory):
+def test_criterion_6_net_rate_trends(fig3, fig5):
     failures = []
-    spec3 = parse_spec("preset=fig3\nT=20\nsamples=10000\nseed=1\n")
-    out3 = tmp_path_factory.mktemp("net_rate")
-    run_experiment(spec3, out3, workers=4)
     for scheme in (0, 1):
-        rows = [r for r in _read_csv(out3 / spec3.output)
+        rows = [r for r in _read_csv(fig3)
                 if int(r["scheme"]) == scheme and r["status"] == "ok"]
         rows.sort(key=lambda r: int(r["M"]))
         for lo, hi in zip(rows, rows[1:]):
@@ -189,10 +302,7 @@ def test_criterion_6_net_rate_trends(tmp_path_factory):
                     f"net rate drops from M={lo['M']} to M={hi['M']}"
                     f" (scheme {scheme})")
 
-    spec5 = parse_spec("preset=fig5\nsamples=10000\nseed=1\n")
-    out5 = tmp_path_factory.mktemp("weighted_net_rate")
-    run_experiment(spec5, out5, workers=4)
-    rows5 = [r for r in _read_csv(out5 / spec5.output) if r["status"] == "ok"]
+    rows5 = [r for r in _read_csv(fig5) if r["status"] == "ok"]
     for scheme in (2, 3):
         rows = sorted((r for r in rows5 if int(r["scheme"]) == scheme),
                       key=lambda r: int(r["M"]))
@@ -211,12 +321,9 @@ def test_criterion_6_net_rate_trends(tmp_path_factory):
     _report(6, "net-rate trends and scheme ordering", failures)
 
 
-def test_criterion_7_joint_optimizer_structure(tmp_path_factory):
+def test_criterion_7_joint_optimizer_structure(fig4):
     failures = []
-    spec = parse_spec("preset=fig4\nsamples=10000\nseed=1\n")
-    out = tmp_path_factory.mktemp("optimizers")
-    run_experiment(spec, out, workers=4)
-    for row in _read_csv(out / spec.output):
+    for row in _read_csv(fig4):
         if row["status"] != "ok":
             failures.append(f"cell rho_f_db={row['rho_f_db']} not evaluated")
         elif row["K_star"] != row["tau_star"]:
@@ -226,11 +333,22 @@ def test_criterion_7_joint_optimizer_structure(tmp_path_factory):
     _report(7, "optimal user count equals optimal training length", failures)
 
 
-def test_criterion_8_reproducibility(sum_bound_run, tmp_path_factory):
+def test_criterion_8_reproducibility(fig2, tmp_path_factory):
     failures = []
     spec = parse_spec("preset=fig2\nsamples=10000\nseed=1\n")
     out = tmp_path_factory.mktemp("sum_bound_w4")
     run_experiment(spec, out, workers=4)
-    if (out / spec.output).read_bytes() != sum_bound_run.read_bytes():
+    if (out / spec.output).read_bytes() != fig2.read_bytes():
         failures.append("CSV differs between worker counts 1 and 4")
     _report(8, "bit-identical reruns across worker counts", failures)
+
+
+if __name__ == "__main__":  # regenerate the committed outputs
+    for run in RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            made = _make(run, Path(tmp))
+            OUTPUTS.mkdir(exist_ok=True)
+            (OUTPUTS / made.name).write_bytes(made.read_bytes())
+            _manifest(made).write_text("".join(
+                line for line in (made.parent / MANIFEST_FILE).read_text().splitlines(True)
+                if not line.startswith("wall_time_s=")))
