@@ -40,15 +40,10 @@ in one sum over its rounds of GROUPS draws that starts from the sums
 and gets the bits of one sum over the block.  The blocks are added in
 block order, so estimates are bit-identical with or without a worker
 pool, for any number of workers and whichever other statistics are
-sampled with them.  `sample` is the one path from keys to estimates: each
-call runs its tasks through one `pool.map` on a pool of min(workers,
-tasks, CPUs) processes that lives for that call only, or in-process when
-that is fewer than 2 or off Linux.  The pool (`ForkPool`) forks its
-workers directly: each inherits the kernel, its tasks and everything
-imported, and sends back only its block sums, so no process-pool module
-(multiprocessing, concurrent.futures) is ever loaded, and its first
-worker imports numpy.random before it forks the others, so a pool
-imports it once.
+sampled with them.  `sample` is the one path from keys to estimates: it
+plans the tasks, sizes their pool and adds their block sums.  The pool
+(`ForkPool`) forks its workers directly, so no process-pool module
+(multiprocessing, concurrent.futures) is ever loaded.
 
 Singular draws are discarded and counted; a run aborts if they exceed 0.1%
 of the samples.  The guard is applied once per view, to the ordered K x K
@@ -255,7 +250,7 @@ class ForkPool:
     module, which the parent need never load) and then forks the others, so
     a pool pays that import once.  The first worker reaps the workers it
     forked and the parent reaps the first worker, before `map` returns or
-    raises.  Fork is safe here only on Linux, so `_collect` builds no pool
+    raises.  Fork is safe here only on Linux, so `sample` builds no pool
     elsewhere."""
 
     def __init__(self, max_workers: int):
@@ -389,29 +384,7 @@ def _serve(fn, tasks, inputs, out, workers=()):
         os._exit(code if code >= 0 else 1)
 
 
-ProcessPoolExecutor = ForkPool  # the name `_collect` builds its pool from
-
-
-def _collect(passes: list, workers: int) -> list:
-    """`_block_sums` per pass (M, views, samples, seed), one list over the
-    pass's consecutive CHUNK-sized blocks in block order.  The tasks of every
-    pass go through one `pool.map` on a pool built for this call, of
-    `workers` processes but no more than the tasks or the CPUs this process
-    may run on; they run in-process when that leaves fewer than 2, and
-    always off Linux."""
-    if any(samples < 1 for *_, samples, _ in passes):
-        raise IndexError("samples must be positive")
-    tasks = [[(M, views, seed, block, min(CHUNK, samples - start))
-              for block, start in enumerate(range(0, samples, CHUNK))]
-             for M, views, samples, seed in passes]
-    flat = [task for blocks in tasks for task in blocks]
-    size = min(workers, len(flat), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
-    if size < 2:
-        results = map(_block_sums, flat)
-    else:
-        with ProcessPoolExecutor(size) as pool:
-            results = iter(pool.map(_block_sums, flat))
-    return [[next(results) for _ in blocks] for blocks in tasks]
+ProcessPoolExecutor = ForkPool  # the name `sample` builds its pool from
 
 
 def _fold(running, a: np.ndarray):
@@ -478,34 +451,46 @@ def _view(key: MomentKey) -> tuple:
     return True, bits[key.K:], bits[:key.K]
 
 
-def _passes(keys) -> dict:
-    """The distinct keys by pass (M, samples, seed), each pass's in order of
-    K, the largest M first so that the longest tasks start first."""
-    passes: dict[tuple, list] = {}
-    for key in sorted(dict.fromkeys(keys), key=lambda k: (-k.M, k.K)):
-        passes.setdefault((key.M, key.samples, key.seed), []).append(key)
-    return passes
+def _blocks(samples: int) -> list:
+    """The draws of each block of `samples`, in block order: CHUNK each, the
+    last the rest."""
+    return [min(CHUNK, samples - start) for start in range(0, samples, CHUNK)]
 
 
 def sample(keys, workers: int = 1) -> dict:
-    """MomentKey -> MomentEstimate for every statistic of `keys`, sampled in
-    one pass per (M, block) over all of them: each block draws the factors
-    of its M once, and every statistic of that M is a view of them.  All the
-    tasks go through one `_collect`, on up to `workers` processes.  The
+    """MomentKey -> MomentEstimate for every distinct key of `keys`.  The keys
+    form passes (M, samples, seed), the largest M first so that the longest
+    tasks start first, each pass's keys in order of K; a task is one block of
+    one pass, whose factors every statistic of the pass reads.  The tasks go
+    through one `pool.map` on a pool of `workers` processes, but no more than
+    the tasks or the CPUs this process may run on, built for this call; they
+    run in-process when that leaves fewer than 2, and always off Linux.  The
     block sums are added in block order, so each estimate is the same, bit
     for bit, as when its statistic is sampled alone and on any number of
     workers."""
-    passes = _passes(keys)
-    views = [(M, tuple(map(_view, group)), samples, seed)
-             for (M, samples, seed), group in passes.items()]
+    passes: dict[tuple, list] = {}
+    for key in sorted(dict.fromkeys(keys), key=lambda k: (-k.M, k.K)):
+        passes.setdefault((key.M, key.samples, key.seed), []).append(key)
+    views = {p: tuple(map(_view, group)) for p, group in passes.items()}
+    if any(samples < 1 for _, samples, _ in passes):
+        raise IndexError("samples must be positive")
+    tasks = [(M, views[M, samples, seed], seed, block, count)
+             for M, samples, seed in passes for block, count in enumerate(_blocks(samples))]
+    size = min(workers, len(tasks), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
+    if size < 2:
+        results = map(_block_sums, tasks)
+    else:
+        with ProcessPoolExecutor(size) as pool:
+            results = iter(pool.map(_block_sums, tasks))
     out = {}
-    for group, blocks in zip(passes.values(), _collect(views, workers)):
+    for (_, samples, _), group in passes.items():
+        blocks = [next(results) for _ in _blocks(samples)]
         for key, view_blocks in zip(group, zip(*blocks)):
             singular, *sums = zip(*view_blocks)
-            if sum(singular) > SINGULAR_FRACTION_LIMIT * key.samples:
+            if sum(singular) > SINGULAR_FRACTION_LIMIT * samples:
                 raise ExcessSingularDrawsError(
-                    f"{sum(singular)}/{key.samples} singular draws exceeds the 0.1% budget")
-            out[key] = MomentEstimate(key.samples, sum(singular), *(sum(t) for t in sums))
+                    f"{sum(singular)}/{samples} singular draws exceeds the 0.1% budget")
+            out[key] = MomentEstimate(samples, sum(singular), *(sum(t) for t in sums))
     return out
 
 
@@ -513,9 +498,8 @@ def eta_samples(M: int, K: int, samples: int, seed: int) -> np.ndarray:
     """Raw eta draws indexed [sample, N-1] (a NaN row marks a discarded
     singular draw); test oracle hook."""
     view = _view(key_of("eta", M, K, samples, seed))
-    return np.concatenate([phi for start in range(0, samples, CHUNK)
-                           for phi, _ in _slices(M, (view,), seed, start // CHUNK,
-                                                 min(CHUNK, samples - start))])
+    return np.concatenate([phi for block, count in enumerate(_blocks(samples))
+                           for phi, _ in _slices(M, (view,), seed, block, count)])
 
 
 def eta_moments(M: int, K, samples: int, seed: int, *, workers: int = 1):

@@ -119,7 +119,7 @@ class MomentSource:
         keys = list(keys)
         distinct = dict.fromkeys(keys)
         missing = [key for key in distinct if key not in self.cache]
-        sampled = sample(missing, self.workers) if missing else {}
+        sampled = sample(missing, self.workers)
         ests = {key: self.cache.cached(key, lambda key=key: sampled[key]) for key in distinct}
         return [ests[key] for key in keys]
 

@@ -19,8 +19,8 @@ from tddmimo import (MomentCache, MomentKey, RngStream, SingularChannelError, ch
                      draw_channel, eta_moments, modified_precoder, moments, phi_f_moments,
                      pinv_precoder, weighted_phi_stats)
 from tddmimo.experiments import parse_spec, run_experiment
-from tddmimo.moments import (CHUNK, GROUPS, SLICE, _slices, eta_samples, f_fingerprint,
-                             triangular_inverse)
+from tddmimo.moments import (CHUNK, GROUPS, SLICE, SLICE_ENTRIES, _slices, eta_samples,
+                             f_fingerprint, triangular_inverse)
 from tddmimo.precoding import COND_LIMIT, gram, well_conditioned
 from tddmimo.rates import MomentSource
 
@@ -421,7 +421,7 @@ def test_eta_batch_matches_each_k_alone():
             _assert_same(est, other)
 
 
-def test_shared_pass_matches_each_statistic_alone():
+def test_shared_pass_matches_each_statistic_alone(monkeypatch):
     # one pass per (M, block) over every statistic of two M: the eta of every
     # K, a phi_F, and weighted statistics of several K, two of one K sharing
     # their draws.  At F = (1, 1e-4) this seed has 2 singular draws of 4113
@@ -440,8 +440,10 @@ def test_shared_pass_matches_each_statistic_alone():
     alone += [weighted_phi_stats(f, p, M, samples, seed) for M, f, p in weighted]
     alone.append(phi_f_moments([0.5, 1.5], 3, samples, seed))
     assert [est.singular_events for est in alone[5:]] == [2, 0, 3, 0, 0, 0]
-    assert list(moments._passes(keys)) == [(3, samples, seed), (2, samples, seed)]
+    block_sums, ms = moments._block_sums, []
+    monkeypatch.setattr(moments, "_block_sums", lambda task: ms.append(task[0]) or block_sums(task))
     serial = moments.sample(keys)
+    assert ms == [3] * 3 + [2] * 3  # the largest M first, three blocks each
     pooled = moments.sample(keys, 2)
     assert list(serial) == list(pooled) and set(serial) == set(keys)
     for key, est in zip(keys, alone):
@@ -629,7 +631,7 @@ def test_certified_blocks_call_no_lapack(monkeypatch):
     keys = [moments.key_of("eta", M, k, CHUNK, seed) for k in (1, 2, 4)]
     keys += [moments.key_of("phi_F", M, 4, CHUNK, seed, f),
              moments.key_of("weighted", M, 4, CHUNK, seed, f, p)]
-    [views] = [tuple(map(moments._view, group)) for group in moments._passes(keys).values()]
+    views = tuple(map(moments._view, keys))  # one pass: one M, its keys in K order
     task = (M, views, seed, 0, CHUNK)
     want = moments._block_sums(task)
 
@@ -716,17 +718,18 @@ def _block(task) -> list:
 
 @pytest.mark.parametrize("hard", [False, True], ids=["regular", "hard-first-slice"])
 def test_slices_give_the_bits_of_one_stack(monkeypatch, hard):
-    # a block runs in slices of SLICE draws; run as one stack (SLICE = CHUNK)
-    # it gives the same phi, order and block sums for a multi-K eta pass, a
-    # phi_F and a weighted view.  The second block of CHUNK + 300 samples is
-    # one full slice plus 44 draws.  With hard draws in block 0's first slice,
-    # those draws alone take the eigenvalue fallback, once per view
-    M, seed, samples = 6, 29, CHUNK + 300
+    # a block runs in slices of SLICE_ENTRIES // max(K)^2 draws, 512 at
+    # max(K) = 4; run as one stack (SLICE = CHUNK) it gives the same phi,
+    # order and block sums for a multi-K eta pass, a phi_F and a weighted
+    # view.  The second block of CHUNK + 556 samples is one full slice plus
+    # 44 draws.  With hard draws in block 0's first slice, those draws alone
+    # take the eigenvalue fallback, once per view
+    M, seed, samples = 6, 29, CHUNK + 556
     f, p = [0.5, 1.5, 1.0, 2.0], [1.0, 2.0, 0.5, 1.0]
     keys = [moments.key_of("eta", M, k, samples, seed) for k in (2, 3, 4)]
     keys += [moments.key_of("phi_F", M, 4, samples, seed, f),
              moments.key_of("weighted", M, 4, samples, seed, f, p)]
-    [views] = [tuple(map(moments._view, group)) for group in moments._passes(keys).values()]
+    views = tuple(map(moments._view, keys))  # one pass: one M, its keys in K order
     tasks = [(M, views, seed, 0, CHUNK), (M, views, seed, 1, samples - CHUNK)]
     if hard:
         _hard_draws(monkeypatch)
@@ -738,7 +741,9 @@ def test_slices_give_the_bits_of_one_stack(monkeypatch, hard):
         return [(_block(task), moments._block_sums(task)) for task in tasks], fallbacks[:]
 
     sliced, sliced_fallbacks = run()
-    assert samples - CHUNK == SLICE + 44 and SLICE < CHUNK
+    step = min(CHUNK, max(SLICE, SLICE_ENTRIES // 4 ** 2 // GROUPS * GROUPS))
+    assert samples - CHUNK == step + 44 and step == 512
+    assert len(list(_slices(*tasks[1]))) == 2 * len(views)  # block 1 in two slices
     monkeypatch.setattr(moments, "SLICE", CHUNK)
     whole, whole_fallbacks = run()
     # _slices and _block_sums each run block 0 once

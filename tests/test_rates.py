@@ -214,29 +214,25 @@ def test_homogeneous_se_matches_seed_spread():
 def test_kernel_runs_once_per_statistic(monkeypatch):
     # a source without a cache path keeps every statistic in memory, so the
     # tau, K and N loops of both searches sample each (kind, M, K, F) once,
-    # and each search samples what it lacks in one pass
+    # and each search samples what it lacks in one pass: at 200 samples a
+    # pass is one task, one block of (M, views)
     import tddmimo.moments as moments
-    runs = []
-    collect = moments._collect
-
-    def counting(passes, pool):
-        runs.extend(passes)
-        return collect(passes, pool)
-
-    monkeypatch.setattr(moments, "_collect", counting)
+    tasks = []
+    block_sums = moments._block_sums
+    monkeypatch.setattr(moments, "_block_sums", lambda task: tasks.append(task) or block_sums(task))
     src = MomentSource(200, 31)
     for scheduled in (True, False):
         c_net(4, 10, 1.0, 0.1, scheduled=scheduled, moment_source=src)
     # K = 1..4 at M = 4: four statistics from one pass over the blocks
-    assert len(runs) == len(set(runs)) == 1 and src.cache.misses == 4
+    assert len(tasks) == len(set(tasks)) == 1 and src.cache.misses == 4
     assert src.cache.hits > 0
-    runs.clear()
+    tasks.clear()
     cfg = paper_hetero_config(M=8, T=14)
     for scheduled in (True, False):
         c_wt_net(cfg, scheduled=scheduled, moment_source=src)
     # one pass (M = 8) that holds the weighted statistic of every tau
-    views = [view for _, pass_views, *_ in runs for view in pass_views]
-    assert len(runs) == 1 and 0 < len(views) == len(set(views)) == src.cache.misses - 4
+    views = [view for _, pass_views, *_ in tasks for view in pass_views]
+    assert len(tasks) == 1 and 0 < len(views) == len(set(views)) == src.cache.misses - 4
     assert src.cache.kind_counts() == {"eta": 4, "weighted": len(views)}
 
 
