@@ -477,8 +477,8 @@ def sample(keys, workers: int = 1) -> dict:
     tasks = [(M, views[M, samples, seed], seed, block, count)
              for M, samples, seed in passes for block, count in enumerate(_blocks(samples))]
     size = min(workers, len(tasks), len(os.sched_getaffinity(0))) if sys.platform == "linux" else 1
-    if size < 2:
-        results = map(_block_sums, tasks)
+    if size < 2:  # every block before the first sum, as from a pool: a lower heap peak
+        results = iter(list(map(_block_sums, tasks)))
     else:
         with ProcessPoolExecutor(size) as pool:
             results = iter(pool.map(_block_sums, tasks))
