@@ -139,7 +139,7 @@ def test_the_output_check_tolerates_rounding_only_under_another_numpy():
     # under the recorded one, while a rate one std_error off and a moved
     # optimizer are named under either, with their z
     csv = (OUTPUTS / "fig2_sum_bound.csv").read_text()
-    manifest = _manifest(Path("fig2_sum_bound.csv")).read_text()
+    manifest = (OUTPUTS / "fig2_sum_bound_manifest.txt").read_text()
     here = re.sub(r"(?m)^numpy_version=.*$", f"numpy_version={np.__version__}", manifest)
     other = re.sub(r"(?m)^numpy_version=.*$", "numpy_version=0.0", manifest)
     first = dict(zip(*(line.split(",") for line in csv.splitlines()[:2])))
